@@ -54,9 +54,7 @@ from .problems import (
     Interval,
     LowerBoundInstance,
     StochasticProblem,
-    chain_gradient,
     chain_oracle,
-    chain_value,
     lowerbound_oracle,
     nonconvex_problem,
     prog,

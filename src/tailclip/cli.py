@@ -9,7 +9,6 @@ failed, 2 configuration or runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -22,8 +21,17 @@ from .config import apply_overrides, load_config
 from .diagnostics import sandwich_fuzz
 from .errors import ConfigurationError
 from .noise import NoiseSpec
+from .optimizers import CSV_METRICS, average_traces
 from .report import Report
-from .runner import OUT_DIR_ENV, read_csv, run_experiment, traces_from_rows
+from .runner import (
+    OUT_DIR_ENV,
+    TABLE_SUFFIX,
+    read_csv,
+    run_experiment,
+    slope_verdict,
+    traces_from_rows,
+    write_table,
+)
 from .suites import chain_suite, lemma_check, lowerbound_suite, noise_probe
 
 EXIT_OK = 0
@@ -37,17 +45,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_table(path: Path, fmt: str, header: list[str], rows: list[list]):
-    if fmt == "csv":
-        with open(path.with_suffix(".csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-        return path.with_suffix(".csv")
-    with open(path.with_suffix(".jsonl"), "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
-    return path.with_suffix(".jsonl")
+def _table(args, stem: str, header: list[str], rows: list[list]) -> Path:
+    """Write a probe table as ``stem`` plus the --format suffix in --out."""
+    path = _out_dir(args) / (stem + TABLE_SUFFIX[args.format])
+    write_table(path, args.format, header, rows)
+    return path
 
 
 def _print_verdicts(verdicts) -> bool:
@@ -97,14 +99,13 @@ def cmd_noise_probe(args) -> int:
     rng = np.random.default_rng(args.seed)
     n = int(float(args.n))
     res = noise_probe(spec, n, rng, block_size=args.block_size, bins=args.bins)
-    out = _out_dir(args)
     rows = [[c, v] for c, v in res.variance_curve]
-    path = _write_table(out / "noise_probe_variance", args.format, ["sample_count", "second_moment"], rows)
+    path = _table(args, "noise_probe_variance", ["sample_count", "second_moment"], rows)
     hist_rows = [
         [float(res.histogram.edges[i]), float(res.histogram.edges[i + 1]), int(res.histogram.counts[i])]
         for i in range(len(res.histogram.counts))
     ]
-    _write_table(out / "noise_probe_histogram", args.format, ["bin_lo", "bin_hi", "count"], hist_rows)
+    _table(args, "noise_probe_histogram", ["bin_lo", "bin_hi", "count"], hist_rows)
     for c, v in res.variance_curve:
         print(f"n={c}: empirical second moment {v:.6g}")
     if res.tail is not None:
@@ -123,9 +124,9 @@ def cmd_lemma_check(args) -> int:
          p.bound_second_moment, p.bound_bias]
         for p in res.probes
     ]
-    path = _write_table(
-        _out_dir(args) / "lemma_check",
-        args.format,
+    path = _table(
+        args,
+        "lemma_check",
         ["tau", "second_moment", "second_moment_se", "bias_norm", "bias_se",
          "bound_second_moment", "bound_bias"],
         rows,
@@ -167,31 +168,19 @@ def cmd_sandwich(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # The CSV records neither the master seed nor the wall time of the run,
+    # and carries only the CSV_METRICS columns.
+    if args.metric not in CSV_METRICS:
+        raise ConfigurationError(
+            f"report: metric {args.metric!r} is not a CSV column; expected one of {CSV_METRICS}"
+        )
     rows = read_csv(Path(args.csv))
-    traces = traces_from_rows(rows)
-    from .diagnostics import fit_loglog_slope
-    from .optimizers import average_traces
-
-    report = Report(
-        experiment=rows[0]["experiment"] if rows else "unknown",
-        version=__version__,
-        master_seed=args.seed,
-    )
-    mean_trace = average_traces(traces, stat="mean")
+    mean_trace = average_traces(traces_from_rows(rows), stat="mean")
+    report = Report(experiment=rows[0]["experiment"], version=__version__)
     if args.slope_expect is not None:
         kmax = args.kmax if args.kmax else float(mean_trace.ks[-1])
-        fit = fit_loglog_slope(mean_trace, args.metric, (args.kmin, kmax))
-        from .report import Verdict
-
-        report.verdicts.append(
-            Verdict(
-                criterion="slope",
-                description=f"log-log slope of seed-mean {args.metric}",
-                observed=f"{fit.slope:.4f} (r2={fit.r_squared:.3f})",
-                threshold=f"{args.slope_expect:.4f} +- {args.slope_tol}",
-                passed=abs(fit.slope - args.slope_expect) <= args.slope_tol,
-            )
-        )
+        report.verdicts.append(slope_verdict("slope", mean_trace, args.metric, (args.kmin, kmax),
+                                             args.slope_expect, args.slope_tol))
     out = _out_dir(args)
     path = out / (Path(args.csv).stem + ".report.txt")
     path.write_text(report.render_text(), encoding="utf-8")

@@ -28,10 +28,11 @@ def gclip(g: np.ndarray, tau: float) -> np.ndarray:
         return g.copy()
     # scale by the peak so the squared sum cannot under/overflow
     scaled = g / peak
-    norm = peak * math.sqrt(float(scaled @ scaled))
-    if norm <= tau:
+    unit_norm = math.sqrt(float(scaled @ scaled))
+    if peak * unit_norm <= tau:
         return g.copy()
-    return g * (tau / norm)
+    # rescale the peak-scaled vector: tau / ||g|| itself can underflow
+    return scaled * (tau / unit_norm)
 
 
 def cclip(g: np.ndarray, tau: np.ndarray) -> np.ndarray:

@@ -145,14 +145,7 @@ class ExperimentConfig:
     outputs: OutputsSection = field(default_factory=OutputsSection)
 
 
-_SECTION_TYPES = {
-    "problem": ProblemSection,
-    "noise": NoiseSection,
-    "schedule": ScheduleSection,
-    "optimizer": OptimizerSection,
-    "checks": ChecksSection,
-    "outputs": OutputsSection,
-}
+_SECTIONS = ("problem", "noise", "schedule", "optimizer", "checks", "outputs")
 
 _LIST_KEYS = {"x_star", "x0", "lower", "upper", "per_coordinate_scales"}
 _AUTO_KEYS = {"G", "sigma", "f0", "L", "mu", "radius", "slope_expect", "ratio_min", "ratio_max"}
@@ -181,31 +174,30 @@ def _coerce(section: str, key: str, raw: str, target):
     return raw
 
 
+def _set_key(cfg: ExperimentConfig, section: str, key: str, raw: str, source):
+    """Coerce ``raw`` and store it as [section] key; ``source`` names the
+    file or override in error messages."""
+    if section == "experiment":
+        if key == "name":
+            cfg.name = raw.strip()
+        elif key in ("seeds", "master_seed", "iterations"):
+            setattr(cfg, key, int(float(raw)))
+        else:
+            raise ConfigurationError(f"{source}: unknown key [experiment] {key}")
+        return
+    if section not in _SECTIONS:
+        raise ConfigurationError(f"{source}: unknown section [{section}]")
+    obj = getattr(cfg, section)
+    if not hasattr(obj, key):
+        raise ConfigurationError(f"{source}: unknown key [{section}] {key}")
+    setattr(obj, key, _coerce(section, key, raw, getattr(obj, key)))
+
+
 def _apply(cfg: ExperimentConfig, parser: configparser.ConfigParser, path: Path):
-    if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key == "include":
-                continue
-            if key == "name":
-                cfg.name = raw.strip()
-            elif key in ("seeds", "master_seed", "iterations"):
-                setattr(cfg, key, int(float(raw)))
-            else:
-                raise ConfigurationError(f"{path}: unknown key [experiment] {key}")
-    for section, obj in (
-        ("problem", cfg.problem),
-        ("noise", cfg.noise),
-        ("schedule", cfg.schedule),
-        ("optimizer", cfg.optimizer),
-        ("checks", cfg.checks),
-        ("outputs", cfg.outputs),
-    ):
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
         for key, raw in parser.items(section):
-            if not hasattr(obj, key):
-                raise ConfigurationError(f"{path}: unknown key [{section}] {key}")
-            setattr(obj, key, _coerce(section, key, raw, getattr(obj, key)))
+            if (section, key) != ("experiment", "include"):
+                _set_key(cfg, section, key, raw, path)
 
 
 def _read_parser(path: Path) -> configparser.ConfigParser:
@@ -287,14 +279,8 @@ def dump_config(cfg: ExperimentConfig) -> str:
     lines = ["[experiment]"]
     for key in ("name", "seeds", "master_seed", "iterations"):
         lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
-    for section, obj in (
-        ("problem", cfg.problem),
-        ("noise", cfg.noise),
-        ("schedule", cfg.schedule),
-        ("optimizer", cfg.optimizer),
-        ("checks", cfg.checks),
-        ("outputs", cfg.outputs),
-    ):
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
         lines.append("")
         lines.append(f"[{section}]")
         for key in vars(obj):
@@ -312,7 +298,7 @@ def save_config(cfg: ExperimentConfig, path: str | Path):
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]):
-    """Apply ``section.key=value`` overrides (CLI --set)."""
+    """Apply ``section.key=value`` overrides (CLI -O/--override)."""
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not of the form section.key=value")
@@ -320,20 +306,5 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]):
         if "." not in target:
             raise ConfigurationError(f"override {item!r} is not of the form section.key=value")
         section, key = target.split(".", 1)
-        section = section.strip()
-        key = key.strip()
-        if section == "experiment":
-            if key == "name":
-                cfg.name = raw.strip()
-            elif key in ("seeds", "master_seed", "iterations"):
-                setattr(cfg, key, int(float(raw)))
-            else:
-                raise ConfigurationError(f"unknown override key experiment.{key}")
-            continue
-        if section not in _SECTION_TYPES:
-            raise ConfigurationError(f"unknown override section {section!r}")
-        obj = getattr(cfg, section)
-        if not hasattr(obj, key):
-            raise ConfigurationError(f"unknown override key {section}.{key}")
-        setattr(obj, key, _coerce(section, key, raw, getattr(obj, key)))
+        _set_key(cfg, section.strip(), key.strip(), raw, f"override {item!r}")
     validate_config(cfg)

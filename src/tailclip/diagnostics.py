@@ -84,7 +84,8 @@ def bound_envelope_check(
 ) -> EnvelopeResult:
     """List every recorded k >= k_min where the metric exceeds bound(k).
 
-    Equality is a pass; ``max_excess`` is the largest relative excess
+    Equality is a pass.  A non-finite value (a diverged run) is a violation
+    with infinite excess.  ``max_excess`` is the largest relative excess
     (value/bound - 1) among violations, 0 when there are none.
     """
     vals = np.asarray(trace.metric(metric), dtype=float)
@@ -95,9 +96,9 @@ def bound_envelope_check(
         if k < k_min:
             continue
         b = float(bound(int(k)))
-        if val > b:
+        if not math.isfinite(val) or val > b:
             violations.append(int(k))
-            if b > 0:
+            if b > 0 and math.isfinite(val):
                 max_excess = max(max_excess, val / b - 1.0)
             else:
                 max_excess = math.inf

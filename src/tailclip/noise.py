@@ -4,6 +4,7 @@ Provides:
 - NoiseSpec: declarative description of a mean-zero noise distribution
   (gaussian / symmetric Pareto / symmetric alpha-stable / zero),
 - sample_noise / sample_noise_batch: seeded draws,
+- iter_blocks: a long stream of draws in fixed-size blocks,
 - empirical_moment: empirical p-th absolute moment with standard error,
 - tail_index: block-sum log-moment estimate of the tail index,
 - variance_growth_curve: streaming second moment vs. sample size.
@@ -129,6 +130,20 @@ def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     return sample_noise_batch(spec, rng, 1)[0]
 
 
+def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = _STREAM_CHUNK):
+    """Yield ``n`` draws as consecutive sample_noise_batch blocks of ``block`` rows.
+
+    Only the last block may be shorter.  The rows equal one
+    sample_noise_batch(spec, rng, n) call; the block boundaries fix the
+    order of any floating-point sums taken per block.
+    """
+    drawn = 0
+    while drawn < n:
+        chunk = min(block, n - drawn)
+        yield sample_noise_batch(spec, rng, chunk)
+        drawn += chunk
+
+
 @dataclass
 class MomentEstimate:
     """Empirical mean of ||X||^p with its (descriptive) standard error.
@@ -240,11 +255,9 @@ def variance_growth_curve(
     total = 0.0
     drawn = 0
     for cp in cps:
-        while drawn < cp:
-            chunk = min(_STREAM_CHUNK, cp - drawn)
-            block = sample_noise_batch(spec, rng, chunk)
+        for block in iter_blocks(spec, rng, cp - drawn):
             total += float(np.sum(block * block))
-            drawn += chunk
+        drawn = cp
         out.append((cp, total / cp))
     return out
 

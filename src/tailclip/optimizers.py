@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .clip import ACClipParams, ACClipState, acclip_factors, acclip_step
 from .errors import ConfigurationError
-from .noise import sample_noise_batch
-from .problems import StochasticProblem, project
+from .noise import iter_blocks
+from .problems import StochasticProblem
 
 ALGORITHMS = ("sgd", "momentum_sgd", "gclip", "proj_gclip", "cclip", "acclip", "adamlike")
 
+# Rows per pre-generated noise block in the run loop; small enough that a
+# pool worker's memory does not grow with the iteration count.
 _NOISE_BLOCK = 4096
 
 
@@ -223,6 +226,12 @@ class OptimizerConfig:
             self.project = True
 
 
+# Per-record metrics of a Trace, in field order.  The first five are the
+# serialized columns; the running means exist only in memory.
+CSV_METRICS = ("suboptimality", "grad_norm", "min_grad_stat", "clip_frac", "eff_step")
+TRACE_METRICS = CSV_METRICS + ("avg_grad_sq", "avg_min_stat")
+
+
 @dataclass
 class Trace:
     """Strided per-iteration records of one optimization run.
@@ -262,11 +271,7 @@ def average_traces(traces: list[Trace], stat: str = "mean") -> Trace:
         if not np.array_equal(t.ks, ks):
             raise ConfigurationError("traces have mismatched record points")
     agg = np.mean if stat == "mean" else np.median
-    fields = (
-        "suboptimality", "grad_norm", "min_grad_stat",
-        "clip_frac", "eff_step", "avg_grad_sq", "avg_min_stat",
-    )
-    stacked = {f: agg(np.stack([t.metric(f) for t in traces]), axis=0) for f in fields}
+    stacked = {f: agg(np.stack([t.metric(f) for t in traces]), axis=0) for f in TRACE_METRICS}
     t0 = traces[0]
     return Trace(ks=ks.copy(), seed=-1, algorithm=t0.algorithm,
                  schedule=t0.schedule, problem=t0.problem, **stacked)
@@ -306,17 +311,6 @@ def record_points(iterations: int, record: str | int | list[int]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The run loop
-
-
-def _noise_stream(problem: StochasticProblem, rng: np.random.Generator, total: int):
-    """Yield noise rows in pre-generated blocks (additive-noise problems)."""
-    remaining = total
-    while remaining > 0:
-        chunk = min(_NOISE_BLOCK, remaining)
-        block = sample_noise_batch(problem.noise, rng, chunk)
-        for i in range(chunk):
-            yield block[i]
-        remaining -= chunk
 
 
 def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
@@ -363,15 +357,12 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
 
     rec = record_points(K, config.record)
     rec_set = set(int(r) for r in rec)
-    rows = {name: [] for name in (
-        "suboptimality", "grad_norm", "min_grad_stat",
-        "clip_frac", "eff_step", "avg_grad_sq", "avg_min_stat")}
+    records = []  # one tuple of TRACE_METRICS per record point
 
     x_star, f_star = (problem.optimum if problem.optimum is not None else (None, 0.0))
     value = problem.value
     exact_gradient = problem.exact_gradient
-    additive = problem.noise is not None
-    noise_rows = _noise_stream(problem, rng, K) if additive else None
+    noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K, _NOISE_BLOCK))
 
     run_sq = 0.0
     run_min = 0.0
@@ -382,7 +373,7 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
             w_sum += k * x
             w_total += k
 
-        g = eg + next(noise_rows) if additive else problem.noisy_gradient(x, rng)
+        g = eg + next(noise_rows)
         eta = etas[k - 1]
         clip_frac = 0.0
         eff_step = eta
@@ -438,29 +429,14 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
         run_min += gsq if gnorm < 1.0 else gnorm
 
         if k in rec_set:
-            if averaging:
-                point = w_sum / w_total
-                sub = value(point) - f_star
-            else:
-                sub = value(x) - f_star
-            rows["suboptimality"].append(sub)
-            rows["grad_norm"].append(gnorm)
-            rows["min_grad_stat"].append(min(gnorm, gsq))
-            rows["clip_frac"].append(clip_frac)
-            rows["eff_step"].append(eff_step)
-            rows["avg_grad_sq"].append(run_sq / k)
-            rows["avg_min_stat"].append(run_min / k)
+            point = w_sum / w_total if averaging else x
+            records.append((value(point) - f_star, gnorm, min(gnorm, gsq), clip_frac,
+                            eff_step, run_sq / k, run_min / k))
 
     seed_label = seed if isinstance(seed, (int, np.integer)) else -1
     return Trace(
         ks=rec,
-        suboptimality=np.array(rows["suboptimality"]),
-        grad_norm=np.array(rows["grad_norm"]),
-        min_grad_stat=np.array(rows["min_grad_stat"]),
-        clip_frac=np.array(rows["clip_frac"]),
-        eff_step=np.array(rows["eff_step"]),
-        avg_grad_sq=np.array(rows["avg_grad_sq"]),
-        avg_min_stat=np.array(rows["avg_min_stat"]),
+        **{name: np.array(col) for name, col in zip(TRACE_METRICS, zip(*records))},
         seed=int(seed_label),
         algorithm=alg,
         schedule=sched.label,
@@ -514,11 +490,8 @@ def acclip_reference_run(
         alpha=config.acclip_alpha, epsilon=config.epsilon,
     )
     state = ACClipState(x=x0, params=params)
-    stream = _noise_stream(problem, rng, config.iterations) if problem.noise is not None else None
+    stream = chain.from_iterable(iter_blocks(problem.noise, rng, config.iterations, _NOISE_BLOCK))
     for k in range(1, config.iterations + 1):
-        if stream is not None:
-            g = problem.exact_gradient(state.x) + next(stream)
-        else:
-            g = problem.noisy_gradient(state.x, rng)
+        g = problem.exact_gradient(state.x) + next(stream)
         state = acclip_step(state, g, config.schedule.eta(k))
     return state.x

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigurationError, DomainError
-from .noise import NoiseSpec, sample_noise, sample_noise_batch
+from .noise import NoiseSpec, iter_blocks
 
 # ---------------------------------------------------------------------------
 # Feasible domains
@@ -97,17 +96,14 @@ class Constants:
 
     L: float | None = None
     mu: float | None = None
-    sigma_alpha: tuple[float, float] | None = None  # (sigma, alpha)
-    G_alpha: tuple[float, float] | None = None  # (G, alpha)
-    B: np.ndarray | None = None  # per-coordinate moment bounds
 
 
 @dataclass
 class StochasticProblem:
-    """An objective with exact oracle, noisy oracle and metadata.
+    """An objective with exact gradient, additive gradient noise and metadata.
 
-    ``noise`` is set when the noisy gradient is exact + additive noise;
-    optimizers use it to pre-generate noise in blocks.  ``optimum`` is
+    The stochastic gradient at x is exact_gradient(x) plus one draw of
+    ``noise``; optimizers pre-generate the draws in blocks.  ``optimum`` is
     (x_star, f_star) when known.
     """
 
@@ -115,9 +111,8 @@ class StochasticProblem:
     dimension: int
     value: Callable[[np.ndarray], float]
     exact_gradient: Callable[[np.ndarray], np.ndarray]
-    noisy_gradient: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    noise: NoiseSpec
     constants: Constants = field(default_factory=Constants)
-    noise: NoiseSpec | None = None
     domain: Domain | None = None
     optimum: tuple[np.ndarray, float] | None = None
 
@@ -129,10 +124,6 @@ def _quad_value(mu: float, x_star: np.ndarray, x: np.ndarray) -> float:
 
 def _quad_grad(mu: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
     return mu * (x - x_star)
-
-
-def _additive_noisy_grad(grad, spec: NoiseSpec, x: np.ndarray, rng: np.random.Generator):
-    return grad(x) + sample_noise(spec, rng)
 
 
 def quadratic_problem(
@@ -153,7 +144,6 @@ def quadratic_problem(
         dimension=dimension,
         value=value,
         exact_gradient=grad,
-        noisy_gradient=functools.partial(_additive_noisy_grad, grad, noise),
         constants=Constants(L=mu, mu=mu),
         noise=noise,
         optimum=(xs, 0.0),
@@ -187,7 +177,6 @@ def nonconvex_problem(dimension: int, noise: NoiseSpec) -> StochasticProblem:
         dimension=dimension,
         value=_ratio_value,
         exact_gradient=_ratio_grad,
-        noisy_gradient=functools.partial(_additive_noisy_grad, _ratio_grad, noise),
         constants=Constants(L=2.0),
         noise=noise,
         optimum=(np.zeros(dimension), 0.0),
@@ -288,6 +277,10 @@ def chain_psi_prime(t):
 
 def chain_phi(t):
     """sqrt(e) * sqrt(pi/2) * (1 + erf(t/sqrt(2))), exact via erf."""
+    # Imported here: scipy.special costs most of the package's import time
+    # and only the chain instance needs it.
+    from scipy.special import erf
+
     t = np.asarray(t, dtype=float)
     out = _PHI_SCALE * (1.0 + erf(t / math.sqrt(2.0)))
     return out if out.ndim else float(out)
@@ -360,14 +353,6 @@ def chain_gradient_raw(x: np.ndarray) -> np.ndarray:
     return g if np.asarray(x).ndim == 2 else g[0]
 
 
-def chain_value(inst: ChainInstance, x: np.ndarray) -> float:
-    return inst.value(x)
-
-
-def chain_gradient(inst: ChainInstance, x: np.ndarray) -> np.ndarray:
-    return inst.gradient(x)
-
-
 def prog(x: np.ndarray, beta: float) -> int:
     """Highest 1-based index i with |x_i| > beta; 0 if none."""
     hits = np.nonzero(np.abs(np.asarray(x, dtype=float)) > beta)[0]
@@ -405,53 +390,36 @@ def direction_alignment_bound_holds(v: np.ndarray, w: np.ndarray) -> bool:
 # Empirical calibration of the moment constants used by the prescribed schedules.
 
 
+def _norm_moment_root(
+    noise: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator
+) -> float:
+    """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws of xi."""
+    total = 0.0
+    for block in iter_blocks(noise, rng, n):
+        block = block + shift
+        total += float(np.sum(np.sum(block * block, axis=1) ** (alpha / 2.0)))
+    return (total / n) ** (1.0 / alpha)
+
+
 def estimate_sigma(noise: NoiseSpec, alpha: float, n: int, rng: np.random.Generator) -> float:
     """sigma with sigma^alpha = empirical E||xi||^alpha over n draws."""
-    total = 0.0
-    drawn = 0
-    while drawn < n:
-        chunk = min(1 << 16, n - drawn)
-        block = sample_noise_batch(noise, rng, chunk)
-        total += float(np.sum(np.sum(block * block, axis=1) ** (alpha / 2.0)))
-        drawn += chunk
-    return (total / n) ** (1.0 / alpha)
+    return _norm_moment_root(noise, 0.0, alpha, n, rng)
 
 
 def estimate_G(
     problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator
 ) -> float:
     """G with G^alpha = empirical E||g(x0)||^alpha over n oracle draws."""
-    x0 = np.asarray(x0, dtype=float)
-    if problem.noise is not None:
-        eg = problem.exact_gradient(x0)
-        total = 0.0
-        drawn = 0
-        while drawn < n:
-            chunk = min(1 << 16, n - drawn)
-            block = sample_noise_batch(problem.noise, rng, chunk) + eg
-            total += float(np.sum(np.sum(block * block, axis=1) ** (alpha / 2.0)))
-            drawn += chunk
-        return (total / n) ** (1.0 / alpha)
-    total = 0.0
-    for _ in range(n):
-        g = problem.noisy_gradient(x0, rng)
-        total += float(g @ g) ** (alpha / 2.0)
-    return (total / n) ** (1.0 / alpha)
+    eg = problem.exact_gradient(np.asarray(x0, dtype=float))
+    return _norm_moment_root(problem.noise, eg, alpha, n, rng)
 
 
 def estimate_B(
     problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-coordinate B_i with B_i^alpha = empirical E|g_i(x0)|^alpha."""
-    x0 = np.asarray(x0, dtype=float)
-    if problem.noise is None:
-        raise ConfigurationError("estimate_B requires an additive-noise problem")
-    eg = problem.exact_gradient(x0)
+    eg = problem.exact_gradient(np.asarray(x0, dtype=float))
     total = np.zeros(problem.dimension)
-    drawn = 0
-    while drawn < n:
-        chunk = min(1 << 16, n - drawn)
-        block = sample_noise_batch(problem.noise, rng, chunk) + eg
-        total += np.sum(np.abs(block) ** alpha, axis=0)
-        drawn += chunk
+    for block in iter_blocks(problem.noise, rng, n):
+        total += np.sum(np.abs(block + eg) ** alpha, axis=0)
     return (total / n) ** (1.0 / alpha)

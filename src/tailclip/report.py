@@ -23,8 +23,8 @@ class Verdict:
 class Report:
     experiment: str
     version: str
-    master_seed: int
-    wall_time_s: float = 0.0
+    master_seed: int | None = None  # None: unknown, e.g. re-rendered from a CSV
+    wall_time_s: float | None = None
     verdicts: list[Verdict] = field(default_factory=list)
     calibration: dict = field(default_factory=dict)
 
@@ -36,8 +36,8 @@ class Report:
         lines = [
             f"experiment: {self.experiment}",
             f"version: {self.version}",
-            f"master_seed: {self.master_seed}",
-            f"wall_time_s: {self.wall_time_s:.2f}",
+            f"master_seed: {'unknown' if self.master_seed is None else self.master_seed}",
+            f"wall_time_s: {'unknown' if self.wall_time_s is None else f'{self.wall_time_s:.2f}'}",
         ]
         if self.calibration:
             lines.append("calibration:")

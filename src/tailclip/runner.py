@@ -9,6 +9,7 @@ machine-readable JSON-lines verdict records.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -27,8 +28,9 @@ from .diagnostics import (
     strongly_convex_bound,
 )
 from .errors import ConfigurationError
-from .noise import NoiseSpec
 from .optimizers import (
+    CSV_METRICS,
+    TRACE_METRICS,
     OptimizerConfig,
     Schedule,
     Trace,
@@ -52,7 +54,9 @@ from .problems import (
 )
 from .report import Report, Verdict
 
-CSV_HEADER = "experiment,algorithm,seed,k,suboptimality,grad_norm,min_grad_stat,clip_frac,eff_step"
+CSV_COLUMNS = ("experiment", "algorithm", "seed", "k") + CSV_METRICS
+CSV_HEADER = ",".join(CSV_COLUMNS)
+TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl", "jsonl": ".jsonl"}
 
 OUT_DIR_ENV = "TAILCLIP_OUT_DIR"
 PARALLEL_ENV = "TAILCLIP_PARALLEL"
@@ -123,8 +127,6 @@ def build_schedule(
         if L is None:
             raise ConfigurationError("[schedule] nonconvex needs L (problem has no constant)")
         if s.sigma == "auto":
-            if problem.noise is None:
-                raise ConfigurationError("[schedule] sigma=auto needs an additive-noise problem")
             sigma = estimate_sigma(problem.noise, s.alpha, s.calibration_draws, rng)
             calibration["sigma"] = sigma
         else:
@@ -189,79 +191,58 @@ def build_optimizer_config(
 # Trace serialization
 
 
-def _float_repr(v: float) -> str:
-    return repr(float(v))
+def write_table(path: Path, fmt: str, header, rows):
+    """Write ``rows`` (lists in ``header`` order) as CSV or as JSON lines.
+
+    CSV carries a header line and floats in full round-trip precision;
+    any other ``fmt`` writes one JSON object per row with sorted keys.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        else:
+            for row in rows:
+                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
 
 
 def trace_rows(experiment: str, traces: list[Trace]):
+    """One list per recorded point, in CSV_COLUMNS order, seeds ascending."""
     for t in sorted(traces, key=lambda t: t.seed):
-        for i, k in enumerate(t.ks):
-            yield {
-                "experiment": experiment,
-                "algorithm": t.algorithm,
-                "seed": t.seed,
-                "k": int(k),
-                "suboptimality": float(t.suboptimality[i]),
-                "grad_norm": float(t.grad_norm[i]),
-                "min_grad_stat": float(t.min_grad_stat[i]),
-                "clip_frac": float(t.clip_frac[i]),
-                "eff_step": float(t.eff_step[i]),
-            }
+        ks = np.asarray(t.ks, dtype=np.int64).tolist()
+        cols = [np.asarray(t.metric(m), dtype=float).tolist() for m in CSV_METRICS]
+        for k, *vals in zip(ks, *cols):
+            yield [experiment, t.algorithm, t.seed, k, *vals]
 
 
 def write_csv(path: Path, experiment: str, traces: list[Trace]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in trace_rows(experiment, traces):
-            fh.write(
-                ",".join(
-                    [
-                        row["experiment"],
-                        row["algorithm"],
-                        str(row["seed"]),
-                        str(row["k"]),
-                        _float_repr(row["suboptimality"]),
-                        _float_repr(row["grad_norm"]),
-                        _float_repr(row["min_grad_stat"]),
-                        _float_repr(row["clip_frac"]),
-                        _float_repr(row["eff_step"]),
-                    ]
-                )
-                + "\n"
-            )
+    write_table(path, "csv", CSV_COLUMNS, trace_rows(experiment, traces))
 
 
 def write_jsonl(path: Path, experiment: str, traces: list[Trace]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in trace_rows(experiment, traces):
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_table(path, "json-lines", CSV_COLUMNS, trace_rows(experiment, traces))
 
 
 def read_csv(path: Path) -> list[dict]:
-    import csv as _csv
-
     with open(path, "r", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    "experiment": raw["experiment"],
-                    "algorithm": raw["algorithm"],
-                    "seed": int(raw["seed"]),
-                    "k": int(raw["k"]),
-                    "suboptimality": float(raw["suboptimality"]),
-                    "grad_norm": float(raw["grad_norm"]),
-                    "min_grad_stat": float(raw["min_grad_stat"]),
-                    "clip_frac": float(raw["clip_frac"]),
-                    "eff_step": float(raw["eff_step"]),
-                }
-            )
-    return rows
+        return [
+            {
+                "experiment": raw["experiment"],
+                "algorithm": raw["algorithm"],
+                "seed": int(raw["seed"]),
+                "k": int(raw["k"]),
+                **{m: float(raw[m]) for m in CSV_METRICS},
+            }
+            for raw in csv.DictReader(fh)
+        ]
 
 
 def traces_from_rows(rows: list[dict]) -> list[Trace]:
-    """Rebuild per-seed traces (CSV fields only) from serialized rows."""
+    """Rebuild per-seed traces from serialized rows.
+
+    The CSV does not carry the running means, so those metrics are zeros.
+    """
     by_seed: dict[int, list[dict]] = {}
     for row in rows:
         by_seed.setdefault(row["seed"], []).append(row)
@@ -271,13 +252,8 @@ def traces_from_rows(rows: list[dict]) -> list[Trace]:
         traces.append(
             Trace(
                 ks=np.array([r["k"] for r in rs], dtype=np.int64),
-                suboptimality=np.array([r["suboptimality"] for r in rs]),
-                grad_norm=np.array([r["grad_norm"] for r in rs]),
-                min_grad_stat=np.array([r["min_grad_stat"] for r in rs]),
-                clip_frac=np.array([r["clip_frac"] for r in rs]),
-                eff_step=np.array([r["eff_step"] for r in rs]),
-                avg_grad_sq=np.zeros(len(rs)),
-                avg_min_stat=np.zeros(len(rs)),
+                **{m: np.array([r[m] for r in rs]) for m in CSV_METRICS},
+                **{m: np.zeros(len(rs)) for m in TRACE_METRICS if m not in CSV_METRICS},
                 seed=seed,
                 algorithm=rs[0]["algorithm"],
                 schedule="",
@@ -291,6 +267,21 @@ def traces_from_rows(rows: list[dict]) -> list[Trace]:
 # Declared checks
 
 
+def slope_verdict(
+    criterion: str, mean_trace: Trace, metric: str, k_range: tuple[float, float],
+    expect: float, tol: float,
+) -> Verdict:
+    """PASS when the log-log slope of the seed-mean metric is within tol of expect."""
+    fit = fit_loglog_slope(mean_trace, metric, k_range)
+    return Verdict(
+        criterion=criterion,
+        description=f"log-log slope of seed-mean {metric}",
+        observed=f"{fit.slope:.4f} (r2={fit.r_squared:.3f})",
+        threshold=f"{expect:.4f} +- {tol}",
+        passed=abs(fit.slope - expect) <= tol,
+    )
+
+
 def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dict) -> list[Verdict]:
     c = cfg.checks
     verdicts: list[Verdict] = []
@@ -299,17 +290,8 @@ def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dic
     mean_trace = average_traces(traces, stat="mean")
     if c.slope_expect != "":
         kmax = c.slope_kmax if math.isfinite(c.slope_kmax) else float(cfg.iterations)
-        fit = fit_loglog_slope(mean_trace, c.slope_metric, (c.slope_kmin, kmax))
-        expect = float(c.slope_expect)
-        verdicts.append(
-            Verdict(
-                criterion=c.slope_id or "slope",
-                description=f"log-log slope of seed-mean {c.slope_metric}",
-                observed=f"{fit.slope:.4f} (r2={fit.r_squared:.3f})",
-                threshold=f"{expect:.4f} +- {c.slope_tol}",
-                passed=abs(fit.slope - expect) <= c.slope_tol,
-            )
-        )
+        verdicts.append(slope_verdict(c.slope_id or "slope", mean_trace, c.slope_metric,
+                                      (c.slope_kmin, kmax), float(c.slope_expect), c.slope_tol))
     if c.envelope:
         s = cfg.schedule
         mu = calibration.get("mu", cfg.problem.mu if s.mu == "auto" else float(s.mu))
@@ -391,6 +373,8 @@ def run_experiment(
     parallel: int | None = None,
 ) -> ExperimentResult:
     t_start = time.perf_counter()
+    if fmt not in TABLE_SUFFIX:
+        raise ConfigurationError(f"unknown output format {fmt!r}")
     out = Path(out_dir if out_dir is not None else os.environ.get(OUT_DIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
     if parallel is None and PARALLEL_ENV in os.environ:
@@ -403,16 +387,8 @@ def run_experiment(
     opt = build_optimizer_config(cfg, schedule, x0, problem.domain is not None)
     traces = run_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=parallel)
 
-    paths = {}
-    if fmt == "csv":
-        csv_name = cfg.outputs.csv or f"{cfg.name}.csv"
-        paths["data"] = out / csv_name
-        write_csv(paths["data"], cfg.name, traces)
-    elif fmt in ("json-lines", "jsonl"):
-        paths["data"] = out / (cfg.outputs.csv or f"{cfg.name}.jsonl")
-        write_jsonl(paths["data"], cfg.name, traces)
-    else:
-        raise ConfigurationError(f"unknown output format {fmt!r}")
+    paths = {"data": out / (cfg.outputs.csv or cfg.name + TABLE_SUFFIX[fmt])}
+    write_table(paths["data"], fmt, CSV_COLUMNS, trace_rows(cfg.name, traces))
 
     verdicts = evaluate_checks(cfg, traces, calibration)
     report = Report(

@@ -16,6 +16,7 @@ from .noise import (
     NoiseHistogram,
     NoiseSpec,
     TailIndexEstimate,
+    iter_blocks,
     norm_histogram,
     tail_index,
     variance_growth_curve,
@@ -29,6 +30,17 @@ from .problems import (
     prog,
 )
 from .report import Verdict
+
+
+@dataclass
+class SuiteResult:
+    """The verdicts of one suite; it passes when every verdict does."""
+
+    verdicts: list[Verdict] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(v.passed for v in self.verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -60,23 +72,12 @@ def noise_probe(
         checkpoints.append(n)
     curve = variance_growth_curve(spec, checkpoints, rng)
     n_tail = max(n - (n % block_size), 2 * block_size)
-    norms = np.sqrt(_norm_sq_stream(spec, n_tail, rng))
+    norms = np.sqrt(np.concatenate(
+        [np.sum(block * block, axis=1) for block in iter_blocks(spec, rng, n_tail)]
+    ))
     tail = None if not np.any(norms > 0) else tail_index(norms, block_size, rng=rng)
     hist = norm_histogram(spec, min(n, 10**5), rng, bins=bins)
     return NoiseProbeResult(spec=spec, variance_curve=curve, tail=tail, histogram=hist)
-
-
-def _norm_sq_stream(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    from .noise import sample_noise_batch
-
-    out = np.empty(n)
-    drawn = 0
-    while drawn < n:
-        chunk = min(1 << 16, n - drawn)
-        block = sample_noise_batch(spec, rng, chunk)
-        out[drawn : drawn + chunk] = np.sum(block * block, axis=1)
-        drawn += chunk
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +85,8 @@ def _norm_sq_stream(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.nda
 
 
 @dataclass
-class LemmaCheckResult:
-    probes: list[ProbeResult]
-    verdicts: list[Verdict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+class LemmaCheckResult(SuiteResult):
+    probes: list[ProbeResult] = field(default_factory=list)
 
 
 def lemma_check(
@@ -158,22 +154,13 @@ def lemma_check(
 # Lower-bound oracle validation.
 
 
-@dataclass
-class LowerBoundCheckResult:
-    verdicts: list[Verdict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-
 def lowerbound_suite(
     epsilons: list[float],
     alphas: list[float],
     n: int,
     rng: np.random.Generator,
     points: list[float] | None = None,
-) -> LowerBoundCheckResult:
+) -> SuiteResult:
     """Check unbiasedness and the unit alpha-moment bound of the two-point
     adversarial oracle at a grid of (epsilon, alpha, nu) settings."""
     if points is None:
@@ -220,20 +207,11 @@ def lowerbound_suite(
                         passed=moment_ok,
                     )
                 )
-    return LowerBoundCheckResult(verdicts=verdicts)
+    return SuiteResult(verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
 # Chain-instance property suite.
-
-
-@dataclass
-class ChainSuiteResult:
-    verdicts: list[Verdict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
 
 
 def _chain_test_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -259,7 +237,7 @@ def chain_suite(
     p: float = 0.5,
     fd_points: int = 100,
     curvature_points: int = 2000,
-) -> ChainSuiteResult:
+) -> SuiteResult:
     """Numerically verify the chain objective's advertised properties,
     plus oracle unbiasedness and gradient/finite-difference agreement."""
     inst = ChainInstance(d=d, p=p)
@@ -405,4 +383,4 @@ def chain_suite(
             passed=max_rel <= 1e-4,
         )
     )
-    return ChainSuiteResult(verdicts=verdicts)
+    return SuiteResult(verdicts=verdicts)

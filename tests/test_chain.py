@@ -7,14 +7,12 @@ from tailclip.errors import ConfigurationError
 from tailclip.problems import (
     ChainInstance,
     _chain_oracle_with_z,
-    chain_gradient,
     chain_gradient_raw,
     chain_oracle,
     chain_phi,
     chain_phi_prime,
     chain_psi,
     chain_psi_prime,
-    chain_value,
     chain_value_raw,
     prog,
 )
@@ -54,8 +52,8 @@ def test_psi_phi_derivatives_match_fd():
 def test_chain_value_d1_closed_form():
     inst = ChainInstance(d=1, p=0.5)
     x = np.array([0.37])
-    assert chain_value(inst, x) == pytest.approx(-chain_phi(0.37), rel=1e-12)
-    assert chain_gradient(inst, x)[0] == pytest.approx(-chain_phi_prime(0.37), rel=1e-12)
+    assert inst.value(x) == pytest.approx(-chain_phi(0.37), rel=1e-12)
+    assert inst.gradient(x)[0] == pytest.approx(-chain_phi_prime(0.37), rel=1e-12)
 
 
 def test_chain_gradient_matches_fd():
@@ -90,7 +88,7 @@ def test_oracle_deterministic_limit():
     inst = ChainInstance(d=5, p=1.0)
     x = np.array([1.2, 0.9, 0.1, 0.0, 0.0])
     g = chain_oracle(inst, x, np.random.default_rng(0))
-    assert np.allclose(g, chain_gradient(inst, x))
+    assert np.allclose(g, inst.gradient(x))
 
 
 def test_oracle_z_zero_kills_next_coordinate():
@@ -98,7 +96,7 @@ def test_oracle_z_zero_kills_next_coordinate():
     x = np.array([1.2, 0.9, 0.1, 0.0, 0.0])
     j = prog(x, 0.25) + 1  # first unrevealed coordinate
     g = _chain_oracle_with_z(inst, x, 0)
-    exact = chain_gradient(inst, x)
+    exact = inst.gradient(x)
     assert g[j - 1] == 0.0
     mask = np.ones(5, dtype=bool)
     mask[j - 1] = False
@@ -109,13 +107,13 @@ def test_oracle_complete_progress_is_exact():
     inst = ChainInstance(d=3, p=0.25)
     x = np.array([1.0, 1.0, 2.0])  # prog_{1/4}(x) = d, nothing to reveal
     g = _chain_oracle_with_z(inst, x, 0)
-    assert np.array_equal(g, chain_gradient(inst, x))
+    assert np.array_equal(g, inst.gradient(x))
 
 
 def test_oracle_unbiased_monte_carlo():
     inst = ChainInstance(d=4, p=0.3)
     x = np.array([1.4, 0.6, 0.05, 0.0])
-    exact = chain_gradient(inst, x)
+    exact = inst.gradient(x)
     j = prog(x, 0.25) + 1
     rng = np.random.default_rng(9)
     n = 10**5

@@ -22,6 +22,13 @@ vectors = st.lists(
 )
 
 
+def scaled_norm(v):
+    """Euclidean norm taken with peak scaling, as gclip does: squaring a
+    value near 1e-160 directly would land in the subnormal range."""
+    peak = float(np.max(np.abs(v)))
+    return 0.0 if peak == 0.0 else peak * math.sqrt(float((v / peak) @ (v / peak)))
+
+
 class TestGClip:
     def test_below_threshold_identity(self):
         g = np.array([3.0, 4.0])
@@ -39,16 +46,18 @@ class TestGClip:
         with pytest.raises(ConfigurationError):
             gclip(np.ones(2), -0.1)
 
-    @given(vectors, st.floats(min_value=0, max_value=1e6, allow_nan=False))
+    # Subnormal thresholds are left out: below 2.2e-308 the spacing of
+    # doubles exceeds the 1e-12 relative tolerance, whatever the clip does.
+    @given(vectors, st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_subnormal=False))
     @settings(max_examples=200, deadline=None)
     def test_norm_never_increases_and_direction_preserved(self, vals, tau):
         g = np.array(vals)
         out = gclip(g, tau)
-        norm = np.linalg.norm(g)
-        assert np.linalg.norm(out) <= min(norm, tau) * (1 + 1e-12) or norm == 0.0
+        norm = scaled_norm(g)
+        assert scaled_norm(out) <= min(norm, tau) * (1 + 1e-12) or norm == 0.0
         if norm > 0:
             # output is a nonnegative scalar multiple of g
-            c = np.linalg.norm(out) / norm
+            c = scaled_norm(out) / norm
             assert 0.0 <= c <= 1.0 + 1e-12
             assert np.allclose(out, c * g, rtol=1e-9, atol=1e-12)
 

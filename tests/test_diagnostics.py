@@ -103,6 +103,15 @@ class TestEnvelope:
         res = bound_envelope_check(synthetic_trace(ks, vals), lambda k: 1.0, k_min=10)
         assert res.passed
 
+    def test_non_finite_values_violate(self):
+        ks = np.array([1, 10, 100])
+        res = bound_envelope_check(synthetic_trace(ks, np.full(3, np.nan)), lambda k: 1.0)
+        assert not res.passed and res.violations == [1, 10, 100]
+        assert res.max_excess == math.inf
+        vals = np.array([np.nan, 0.5, np.inf])
+        res = bound_envelope_check(synthetic_trace(ks, vals), lambda k: 1.0, k_min=10)
+        assert res.violations == [100] and res.max_excess == math.inf
+
 
 class TestSandwich:
     def test_zero_gradient_ratio_half(self):

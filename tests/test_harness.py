@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,35 @@ class TestConfig:
             apply_overrides(cfg, ["nonsense"])
         with pytest.raises(ConfigurationError):
             apply_overrides(cfg, ["optimizer.bogus=1"])
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("experiment", "name", "renamed"),
+            ("experiment", "seeds", "4"),
+            ("experiment", "master_seed", "12"),
+            ("experiment", "iterations", "2.5e3"),
+            ("problem", "x0", "0.5, -0.25"),
+            ("noise", "family", "stable"),
+            ("schedule", "tau", "inf"),
+            ("optimizer", "averaging", "yes"),
+            ("checks", "slope_expect", "-0.5"),
+            ("outputs", "plots", "true"),
+        ],
+    )
+    def test_override_equals_file_key(self, minimal_cfg, tmp_path, section, key, value):
+        header = "" if section == "experiment" else f"\n[{section}]\n"
+        child = tmp_path / "child.cfg"
+        child.write_text(f"[experiment]\ninclude = {minimal_cfg.name}\n{header}{key} = {value}\n")
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, [f"{section}.{key}={value}"])
+        assert cfg == load_config(child)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text(MINIMAL + "\n[optimiser]\nalgorithm = sgd\n")
+        with pytest.raises(ConfigurationError, match="optimiser"):
+            load_config(p)
 
 
 class TestRunner:
@@ -226,6 +259,33 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "smoke.report.txt").exists()
 
+    def test_report_does_not_invent_seed_or_wall_time(self, minimal_cfg, tmp_path, capsys):
+        main(["run", str(minimal_cfg), "--seed", "777", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["report", "--csv", str(tmp_path / "smoke.csv"), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "experiment: smoke\n" in out
+        assert "master_seed: unknown\n" in out
+        assert "wall_time_s: unknown\n" in out
+
+    @pytest.mark.parametrize("slope", [[], ["--slope-expect", "-1.0"]])
+    def test_report_refuses_metric_not_in_csv(self, minimal_cfg, tmp_path, capsys, slope):
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        capsys.readouterr()
+        code = main(["report", "--csv", str(tmp_path / "smoke.csv"), "--metric", "avg_grad_sq",
+                     *slope, "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "avg_grad_sq" in err
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, tailclip.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
+
 
 BUNDLED = [
     "strongly_convex_alpha15",
@@ -240,14 +300,10 @@ BUNDLED = [
 class TestBundledConfigs:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_parses_and_validates(self, name):
-        from pathlib import Path
-
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         assert cfg.name == name
 
     def test_strongly_convex_alpha15_declares_acceptance_checks(self):
-        from pathlib import Path
-
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "strongly_convex_alpha15.cfg")
         assert cfg.checks.slope_id == "A1"
         assert float(cfg.checks.slope_expect) == pytest.approx(-2.0 / 3.0, abs=1e-4)
@@ -255,8 +311,6 @@ class TestBundledConfigs:
         assert cfg.checks.envelope_id == "A2"
 
     def test_a4_pair_passes_at_reduced_scale(self, tmp_path):
-        from pathlib import Path
-
         cfgdir = Path(__file__).resolve().parents[1] / "configs"
         scale = ["-O", "experiment.iterations=10000", "-O", "checks.ratio_k_hi=10000",
                  "-O", "experiment.seeds=8", "--out", str(tmp_path)]

@@ -10,6 +10,7 @@ from tailclip.noise import (
     empirical_moment,
     pareto_magnitude,
     sample_noise,
+    iter_blocks,
     sample_noise_batch,
     tail_index,
     variance_growth_curve,
@@ -63,13 +64,19 @@ def test_determinism_bit_identical():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("family,tail", [("gaussian", 2.0), ("pareto", 2.5), ("stable", 1.5)])
+@pytest.mark.parametrize(
+    "family,tail", [("gaussian", 2.0), ("pareto", 2.5), ("stable", 1.5), ("zero", 2.0)]
+)
 def test_batch_matches_repeated_single_draws(family, tail):
     spec = NoiseSpec(family, dimension=2, tail_index=tail)
     batch = sample_noise_batch(spec, np.random.default_rng(5), 6)
     rng = np.random.default_rng(5)
     singles = np.stack([sample_noise(spec, rng) for _ in range(6)])
     assert np.array_equal(batch, singles)
+    for block in (1, 4, 6, 64):
+        blocks = list(iter_blocks(spec, np.random.default_rng(5), 6, block))
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.array_equal(np.vstack(blocks), singles)
 
 
 def test_spec_validation():
