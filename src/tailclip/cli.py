@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: run, noise-probe, lemma-check, lowerbound, chain-check,
-sandwich, report.  Every subcommand accepts --seed, --out and --format
-{csv,json-lines}.  Exit status: 0 all checks pass, 1 a declared check
-failed, 2 configuration or runtime error.
+sandwich, report.  Every subcommand accepts --out.  All but report take
+--seed; run, noise-probe and lemma-check, which write tables, also take
+--format {csv,json-lines}.  Exit status: 0 all checks pass, 1 a declared
+check failed, 2 configuration or runtime error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import apply_overrides, load_config
+from .config import apply_overrides, integer, load_config
 from .diagnostics import sandwich_fuzz
 from .errors import ConfigurationError
 from .noise import NoiseSpec
@@ -60,15 +61,14 @@ def _print_verdicts(verdicts) -> bool:
     return ok
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True, table: bool = False):
+    """--out always; --seed for commands that draw, --format for those that write a table."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--out", type=str, default="", help="output directory")
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json-lines"),
-        default="csv",
-        help="tabular output format",
-    )
+    if table:
+        parser.add_argument("--format", choices=("csv", "json-lines"), default="csv",
+                            help="tabular output format")
 
 
 def _noise_spec_from_args(args) -> NoiseSpec:
@@ -97,8 +97,7 @@ def cmd_run(args) -> int:
 def cmd_noise_probe(args) -> int:
     spec = _noise_spec_from_args(args)
     rng = np.random.default_rng(args.seed)
-    n = int(float(args.n))
-    res = noise_probe(spec, n, rng, block_size=args.block_size, bins=args.bins)
+    res = noise_probe(spec, args.n, rng, block_size=args.block_size, bins=args.bins)
     rows = [[c, v] for c, v in res.variance_curve]
     path = _table(args, "noise_probe_variance", ["sample_count", "second_moment"], rows)
     hist_rows = [
@@ -118,7 +117,7 @@ def cmd_lemma_check(args) -> int:
     spec = _noise_spec_from_args(args)
     rng = np.random.default_rng(args.seed)
     taus = [float(t) for t in args.taus.split(",")]
-    res = lemma_check(spec, taus, int(float(args.n)), rng, args.alpha, grad_norm=args.grad_norm)
+    res = lemma_check(spec, taus, args.n, rng, args.alpha, grad_norm=args.grad_norm)
     rows = [
         [p.tau, p.second_moment, p.second_moment_se, p.bias_norm, p.bias_se,
          p.bound_second_moment, p.bound_bias]
@@ -140,14 +139,14 @@ def cmd_lowerbound(args) -> int:
     rng = np.random.default_rng(args.seed)
     eps = [float(e) for e in args.epsilons.split(",")]
     alphas = [float(a) for a in args.alphas.split(",")]
-    res = lowerbound_suite(eps, alphas, int(float(args.n)), rng)
+    res = lowerbound_suite(eps, alphas, args.n, rng)
     ok = _print_verdicts(res.verdicts)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_chain_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    res = chain_suite(args.d, int(float(args.points)), rng, p=args.p)
+    res = chain_suite(args.d, args.points, rng, p=args.p)
     ok = _print_verdicts(res.verdicts)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -155,7 +154,7 @@ def cmd_chain_check(args) -> int:
 def cmd_sandwich(args) -> int:
     rng = np.random.default_rng(args.seed)
     res = sandwich_fuzz(
-        int(float(args.fuzz)), rng, v_max=args.v_max, g_max=args.g_max,
+        args.fuzz, rng, v_max=args.v_max, g_max=args.g_max,
         a=args.a, beta2=args.beta2, epsilon=args.epsilon,
     )
     print(
@@ -205,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECTION.KEY=VALUE", help="override a config value")
     p.add_argument("--parallel", type=int, default=None, help="worker processes across seeds")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--out", type=str, default="")
-    p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
+    _add_common(p, seed=False, table=True)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("noise-probe", help="histogram, variance curve and tail index of a noise spec")
@@ -214,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.5, help="tail/stability index")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--dimension", type=int, default=1)
-    p.add_argument("--n", type=str, default="1e6")
+    p.add_argument("--n", type=integer, default="1e6")
     p.add_argument("--block-size", type=int, default=100)
     p.add_argument("--bins", type=int, default=50)
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(func=cmd_noise_probe)
 
     p = sub.add_parser("lemma-check", help="bias/variance probes over a threshold grid")
@@ -227,27 +225,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=10)
     p.add_argument("--alpha", type=float, default=1.5, help="moment exponent of the bounds")
     p.add_argument("--taus", type=str, default="2,5,10,20,50")
-    p.add_argument("--n", type=str, default="1e6")
+    p.add_argument("--n", type=integer, default="1e6")
     p.add_argument("--grad-norm", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(func=cmd_lemma_check)
 
     p = sub.add_parser("lowerbound", help="validate the adversarial two-point oracle")
     p.add_argument("--epsilons", type=str, default="0.125,0.0625")
     p.add_argument("--alphas", type=str, default="1.5,2")
-    p.add_argument("--n", type=str, default="1e6")
+    p.add_argument("--n", type=integer, default="1e6")
     _add_common(p)
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("chain-check", help="verify the chain hard instance's properties")
     p.add_argument("--d", type=int, default=20)
-    p.add_argument("--points", type=str, default="1e5")
+    p.add_argument("--points", type=integer, default="1e5")
     p.add_argument("--p", type=float, default=0.5, help="oracle revealing probability")
     _add_common(p)
     p.set_defaults(func=cmd_chain_check)
 
     p = sub.add_parser("sandwich", help="fuzz the RMSProp/clipping step-size correspondence")
-    p.add_argument("--fuzz", type=str, default="1e6")
+    p.add_argument("--fuzz", type=integer, default="1e6")
     p.add_argument("--v-max", type=float, default=100.0)
     p.add_argument("--g-max", type=float, default=100.0)
     p.add_argument("--a", type=float, default=1e-3)
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-tol", type=float, default=0.15)
     p.add_argument("--kmin", type=float, default=1.0)
     p.add_argument("--kmax", type=float, default=None)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_report)
 
     return parser

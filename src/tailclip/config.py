@@ -17,9 +17,36 @@ from .errors import ConfigurationError
 from .noise import NoiseSpec, canonical_family
 from .optimizers import ALGORITHMS
 
-_SCHEDULE_KINDS = ("constant", "inverse_time", "nonconvex", "strongly_convex", "cclip")
+_SCHEDULE_KINDS = ("constant", "nonconvex", "strongly_convex", "cclip")
 _PROBLEM_KINDS = ("quadratic", "nonconvex")
 _DOMAIN_KINDS = ("none", "ball", "box", "interval")
+
+
+def integer(raw, key: str = "value") -> int:
+    """``raw`` as an int: integral spellings such as ``1e6`` and ``2.5e3``
+    pass; a fractional or non-finite value raises, naming ``key``."""
+    text = str(raw).strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise ConfigurationError(f"{key}: expected an integer, got {raw!r}")
+    return int(value)
+
+
+def parse_record(record: str) -> str | int | list[int]:
+    """``[optimizer] record`` as "log", an integer stride or a list of ks."""
+    if record == "log":
+        return record
+    toks = str(record).replace(",", " ").split()
+    if len(toks) > 1:
+        return [integer(t, "[optimizer] record") for t in toks]
+    return integer(record, "[optimizer] record")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -75,9 +102,6 @@ class ScheduleSection:
     kind: str = "constant"
     eta: float = 0.1
     tau: float = math.inf
-    c: float = 1.0
-    tau_base: float = math.inf
-    tau_exponent: float = 0.0
     alpha: float = 1.5
     G: float | str = "auto"
     sigma: float | str = "auto"
@@ -168,7 +192,7 @@ def _coerce(section: str, key: str, raw: str, target):
             return False
         raise ConfigurationError(f"[{section}] {key}: expected a boolean, got {raw!r}")
     if isinstance(target, int) and not isinstance(target, bool):
-        return int(float(raw))
+        return integer(raw, f"[{section}] {key}")
     if isinstance(target, float):
         return float(raw)
     return raw
@@ -181,7 +205,7 @@ def _set_key(cfg: ExperimentConfig, section: str, key: str, raw: str, source):
         if key == "name":
             cfg.name = raw.strip()
         elif key in ("seeds", "master_seed", "iterations"):
-            setattr(cfg, key, int(float(raw)))
+            setattr(cfg, key, integer(raw, f"[experiment] {key}"))
         else:
             raise ConfigurationError(f"{source}: unknown key [experiment] {key}")
         return
@@ -265,7 +289,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigurationError(f"[optimizer] algorithm must be one of {ALGORITHMS}")
     if o.algorithm == "proj_gclip" and p.domain == "none":
         raise ConfigurationError("[optimizer] proj_gclip requires a [problem] domain")
-    if o.algorithm == "cclip" and s.kind not in ("cclip", "constant", "inverse_time"):
+    parse_record(o.record)
+    if o.algorithm == "cclip" and s.kind not in ("cclip", "constant"):
         raise ConfigurationError("[optimizer] cclip pairs with the cclip/constant schedules")
     c = cfg.checks
     if c.envelope and c.envelope not in ("strongly_convex", "cclip"):

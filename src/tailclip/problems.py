@@ -40,9 +40,6 @@ class Ball:
             return y
         return self.center + dev * (self.radius / dist)
 
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(y - self.center)) <= self.radius + tol
-
 
 @dataclass
 class Box:
@@ -58,9 +55,6 @@ class Box:
     def project(self, y: np.ndarray) -> np.ndarray:
         return np.clip(y, self.lower, self.upper)
 
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol))
-
 
 @dataclass
 class Interval:
@@ -73,9 +67,6 @@ class Interval:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         return np.clip(y, self.lo, self.hi)
-
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(y >= self.lo - tol) and np.all(y <= self.hi + tol))
 
 
 Domain = Ball | Box | Interval

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_record
 from .diagnostics import (
     bound_envelope_check,
     cclip_bound,
@@ -59,7 +59,6 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl", "jsonl": ".jsonl"}
 
 OUT_DIR_ENV = "TAILCLIP_OUT_DIR"
-PARALLEL_ENV = "TAILCLIP_PARALLEL"
 
 
 def calibration_stream(master_seed: int) -> np.random.Generator:
@@ -110,18 +109,6 @@ def build_schedule(
     rng = calibration_stream(cfg.master_seed)
     if s.kind == "constant":
         return constant_schedule(s.eta, s.tau), calibration
-    if s.kind == "inverse_time":
-        tau_kind = "constant" if s.tau_exponent == 0.0 else "power"
-        return (
-            Schedule(
-                eta_kind="inverse_time",
-                eta_param=s.c,
-                tau_kind=tau_kind,
-                tau_base=s.tau_base,
-                tau_exponent=s.tau_exponent,
-            ),
-            calibration,
-        )
     if s.kind == "nonconvex":
         L = problem.constants.L if s.L == "auto" else float(s.L)
         if L is None:
@@ -167,10 +154,6 @@ def build_optimizer_config(
     cfg: ExperimentConfig, schedule: Schedule, x0: np.ndarray, has_domain: bool
 ) -> OptimizerConfig:
     o = cfg.optimizer
-    record: str | int | list[int] = o.record
-    if record != "log":
-        toks = str(record).replace(",", " ").split()
-        record = [int(float(t)) for t in toks] if len(toks) > 1 else int(float(toks[0]))
     return OptimizerConfig(
         algorithm=o.algorithm,
         schedule=schedule,
@@ -183,7 +166,7 @@ def build_optimizer_config(
         averaging=o.averaging,
         project=has_domain,
         acclip_warmup=o.warmup,
-        record=record,
+        record=parse_record(o.record),
     )
 
 
@@ -377,8 +360,6 @@ def run_experiment(
         raise ConfigurationError(f"unknown output format {fmt!r}")
     out = Path(out_dir if out_dir is not None else os.environ.get(OUT_DIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
-    if parallel is None and PARALLEL_ENV in os.environ:
-        parallel = int(os.environ[PARALLEL_ENV])
 
     problem, x0 = build_problem(cfg)
     schedule, calibration = build_schedule(cfg, problem, x0)

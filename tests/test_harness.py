@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,28 @@ class TestConfig:
         cfg = load_config(minimal_cfg)
         apply_overrides(cfg, [f"{section}.{key}={value}"])
         assert cfg == load_config(child)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("experiment", "seeds", "2.7"),
+            ("experiment", "iterations", "1999.9"),
+            ("experiment", "seeds", "inf"),
+            ("optimizer", "warmup", "3.5"),
+            ("checks", "envelope_kmin", "10.2"),
+            ("optimizer", "record", "2.5"),
+            ("optimizer", "record", "10, 20.5"),
+        ],
+    )
+    def test_fractional_integer_rejected(self, minimal_cfg, section, key, value):
+        cfg = load_config(minimal_cfg)
+        with pytest.raises(ConfigurationError, match=re.escape(f"[{section}] {key}")):
+            apply_overrides(cfg, [f"{section}.{key}={value}"])
+
+    def test_inverse_time_schedule_kind_rejected(self, tmp_path):
+        path = tmp_path / "inverse.cfg"
+        path.write_text(MINIMAL.replace("kind = constant", "kind = inverse_time"))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -277,6 +300,28 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "avg_grad_sq" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # flags the command would ignore
+            ["report", "--csv", "smoke.csv", "--seed", "5"],
+            ["report", "--csv", "smoke.csv", "--format", "json-lines"],
+            ["lowerbound", "--format", "json-lines"],
+            ["chain-check", "--format", "json-lines"],
+            ["sandwich", "--format", "json-lines"],
+            # counts that are not integers
+            ["noise-probe", "--n", "2.5"],
+            ["lowerbound", "--n", "nan"],
+            ["chain-check", "--points", "1e-3"],
+            ["sandwich", "--fuzz", "1500.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_argument_exits_two(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
