@@ -5,7 +5,6 @@ from .clip import (
     ACClipState,
     acclip_step,
     bias_variance_grid,
-    bias_variance_probe,
     cclip,
     gclip,
 )
@@ -15,7 +14,6 @@ from .diagnostics import (
     SandwichResult,
     SlopeFit,
     bound_envelope_check,
-    cclip_bound,
     fit_loglog_slope,
     sandwich_check,
     sandwich_fuzz,
@@ -38,7 +36,6 @@ from .optimizers import (
     Trace,
     average_traces,
     cclip_schedule,
-    cclip_thresholds,
     constant_schedule,
     run,
     run_seeds,

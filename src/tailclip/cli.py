@@ -10,7 +10,6 @@ check failed, 2 configuration or runtime error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -25,7 +24,6 @@ from .noise import NoiseSpec
 from .optimizers import CSV_METRICS, average_traces
 from .report import Report
 from .runner import (
-    OUT_DIR_ENV,
     TABLE_SUFFIX,
     read_csv,
     run_experiment,
@@ -41,7 +39,7 @@ EXIT_ERROR = 2
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out if args.out else os.environ.get(OUT_DIR_ENV, "."))
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 

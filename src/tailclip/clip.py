@@ -182,29 +182,6 @@ def _probe_from_draws(
     )
 
 
-def bias_variance_probe(
-    noise: NoiseSpec,
-    true_grad: np.ndarray,
-    tau: float,
-    n: int,
-    rng: np.random.Generator,
-    alpha: float,
-) -> ProbeResult:
-    """Draw n gradients true_grad + noise, clip globally at tau, and compare
-    the empirical second moment and bias against the analytic bounds.
-
-    The moment constants in the bounds are estimated from the same draws.
-    The smooth-case bounds are reported only when ||true_grad|| <= tau/2.
-    """
-    if n < 10**4:
-        raise ConfigurationError("probe needs at least 1e4 samples")
-    if tau < 0:
-        raise ConfigurationError("tau must be nonnegative")
-    true_grad = np.asarray(true_grad, dtype=float)
-    draws = sample_noise_batch(noise, rng, n) + true_grad
-    return _probe_from_draws(draws, true_grad, tau, alpha)
-
-
 def bias_variance_grid(
     noise: NoiseSpec,
     true_grad: np.ndarray,
@@ -213,13 +190,21 @@ def bias_variance_grid(
     rng: np.random.Generator,
     alpha: float,
 ) -> list[ProbeResult]:
-    """Probe a grid of thresholds on one shared set of draws.
+    """Draw n gradients true_grad + noise, clip them globally at each
+    threshold in ``taus``, and compare the empirical second moment and bias
+    against the analytic bounds.
 
-    Sharing draws makes the variance-vs-tau comparison exact sample-wise
-    instead of only in expectation.
+    Every threshold sees the same draws, which makes the variance-vs-tau
+    comparison exact sample-wise instead of only in expectation.  The moment
+    constants in the bounds are estimated from the same draws.  The
+    smooth-case bounds are reported only when ||true_grad|| <= tau/2.
     """
     if n < 10**4:
         raise ConfigurationError("probe needs at least 1e4 samples")
+    taus = [float(t) for t in taus]
+    for t in taus:
+        if not t > 0.0:
+            raise ConfigurationError(f"clip thresholds must be positive, got {t!r}")
     true_grad = np.asarray(true_grad, dtype=float)
     draws = sample_noise_batch(noise, rng, n) + true_grad
-    return [_probe_from_draws(draws, true_grad, float(t), alpha) for t in taus]
+    return [_probe_from_draws(draws, true_grad, t, alpha) for t in taus]

@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .noise import NoiseSpec, canonical_family
-from .optimizers import ALGORITHMS
+from .optimizers import ALGORITHMS, record_points
 
 _SCHEDULE_KINDS = ("constant", "nonconvex", "strongly_convex", "cclip")
 _PROBLEM_KINDS = ("quadratic", "nonconvex")
-_DOMAIN_KINDS = ("none", "ball", "box", "interval")
+_DOMAIN_KINDS = ("none", "ball")
 
 
 def integer(raw, key: str = "value") -> int:
@@ -72,10 +72,6 @@ class ProblemSection:
     x0: list[float] = field(default_factory=lambda: [1.0])
     domain: str = "none"
     radius: float | str = "auto"  # ball; "auto" = 2 * ||x0 - x_star||
-    lo: float = 0.0  # interval
-    hi: float = 1.0
-    lower: list[float] = field(default_factory=list)  # box
-    upper: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -83,7 +79,6 @@ class NoiseSection:
     family: str = "gaussian"
     tail_index: float = 2.0
     scale: float = 1.0
-    per_coordinate_scales: list[float] = field(default_factory=list)
 
     def build(self, dimension: int) -> NoiseSpec:
         return NoiseSpec(
@@ -91,9 +86,6 @@ class NoiseSection:
             dimension=dimension,
             scale=self.scale,
             tail_index=self.tail_index,
-            per_coordinate_scales=(
-                None if not self.per_coordinate_scales else self.per_coordinate_scales
-            ),
         )
 
 
@@ -109,7 +101,6 @@ class ScheduleSection:
     L: float | str = "auto"
     mu: float | str = "auto"
     B: list[float] | str = "auto"
-    variant: str = "full"
     calibration_draws: int = 100_000
 
 
@@ -133,7 +124,7 @@ class ChecksSection:
     slope_kmax: float = math.inf
     slope_expect: float | str = ""
     slope_tol: float = 0.15
-    envelope: str = ""  # "", "strongly_convex", "cclip"
+    envelope: str = ""  # "" or "strongly_convex"
     envelope_id: str = ""
     envelope_kmin: int = 10
     ratio_id: str = ""
@@ -171,7 +162,7 @@ class ExperimentConfig:
 
 _SECTIONS = ("problem", "noise", "schedule", "optimizer", "checks", "outputs")
 
-_LIST_KEYS = {"x_star", "x0", "lower", "upper", "per_coordinate_scales"}
+_LIST_KEYS = {"x_star", "x0"}
 _AUTO_KEYS = {"G", "sigma", "f0", "L", "mu", "radius", "slope_expect", "ratio_min", "ratio_max"}
 
 
@@ -269,7 +260,7 @@ def validate_config(cfg: ExperimentConfig):
     if p.kind == "quadratic" and p.mu <= 0:
         raise ConfigurationError("[problem] mu must be positive")
     if p.domain not in _DOMAIN_KINDS:
-        raise ConfigurationError(f"[problem] domain must be one of {_DOMAIN_KINDS}")
+        raise ConfigurationError(f"[problem] domain = {p.domain!r}: expected one of {_DOMAIN_KINDS}")
     for key in ("x_star", "x0"):
         vec = getattr(p, key)
         if len(vec) not in (1, p.dimension):
@@ -277,8 +268,6 @@ def validate_config(cfg: ExperimentConfig):
                 f"[problem] {key} must be a scalar or have length {p.dimension}"
             )
     cfg.noise.family = canonical_family(cfg.noise.family)
-    if cfg.noise.per_coordinate_scales and len(cfg.noise.per_coordinate_scales) != p.dimension:
-        raise ConfigurationError("[noise] per_coordinate_scales length must equal dimension")
     s = cfg.schedule
     if s.kind not in _SCHEDULE_KINDS:
         raise ConfigurationError(f"[schedule] kind must be one of {_SCHEDULE_KINDS}")
@@ -289,14 +278,40 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigurationError(f"[optimizer] algorithm must be one of {ALGORITHMS}")
     if o.algorithm == "proj_gclip" and p.domain == "none":
         raise ConfigurationError("[optimizer] proj_gclip requires a [problem] domain")
-    parse_record(o.record)
     if o.algorithm == "cclip" and s.kind not in ("cclip", "constant"):
         raise ConfigurationError("[optimizer] cclip pairs with the cclip/constant schedules")
+    if s.kind == "cclip" and o.algorithm != "cclip":
+        raise ConfigurationError(
+            "[schedule] kind = cclip gives per-coordinate thresholds, which only [optimizer] "
+            f"algorithm = cclip takes (got {o.algorithm})"
+        )
+    recorded = _recorded(cfg.iterations, parse_record(o.record))
     c = cfg.checks
-    if c.envelope and c.envelope not in ("strongly_convex", "cclip"):
-        raise ConfigurationError("[checks] envelope must be 'strongly_convex' or 'cclip'")
-    if c.ratio_metric and (c.ratio_k_hi <= 0 or c.ratio_k_lo <= 0):
-        raise ConfigurationError("[checks] ratio checks need ratio_k_hi and ratio_k_lo")
+    if c.envelope and c.envelope != "strongly_convex":
+        raise ConfigurationError(f"[checks] envelope = {c.envelope!r}: expected 'strongly_convex'")
+    if c.ratio_metric:
+        if c.ratio_k_hi <= 0 or c.ratio_k_lo <= 0:
+            raise ConfigurationError("[checks] ratio checks need ratio_k_hi and ratio_k_lo")
+        for key in ("ratio_k_hi", "ratio_k_lo"):
+            if not recorded(getattr(c, key)):
+                raise ConfigurationError(
+                    f"[checks] {key} = {getattr(c, key)} is not a point that [optimizer] "
+                    f"record = {o.record} records in {cfg.iterations} iterations"
+                )
+
+
+def _recorded(iterations: int, record: str | int | list[int]):
+    """Membership test for the points a run records (optimizers.record_points),
+    refusing a stride below 1 or explicit points outside [1, iterations].
+    A stride is tested arithmetically: its point set can hold every k."""
+    if isinstance(record, int):
+        if record < 1:
+            raise ConfigurationError(f"[optimizer] record: stride must be >= 1, got {record}")
+        return lambda k: 1 <= k <= iterations and (k in (1, iterations) or k % record == 0)
+    try:
+        return set(record_points(iterations, record).tolist()).__contains__
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[optimizer] record: {exc}") from None
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

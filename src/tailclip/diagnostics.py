@@ -115,18 +115,6 @@ def strongly_convex_bound(mu: float, G: float, alpha: float):
     return bound
 
 
-def cclip_bound(mu: float, B: np.ndarray, alpha: float):
-    """Envelope 16 ||B||_2^2 / (mu (k+1)^(2(alpha-1)/alpha))."""
-    B = np.asarray(B, dtype=float)
-    norm_sq = float(B @ B)
-    expo = 2.0 * (alpha - 1.0) / alpha
-
-    def bound(k: int) -> float:
-        return 16.0 * norm_sq / (mu * (k + 1.0) ** expo)
-
-    return bound
-
-
 # ---------------------------------------------------------------------------
 # RMSProp-as-clipping effective step sizes.  For v >= 0 and gradient g the
 # RMSProp step is h_adam = a / (eps + sqrt(b2 v + (1-b2) g^2)); matching the

@@ -35,51 +35,39 @@ _NOISE_BLOCK = 4096
 
 @dataclass
 class Schedule:
-    """Rule mapping 1-based iteration k to step size and clip threshold.
+    """Step size eta_k and clip threshold tau_k at 1-based iteration k.
 
-    eta_kind: "constant" (eta = eta_param) or "inverse_time"
-    (eta_k = eta_param / (k+1)).  tau_kind: "constant", "power"
-    (tau_k = tau_base * k^tau_exponent) or "vector_power" with tau_base a
-    per-coordinate vector.
+    eta_k = eta / (k+1) when ``inverse_time``, else eta.  tau_k = tau *
+    k^tau_exponent, where ``tau`` is a scalar, or a per-coordinate vector
+    for coordinate-wise clipping.
     """
 
-    eta_kind: str = "constant"
-    eta_param: float = 0.1
-    tau_kind: str = "constant"
-    tau_base: float | np.ndarray = math.inf
+    eta: float
+    tau: float | np.ndarray = math.inf
     tau_exponent: float = 0.0
-    label: str = ""
+    inverse_time: bool = False
 
     def __post_init__(self):
-        if self.eta_kind not in ("constant", "inverse_time"):
-            raise ConfigurationError(f"unknown eta_kind {self.eta_kind!r}")
-        if self.tau_kind not in ("constant", "power", "vector_power"):
-            raise ConfigurationError(f"unknown tau_kind {self.tau_kind!r}")
-        if self.eta_param <= 0:
+        if self.eta <= 0:
             raise ConfigurationError("step-size parameter must be positive")
-        if self.tau_kind == "vector_power":
-            self.tau_base = np.asarray(self.tau_base, dtype=float)
-            if np.any(self.tau_base < 0):
-                raise ConfigurationError("thresholds must be nonnegative")
-        elif self.tau_base < 0:
+        if np.ndim(self.tau):
+            self.tau = np.asarray(self.tau, dtype=float)
+        if np.any(np.asarray(self.tau) < 0):
             raise ConfigurationError("thresholds must be nonnegative")
-        if not self.label:
-            self.label = f"{self.eta_kind}/{self.tau_kind}"
 
-    def eta(self, k: int) -> float:
-        if self.eta_kind == "constant":
-            return self.eta_param
-        return self.eta_param / (k + 1)
+    def etas(self, K: int) -> np.ndarray:
+        """eta_1..eta_K."""
+        if self.inverse_time:
+            return self.eta / (np.arange(1, K + 1, dtype=float) + 1.0)
+        return np.full(K, self.eta)
 
-    def tau(self, k: int):
-        if self.tau_kind == "constant":
-            return self.tau_base
-        return self.tau_base * float(k) ** self.tau_exponent
+    def tau_scales(self, K: int) -> np.ndarray:
+        """k^tau_exponent for k = 1..K; tau_k is ``tau * tau_scales(K)[k-1]``."""
+        return np.arange(1, K + 1, dtype=float) ** self.tau_exponent
 
 
 def constant_schedule(eta: float, tau: float = math.inf) -> Schedule:
-    return Schedule(eta_kind="constant", eta_param=eta, tau_kind="constant", tau_base=tau,
-                    label=f"constant(eta={eta},tau={tau})")
+    return Schedule(eta, tau)
 
 
 def nonconvex_schedule(
@@ -119,13 +107,7 @@ def nonconvex_schedule(
             last,
         )
         eta = min(1.0 / (4.0 * L), sigma**alpha / (L * tau**alpha), 1.0 / (24.0 * L * tau))
-    return Schedule(
-        eta_kind="constant",
-        eta_param=eta,
-        tau_kind="constant",
-        tau_base=tau,
-        label=f"nonconvex(L={L},sigma={sigma:.4g},alpha={alpha},K={K},{variant})",
-    )
+    return Schedule(eta, tau)
 
 
 def strongly_convex_schedule(
@@ -141,41 +123,18 @@ def strongly_convex_schedule(
     if not (1.0 < alpha <= 2.0):
         raise ConfigurationError("alpha must lie in (1, 2]")
     exponent = 1.0 / alpha if threshold_exponent is None else threshold_exponent
-    return Schedule(
-        eta_kind="inverse_time",
-        eta_param=4.0 / mu,
-        tau_kind="power",
-        tau_base=G,
-        tau_exponent=exponent,
-        label=f"strongly_convex(mu={mu},G={G:.4g},alpha={alpha})",
-    )
-
-
-def cclip_thresholds(B: np.ndarray, alpha: float, k: int) -> np.ndarray:
-    """Per-coordinate thresholds tau_i = B_i * k^(1/alpha)."""
-    B = np.asarray(B, dtype=float)
-    if np.any(B < 0):
-        raise ConfigurationError("B must be nonnegative elementwise")
-    if not (1.0 < alpha <= 2.0):
-        raise ConfigurationError("alpha must lie in (1, 2]")
-    return B * float(k) ** (1.0 / alpha)
+    return Schedule(4.0 / mu, G, exponent, inverse_time=True)
 
 
 def cclip_schedule(mu: float, B: np.ndarray, alpha: float) -> Schedule:
-    """Coordinate-wise analogue of the strongly convex schedule."""
+    """Coordinate-wise analogue of the strongly convex schedule:
+    tau_k = B_i k^(1/alpha) per coordinate."""
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
     B = np.asarray(B, dtype=float)
     if np.any(B < 0):
         raise ConfigurationError("B must be nonnegative elementwise")
-    return Schedule(
-        eta_kind="inverse_time",
-        eta_param=4.0 / mu,
-        tau_kind="vector_power",
-        tau_base=B,
-        tau_exponent=1.0 / alpha,
-        label=f"cclip(mu={mu},alpha={alpha})",
-    )
+    return Schedule(4.0 / mu, B, 1.0 / alpha, inverse_time=True)
 
 
 def weighted_average(iterates) -> np.ndarray:
@@ -252,8 +211,6 @@ class Trace:
     avg_min_stat: np.ndarray
     seed: int
     algorithm: str
-    schedule: str
-    problem: str
 
     def metric(self, name: str) -> np.ndarray:
         try:
@@ -272,9 +229,7 @@ def average_traces(traces: list[Trace], stat: str = "mean") -> Trace:
             raise ConfigurationError("traces have mismatched record points")
     agg = np.mean if stat == "mean" else np.median
     stacked = {f: agg(np.stack([t.metric(f) for t in traces]), axis=0) for f in TRACE_METRICS}
-    t0 = traces[0]
-    return Trace(ks=ks.copy(), seed=-1, algorithm=t0.algorithm,
-                 schedule=t0.schedule, problem=t0.problem, **stacked)
+    return Trace(ks=ks.copy(), seed=-1, algorithm=traces[0].algorithm, **stacked)
 
 
 def record_points(iterations: int, record: str | int | list[int]) -> np.ndarray:
@@ -325,23 +280,11 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     domain = problem.domain
     if config.project and domain is None:
         raise ConfigurationError(f"{alg} requires a feasible domain on the problem")
-    if sched.tau_kind == "vector_power" and alg not in ("cclip",):
+    if np.ndim(sched.tau) and alg != "cclip":
         raise ConfigurationError("vector thresholds only apply to coordinate-wise clipping")
-
-    # Pre-compute scalar step/threshold sequences.
-    karr = np.arange(1, K + 1, dtype=float)
-    if sched.eta_kind == "constant":
-        etas = np.full(K, sched.eta_param)
-    else:
-        etas = sched.eta_param / (karr + 1.0)
-    tau_powers = None
-    taus = None
-    if sched.tau_kind == "constant":
-        taus = np.full(K, float(sched.tau_base))
-    elif sched.tau_kind == "power":
-        taus = float(sched.tau_base) * karr**sched.tau_exponent
-    else:
-        tau_powers = karr**sched.tau_exponent
+    etas = sched.etas(K)
+    tau = sched.tau
+    tau_scales = sched.tau_scales(K)
 
     m = np.zeros(d)
     tau_alpha = np.zeros(d)
@@ -384,14 +327,14 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
             m = b1 * m + (1.0 - b1) * g
             x = x - eta * m
         elif alg in ("gclip", "proj_gclip"):
-            tau_k = taus[k - 1]
+            tau_k = tau * tau_scales[k - 1]
             norm = math.sqrt(float(g @ g))
             c = 1.0 if (norm == 0.0 or norm <= tau_k) else tau_k / norm
             x = x - (eta * c) * g
             clip_frac = 1.0 if c < 1.0 else 0.0
             eff_step = eta * c
         elif alg == "cclip":
-            tau_k = taus[k - 1] if taus is not None else sched.tau_base * tau_powers[k - 1]
+            tau_k = tau * tau_scales[k - 1]
             clipped = np.clip(g, -tau_k, tau_k)
             x = x - eta * clipped
             if k in rec_set:
@@ -439,8 +382,6 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
         **{name: np.array(col) for name, col in zip(TRACE_METRICS, zip(*records))},
         seed=int(seed_label),
         algorithm=alg,
-        schedule=sched.label,
-        problem=problem.name,
     )
 
 
@@ -491,7 +432,7 @@ def acclip_reference_run(
     )
     state = ACClipState(x=x0, params=params)
     stream = chain.from_iterable(iter_blocks(problem.noise, rng, config.iterations, _NOISE_BLOCK))
-    for k in range(1, config.iterations + 1):
+    for eta in config.schedule.etas(config.iterations):
         g = problem.exact_gradient(state.x) + next(stream)
-        state = acclip_step(state, g, config.schedule.eta(k))
+        state = acclip_step(state, g, eta)
     return state.x

@@ -98,7 +98,6 @@ class StochasticProblem:
     (x_star, f_star) when known.
     """
 
-    name: str
     dimension: int
     value: Callable[[np.ndarray], float]
     exact_gradient: Callable[[np.ndarray], np.ndarray]
@@ -131,7 +130,6 @@ def quadratic_problem(
     value = functools.partial(_quad_value, mu, xs)
     grad = functools.partial(_quad_grad, mu, xs)
     return StochasticProblem(
-        name=f"quadratic(mu={mu},d={dimension})",
         dimension=dimension,
         value=value,
         exact_gradient=grad,
@@ -164,7 +162,6 @@ def nonconvex_problem(dimension: int, noise: NoiseSpec) -> StochasticProblem:
             f"noise dimension {noise.dimension} does not match problem dimension {dimension}"
         )
     return StochasticProblem(
-        name=f"nonconvex(d={dimension})",
         dimension=dimension,
         value=_ratio_value,
         exact_gradient=_ratio_grad,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,12 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_record
-from .diagnostics import (
-    bound_envelope_check,
-    cclip_bound,
-    fit_loglog_slope,
-    strongly_convex_bound,
-)
+from .diagnostics import bound_envelope_check, fit_loglog_slope, strongly_convex_bound
 from .errors import ConfigurationError
 from .optimizers import (
     CSV_METRICS,
@@ -43,8 +37,6 @@ from .optimizers import (
 )
 from .problems import (
     Ball,
-    Box,
-    Interval,
     StochasticProblem,
     estimate_B,
     estimate_G,
@@ -57,8 +49,6 @@ from .report import Report, Verdict
 CSV_COLUMNS = ("experiment", "algorithm", "seed", "k") + CSV_METRICS
 CSV_HEADER = ",".join(CSV_COLUMNS)
 TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl", "jsonl": ".jsonl"}
-
-OUT_DIR_ENV = "TAILCLIP_OUT_DIR"
 
 
 def calibration_stream(master_seed: int) -> np.random.Generator:
@@ -92,12 +82,6 @@ def build_problem(cfg: ExperimentConfig) -> tuple[StochasticProblem, np.ndarray]
         else:
             radius = float(p.radius)
         problem.domain = Ball(center=x0, radius=radius)
-    elif p.domain == "box":
-        lower = _broadcast(p.lower or [-1.0], d)
-        upper = _broadcast(p.upper or [1.0], d)
-        problem.domain = Box(lower=lower, upper=upper)
-    elif p.domain == "interval":
-        problem.domain = Interval(lo=p.lo, hi=p.hi)
     return problem, x0
 
 
@@ -124,9 +108,9 @@ def build_schedule(
         else:
             f0 = float(s.f0)
         calibration.setdefault("f0", f0)
-        sched = nonconvex_schedule(L, sigma, s.alpha, cfg.iterations, f0, variant=s.variant)
-        calibration["eta"] = sched.eta_param
-        calibration["tau"] = float(sched.tau_base)
+        sched = nonconvex_schedule(L, sigma, s.alpha, cfg.iterations, f0)
+        calibration["eta"] = sched.eta
+        calibration["tau"] = float(sched.tau)
         return sched, calibration
     if s.kind == "strongly_convex":
         mu = problem.constants.mu if s.mu == "auto" else float(s.mu)
@@ -239,8 +223,6 @@ def traces_from_rows(rows: list[dict]) -> list[Trace]:
                 **{m: np.zeros(len(rs)) for m in TRACE_METRICS if m not in CSV_METRICS},
                 seed=seed,
                 algorithm=rs[0]["algorithm"],
-                schedule="",
-                problem=rs[0]["experiment"],
             )
         )
     return traces
@@ -278,18 +260,10 @@ def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dic
     if c.envelope:
         s = cfg.schedule
         mu = calibration.get("mu", cfg.problem.mu if s.mu == "auto" else float(s.mu))
-        if c.envelope == "strongly_convex":
-            G = calibration.get("G", None if isinstance(s.G, str) else float(s.G))
-            if G is None:
-                raise ConfigurationError("[checks] envelope=strongly_convex needs the G constant")
-            bound = strongly_convex_bound(mu, G, s.alpha)
-        else:
-            Bn = calibration.get("B_norm2")
-            if Bn is None:
-                if isinstance(s.B, str):
-                    raise ConfigurationError("[checks] envelope=cclip needs the B constants")
-                Bn = float(np.linalg.norm(np.asarray(s.B, dtype=float)))
-            bound = cclip_bound(mu, np.array([Bn]), s.alpha)
+        G = calibration.get("G", None if isinstance(s.G, str) else float(s.G))
+        if G is None:
+            raise ConfigurationError("[checks] envelope=strongly_convex needs the G constant")
+        bound = strongly_convex_bound(mu, G, s.alpha)
         res = bound_envelope_check(mean_trace, bound, "suboptimality", k_min=c.envelope_kmin)
         verdicts.append(
             Verdict(
@@ -358,7 +332,7 @@ def run_experiment(
     t_start = time.perf_counter()
     if fmt not in TABLE_SUFFIX:
         raise ConfigurationError(f"unknown output format {fmt!r}")
-    out = Path(out_dir if out_dir is not None else os.environ.get(OUT_DIR_ENV, "."))
+    out = Path(out_dir if out_dir is not None else ".")
     out.mkdir(parents=True, exist_ok=True)
 
     problem, x0 = build_problem(cfg)

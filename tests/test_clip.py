@@ -10,7 +10,6 @@ from tailclip.clip import (
     ACClipState,
     acclip_step,
     bias_variance_grid,
-    bias_variance_probe,
     cclip,
     gclip,
 )
@@ -163,28 +162,28 @@ class TestACClipStep:
 class TestBiasVarianceProbe:
     def test_zero_noise_large_tau(self):
         tg = np.array([1.0, 2.0])
-        res = bias_variance_probe(
-            NoiseSpec("zero", dimension=2), tg, 10.0, 10**4, np.random.default_rng(0), 1.5
-        )
+        res = bias_variance_grid(
+            NoiseSpec("zero", dimension=2), tg, [10.0], 10**4, np.random.default_rng(0), 1.5
+        )[0]
         assert res.bias_norm == pytest.approx(0.0, abs=1e-12)
         assert res.second_moment == pytest.approx(5.0, rel=1e-12)
 
     def test_huge_tau_no_clipping_bias_vanishes(self):
         tg = np.array([0.5, -0.5, 1.0])
-        res = bias_variance_probe(
-            NoiseSpec("gaussian", dimension=3, scale=0.3), tg, 1e6, 10**5,
+        res = bias_variance_grid(
+            NoiseSpec("gaussian", dimension=3, scale=0.3), tg, [1e6], 10**5,
             np.random.default_rng(1), 2.0,
-        )
+        )[0]
         assert res.bias_norm <= 4.0 * res.bias_se
 
     def test_heavy_tail_bounds_at_zero_gradient(self):
         # target moment exponent 1.5 realized by a 1.55-stable sampler
         alpha = 1.5
         tau = 10.0
-        res = bias_variance_probe(
+        res = bias_variance_grid(
             NoiseSpec("stable", dimension=3, tail_index=1.55),
-            np.zeros(3), tau, 10**6, np.random.default_rng(2), alpha,
-        )
+            np.zeros(3), [tau], 10**6, np.random.default_rng(2), alpha,
+        )[0]
         sigma_a = res.sigma_moment
         assert res.second_moment <= sigma_a * tau**0.5 + 3 * res.second_moment_se
         assert res.bias_norm <= 2 * sigma_a * tau**-0.5 + 3 * res.bias_se
@@ -193,17 +192,27 @@ class TestBiasVarianceProbe:
 
     def test_smooth_case_gate(self):
         tg = np.array([3.0])
-        res = bias_variance_probe(
-            NoiseSpec("gaussian", dimension=1), tg, 2.0, 10**4, np.random.default_rng(3), 2.0
-        )
+        res = bias_variance_grid(
+            NoiseSpec("gaussian", dimension=1), tg, [2.0], 10**4, np.random.default_rng(3), 2.0
+        )[0]
         assert res.smooth_bound_second_moment is None  # ||grad|| > tau/2
 
     def test_minimum_sample_count(self):
         with pytest.raises(ConfigurationError):
-            bias_variance_probe(
-                NoiseSpec("gaussian", dimension=1), np.zeros(1), 1.0, 100,
+            bias_variance_grid(
+                NoiseSpec("gaussian", dimension=1), np.zeros(1), [1.0], 100,
                 np.random.default_rng(0), 2.0,
             )
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_nonpositive_threshold_refused_before_drawing(self, tau):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="thresholds must be positive"):
+            bias_variance_grid(
+                NoiseSpec("gaussian", dimension=1), np.zeros(1), [5.0, tau], 10**4, rng, 1.5
+            )
+        assert rng.bit_generator.state == state
 
     def test_grid_monotone_on_shared_draws(self):
         res = bias_variance_grid(

@@ -21,7 +21,7 @@ def synthetic_trace(ks, values):
     return Trace(
         ks=ks, suboptimality=values, grad_norm=values.copy(), min_grad_stat=values.copy(),
         clip_frac=zeros, eff_step=zeros, avg_grad_sq=values.copy(), avg_min_stat=values.copy(),
-        seed=-1, algorithm="synthetic", schedule="", problem="synthetic",
+        seed=-1, algorithm="synthetic",
     )
 
 

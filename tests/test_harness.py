@@ -146,6 +146,54 @@ class TestConfig:
         path.write_text(MINIMAL.replace("kind = constant", "kind = inverse_time"))
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "override,named",
+        [
+            ("problem.lo=0.0", "lo"),
+            ("problem.hi=1.0", "hi"),
+            ("problem.lower=-1.0", "lower"),
+            ("problem.upper=1.0", "upper"),
+            ("noise.per_coordinate_scales=1.0, 2.0", "per_coordinate_scales"),
+            ("schedule.variant=simple", "variant"),
+            ("problem.domain=box", "box"),
+            ("problem.domain=interval", "interval"),
+            ("checks.envelope=cclip", "cclip"),
+        ],
+    )
+    def test_deleted_setting_rejected(self, minimal_cfg, override, named):
+        cfg = load_config(minimal_cfg)
+        with pytest.raises(ConfigurationError, match=named):
+            apply_overrides(cfg, [override])
+
+    @pytest.mark.parametrize(
+        "overrides,named",
+        [
+            (["optimizer.record=0"], "stride"),
+            (["optimizer.record=-3"], "stride"),
+            (["optimizer.record=5, 200000"], "record"),
+            (["optimizer.record=0, 50"], "record"),
+            (["schedule.kind=cclip"], "cclip"),
+            (["checks.ratio_metric=grad_norm", "checks.ratio_k_hi=50", "checks.ratio_k_lo=1"],
+             "ratio_k_hi"),
+            (["optimizer.record=7", "checks.ratio_metric=grad_norm", "checks.ratio_k_hi=100",
+              "checks.ratio_k_lo=50"], "ratio_k_lo"),
+            (["optimizer.record=10, 20", "checks.ratio_metric=grad_norm",
+              "checks.ratio_k_hi=30", "checks.ratio_k_lo=10"], "ratio_k_hi"),
+        ],
+    )
+    def test_bad_combination_rejected_before_run(self, minimal_cfg, overrides, named):
+        cfg = load_config(minimal_cfg)
+        with pytest.raises(ConfigurationError, match=named):
+            apply_overrides(cfg, overrides)
+
+    @pytest.mark.parametrize("record,k_hi,k_lo", [("7", 98, 1), ("7", 100, 7), ("log", 100, 1),
+                                                  ("10, 20", 20, 10)])
+    def test_recorded_ratio_points_accepted(self, minimal_cfg, record, k_hi, k_lo):
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, [f"optimizer.record={record}", "checks.ratio_metric=grad_norm",
+                              f"checks.ratio_k_hi={k_hi}", f"checks.ratio_k_lo={k_lo}"])
+        assert cfg.checks.ratio_k_hi == k_hi
+
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text(MINIMAL + "\n[optimiser]\nalgorithm = sgd\n")
@@ -323,6 +371,12 @@ class TestCli:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("taus", ["0,5", "-1,5", "nan"])
+    def test_lemma_check_refuses_nonpositive_threshold(self, tmp_path, capsys, taus):
+        assert main(["lemma-check", f"--taus={taus}", "--n", "1e4", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "thresholds must be positive" in err
+
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -331,6 +385,8 @@ class TestCli:
                              text=True, check=True).stdout
         assert out.strip() == "False"
 
+
+REPO = Path(__file__).resolve().parents[1]
 
 BUNDLED = [
     "strongly_convex_alpha15",
@@ -347,6 +403,18 @@ class TestBundledConfigs:
     def test_parses_and_validates(self, name):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         assert cfg.name == name
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((REPO / "configs").glob("*.cfg")) + sorted((REPO / "perfbench" / "configs").glob("*.cfg")),
+        ids=lambda p: str(p.relative_to(REPO)),
+    )
+    def test_config_round_trips(self, path, tmp_path):
+        # every config the CLI, the tests and the benchmark run loads, and
+        # none of its settings is lost in a dump
+        cfg = load_config(path)
+        save_config(cfg, tmp_path / path.name)
+        assert load_config(tmp_path / path.name) == cfg
 
     def test_strongly_convex_alpha15_declares_acceptance_checks(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "strongly_convex_alpha15.cfg")

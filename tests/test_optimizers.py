@@ -11,7 +11,6 @@ from tailclip.optimizers import (
     acclip_reference_run,
     average_traces,
     cclip_schedule,
-    cclip_thresholds,
     constant_schedule,
     record_points,
     run,
@@ -30,18 +29,26 @@ def make_quadratic(d=2, noise_family="zero", tail=1.5, scale=1.0, mu=1.0, domain
     return p
 
 
+def eta_at(s: Schedule, k: int):
+    return s.etas(k)[k - 1]
+
+
+def tau_at(s: Schedule, k: int):
+    return s.tau * s.tau_scales(k)[k - 1]
+
+
 class TestSchedules:
     def test_nonconvex_schedule_hand_arithmetic(self):
         # L=1, sigma=1, alpha=2, K=1, f0=1: tau = max{2,48,8,1} = 48,
         # eta = min{1/4, 1/48^2, 1/(24*48)} = 1/2304
         s = nonconvex_schedule(1.0, 1.0, 2.0, 1, 1.0)
-        assert s.tau(1) == pytest.approx(48.0)
-        assert s.eta(1) == pytest.approx(1.0 / 2304.0)
+        assert tau_at(s, 1) == pytest.approx(48.0)
+        assert eta_at(s, 1) == pytest.approx(1.0 / 2304.0)
 
     def test_nonconvex_schedule_zero_noise_degenerate(self):
         s = nonconvex_schedule(2.0, 0.0, 1.5, 100, 1.0)
-        assert s.eta(1) == pytest.approx(1.0 / 8.0)
-        assert s.tau(1) == pytest.approx(2.0)
+        assert eta_at(s, 1) == pytest.approx(1.0 / 8.0)
+        assert tau_at(s, 1) == pytest.approx(2.0)
 
     def test_nonconvex_schedule_alpha_one_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -57,20 +64,20 @@ class TestSchedules:
             8.0 * sigma,
             (f0 / (sigma**2 * K)) ** (alpha / (3 * alpha - 2)) / L ** ((2 * alpha - 2) / (3 * alpha - 2)),
         ]
-        assert s.tau(1) == pytest.approx(max(terms), rel=1e-12)
+        assert tau_at(s, 1) == pytest.approx(max(terms), rel=1e-12)
 
     def test_nonconvex_schedule_simple_variant(self):
         s = nonconvex_schedule(1.0, 1.0, 1.5, 10**5, 1.0, variant="simple")
-        assert s.tau(1) == pytest.approx(max(2.0, 48.0**2, 8.0, 10**5 ** (1 / 2.5)), rel=1e-12)
+        assert tau_at(s, 1) == pytest.approx(max(2.0, 48.0**2, 8.0, 10**5 ** (1 / 2.5)), rel=1e-12)
 
     def test_strongly_convex_schedule_values(self):
         s = strongly_convex_schedule(1.0, 1.0, 2.0)
-        assert s.eta(3) == pytest.approx(1.0)  # 4/(mu*(k+1)) at k=3
-        assert s.tau(16) == pytest.approx(4.0)  # G * 16^(1/2)
+        assert eta_at(s, 3) == pytest.approx(1.0)  # 4/(mu*(k+1)) at k=3
+        assert tau_at(s, 16) == pytest.approx(4.0)  # G * 16^(1/2)
 
     def test_strongly_convex_schedule_exponent_override(self):
         s = strongly_convex_schedule(1.0, 2.0, 1.5, threshold_exponent=0.5)
-        assert s.tau(4) == pytest.approx(4.0)
+        assert tau_at(s, 4) == pytest.approx(4.0)
 
     def test_strongly_convex_schedule_validation(self):
         with pytest.raises(ConfigurationError):
@@ -79,16 +86,18 @@ class TestSchedules:
             strongly_convex_schedule(1.0, 1.0, 2.5)
 
     def test_cclip_thresholds(self):
-        out = cclip_thresholds(np.array([1.0, 2.0]), 2.0, 4)
-        assert np.allclose(out, [2.0, 4.0])
-        assert np.allclose(cclip_thresholds(np.array([1.0, 2.0]), 2.0, 1), [1.0, 2.0])
-        assert np.all(cclip_thresholds(np.zeros(3), 1.5, 10) == 0.0)
+        s = cclip_schedule(1.0, np.array([1.0, 2.0]), 2.0)
+        assert np.allclose(tau_at(s, 4), [2.0, 4.0])  # B_i * 4^(1/2)
+        assert np.allclose(tau_at(s, 1), [1.0, 2.0])
+        assert np.all(tau_at(cclip_schedule(1.0, np.zeros(3), 1.5), 10) == 0.0)
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigurationError):
-            Schedule(eta_kind="bogus")
+            Schedule(eta=0.0)
         with pytest.raises(ConfigurationError):
-            Schedule(eta_param=0.0)
+            Schedule(eta=0.1, tau=-1.0)
+        with pytest.raises(ConfigurationError):
+            Schedule(eta=0.1, tau=np.array([1.0, -1.0]))
 
 
 class TestWeightedAverage:
@@ -165,8 +174,7 @@ class TestRunLoop:
         base = dict(iterations=300, x0=-0.5, record=11)
         t_sgd = run(p, OptimizerConfig("sgd", schedule=constant_schedule(0.03), **base), 2)
         t_gc = run(p, OptimizerConfig("gclip", schedule=constant_schedule(0.03, math.inf), **base), 2)
-        cc_sched = Schedule(eta_kind="constant", eta_param=0.03, tau_kind="vector_power",
-                            tau_base=np.full(3, math.inf), tau_exponent=0.0)
+        cc_sched = Schedule(0.03, tau=np.full(3, math.inf))
         t_cc = run(p, OptimizerConfig("cclip", schedule=cc_sched, **base), 2)
         assert np.array_equal(t_sgd.suboptimality, t_gc.suboptimality)
         assert np.array_equal(t_sgd.suboptimality, t_cc.suboptimality)
