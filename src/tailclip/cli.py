@@ -44,10 +44,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _table(args, stem: str, header: list[str], rows: list[list]) -> Path:
-    """Write a probe table as ``stem`` plus the --format suffix in --out."""
+def _table(args, stem: str, columns: dict) -> Path:
+    """Write a probe table (column name -> values) as ``stem`` plus the
+    --format suffix in --out."""
     path = _out_dir(args) / (stem + TABLE_SUFFIX[args.format])
-    write_table(path, args.format, header, rows)
+    write_table(path, args.format, list(columns), [np.asarray(c) for c in columns.values()])
     return path
 
 
@@ -96,13 +97,11 @@ def cmd_noise_probe(args) -> int:
     spec = _noise_spec_from_args(args)
     rng = np.random.default_rng(args.seed)
     res = noise_probe(spec, args.n, rng, block_size=args.block_size, bins=args.bins)
-    rows = [[c, v] for c, v in res.variance_curve]
-    path = _table(args, "noise_probe_variance", ["sample_count", "second_moment"], rows)
-    hist_rows = [
-        [float(res.histogram.edges[i]), float(res.histogram.edges[i + 1]), int(res.histogram.counts[i])]
-        for i in range(len(res.histogram.counts))
-    ]
-    _table(args, "noise_probe_histogram", ["bin_lo", "bin_hi", "count"], hist_rows)
+    counts, moments = zip(*res.variance_curve)
+    path = _table(args, "noise_probe_variance", {"sample_count": counts, "second_moment": moments})
+    edges = np.asarray(res.histogram.edges, dtype=float)
+    _table(args, "noise_probe_histogram",
+           {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": res.histogram.counts})
     for c, v in res.variance_curve:
         print(f"n={c}: empirical second moment {v:.6g}")
     if res.tail is not None:
@@ -116,18 +115,10 @@ def cmd_lemma_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     taus = [float(t) for t in args.taus.split(",")]
     res = lemma_check(spec, taus, args.n, rng, args.alpha, grad_norm=args.grad_norm)
-    rows = [
-        [p.tau, p.second_moment, p.second_moment_se, p.bias_norm, p.bias_se,
-         p.bound_second_moment, p.bound_bias]
-        for p in res.probes
-    ]
-    path = _table(
-        args,
-        "lemma_check",
-        ["tau", "second_moment", "second_moment_se", "bias_norm", "bias_se",
-         "bound_second_moment", "bound_bias"],
-        rows,
-    )
+    fields = ("tau", "second_moment", "second_moment_se", "bias_norm", "bias_se",
+              "bound_second_moment", "bound_bias")
+    path = _table(args, "lemma_check",
+                  {f: [getattr(p, f) for p in res.probes] for f in fields})
     ok = _print_verdicts(res.verdicts)
     print(f"wrote {path}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -171,9 +162,9 @@ def cmd_report(args) -> int:
         raise ConfigurationError(
             f"report: metric {args.metric!r} is not a CSV column; expected one of {CSV_METRICS}"
         )
-    rows = read_csv(Path(args.csv))
-    mean_trace = average_traces(traces_from_rows(rows), stat="mean")
-    report = Report(experiment=rows[0]["experiment"], version=__version__)
+    table = read_csv(Path(args.csv))
+    mean_trace = average_traces(traces_from_rows(table), stat="mean")
+    report = Report(experiment=table["experiment"][0], version=__version__)
     if args.slope_expect is not None:
         kmax = args.kmax if args.kmax else float(mean_trace.ks[-1])
         report.verdicts.append(slope_verdict("slope", mean_trace, args.metric, (args.kmin, kmax),

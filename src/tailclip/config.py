@@ -163,6 +163,10 @@ class ExperimentConfig:
 _SECTIONS = ("problem", "noise", "schedule", "optimizer", "checks", "outputs")
 
 _LIST_KEYS = {"x_star", "x0"}
+# Float settings whose default is inf; every other float setting must be finite.
+_INF_KEYS = {("schedule", "tau"), ("checks", "slope_kmax")}
+# An experiment name becomes file names and a CSV cell.
+_NAME_FORBIDDEN = ',"\r\n/\\'
 _AUTO_KEYS = {"G", "sigma", "f0", "L", "mu", "radius", "slope_expect", "ratio_min", "ratio_max"}
 
 
@@ -248,6 +252,12 @@ def load_config(path: str | Path, _seen: frozenset = frozenset()) -> ExperimentC
 
 
 def validate_config(cfg: ExperimentConfig):
+    if not cfg.name or any(ch in cfg.name for ch in _NAME_FORBIDDEN):
+        raise ConfigurationError(
+            f"[experiment] name = {cfg.name!r}: it names the output files and fills a CSV "
+            "cell, so it must be non-empty and hold none of , \" CR LF / \\"
+        )
+    _check_finite(cfg)
     if cfg.seeds < 1:
         raise ConfigurationError("[experiment] seeds must be >= 1")
     if cfg.iterations < 1:
@@ -289,6 +299,16 @@ def validate_config(cfg: ExperimentConfig):
     c = cfg.checks
     if c.envelope and c.envelope != "strongly_convex":
         raise ConfigurationError(f"[checks] envelope = {c.envelope!r}: expected 'strongly_convex'")
+    if c.envelope and s.kind != "strongly_convex" and isinstance(s.G, str):
+        raise ConfigurationError(
+            "[checks] envelope = strongly_convex needs the G constant: set [schedule] "
+            "kind = strongly_convex or a numeric G"
+        )
+    if c.slope_expect != "" and c.slope_kmin >= min(c.slope_kmax, cfg.iterations):
+        raise ConfigurationError(
+            f"[checks] slope_kmin = {c.slope_kmin} leaves no k to fit: it must lie below "
+            f"min(slope_kmax, iterations) = {min(c.slope_kmax, cfg.iterations)}"
+        )
     if c.ratio_metric:
         if c.ratio_k_hi <= 0 or c.ratio_k_lo <= 0:
             raise ConfigurationError("[checks] ratio checks need ratio_k_hi and ratio_k_lo")
@@ -298,6 +318,18 @@ def validate_config(cfg: ExperimentConfig):
                     f"[checks] {key} = {getattr(c, key)} is not a point that [optimizer] "
                     f"record = {o.record} records in {cfg.iterations} iterations"
                 )
+
+
+def _check_finite(cfg: ExperimentConfig):
+    """Refuse NaN in every float setting and +-inf outside _INF_KEYS."""
+    for section in _SECTIONS:
+        for key, value in vars(getattr(cfg, section)).items():
+            inf_ok = (section, key) in _INF_KEYS
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not (math.isfinite(v) or inf_ok and not math.isnan(v)):
+                    raise ConfigurationError(
+                        f"[{section}] {key} = {v!r}: expected a finite number{' or inf' * inf_ok}"
+                    )
 
 
 def _recorded(iterations: int, record: str | int | list[int]):

@@ -300,10 +300,13 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
 
     rec = record_points(K, config.record)
     rec_set = set(int(r) for r in rec)
-    records = []  # one tuple of TRACE_METRICS per record point
+    # Per record point: the evaluated point (the weighted sum when averaging,
+    # divided after the loop) and the scalars (gsq, clip_frac, eff_step,
+    # run_sq, run_min, w_total).
+    points = np.empty((len(rec), d))
+    scalars = []
 
-    x_star, f_star = (problem.optimum if problem.optimum is not None else (None, 0.0))
-    value = problem.value
+    f_star = problem.optimum[1] if problem.optimum is not None else 0.0
     exact_gradient = problem.exact_gradient
     noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K, _NOISE_BLOCK))
 
@@ -367,19 +370,27 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
 
         eg = exact_gradient(x)
         gsq = float(eg @ eg)
-        gnorm = math.sqrt(gsq)
         run_sq += gsq
-        run_min += gsq if gnorm < 1.0 else gnorm
+        run_min += gsq if gsq < 1.0 else math.sqrt(gsq)
 
         if k in rec_set:
-            point = w_sum / w_total if averaging else x
-            records.append((value(point) - f_star, gnorm, min(gnorm, gsq), clip_frac,
-                            eff_step, run_sq / k, run_min / k))
+            points[len(scalars)] = w_sum if averaging else x
+            scalars.append((gsq, clip_frac, eff_step, run_sq, run_min, w_total))
 
+    gsq, clip_frac, eff_step, run_sq, run_min, w_total = np.array(scalars).T
+    if averaging:
+        points /= w_total[:, None]
+    grad_norm = np.sqrt(gsq)
     seed_label = seed if isinstance(seed, (int, np.integer)) else -1
     return Trace(
         ks=rec,
-        **{name: np.array(col) for name, col in zip(TRACE_METRICS, zip(*records))},
+        suboptimality=problem.value(points) - f_star,
+        grad_norm=grad_norm,
+        min_grad_stat=np.minimum(grad_norm, gsq),
+        clip_frac=clip_frac,
+        eff_step=eff_step,
+        avg_grad_sq=run_sq / rec,
+        avg_min_stat=run_min / rec,
         seed=int(seed_label),
         algorithm=alg,
     )

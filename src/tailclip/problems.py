@@ -94,12 +94,13 @@ class StochasticProblem:
     """An objective with exact gradient, additive gradient noise and metadata.
 
     The stochastic gradient at x is exact_gradient(x) plus one draw of
-    ``noise``; optimizers pre-generate the draws in blocks.  ``optimum`` is
+    ``noise``; optimizers pre-generate the draws in blocks.  ``value`` takes
+    one point or a stack of points (one per row).  ``optimum`` is
     (x_star, f_star) when known.
     """
 
     dimension: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], float | np.ndarray]
     exact_gradient: Callable[[np.ndarray], np.ndarray]
     noise: NoiseSpec
     constants: Constants = field(default_factory=Constants)
@@ -107,9 +108,9 @@ class StochasticProblem:
     optimum: tuple[np.ndarray, float] | None = None
 
 
-def _quad_value(mu: float, x_star: np.ndarray, x: np.ndarray) -> float:
+def _quad_value(mu: float, x_star: np.ndarray, x: np.ndarray):
     dev = x - x_star
-    return 0.5 * mu * float(dev @ dev)
+    return 0.5 * mu * np.vecdot(dev, dev)  # per row; equals dev @ dev bit for bit
 
 
 def _quad_grad(mu: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -139,9 +140,9 @@ def quadratic_problem(
     )
 
 
-def _ratio_value(x: np.ndarray) -> float:
+def _ratio_value(x: np.ndarray):
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x / (1.0 + x * x)))
+    return np.sum(x * x / (1.0 + x * x), axis=-1)
 
 
 def _ratio_grad(x: np.ndarray) -> np.ndarray:

@@ -9,11 +9,11 @@ machine-readable JSON-lines verdict records.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,11 @@ from .report import Report, Verdict
 CSV_COLUMNS = ("experiment", "algorithm", "seed", "k") + CSV_METRICS
 CSV_HEADER = ",".join(CSV_COLUMNS)
 TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl", "jsonl": ".jsonl"}
+_WRITE_BLOCK = 4096  # rows formatted at a time; bounds the writer's memory
+_READ_BLOCK = 1 << 20  # bytes of lines read at a time; bounds the reader's memory
+# The type of each CSV column in a TraceTable.
+_COLUMN_DTYPES = {"experiment": object, "algorithm": object, "seed": np.int64, "k": np.int64,
+                  **{m: np.float64 for m in CSV_METRICS}}
 
 
 def calibration_stream(master_seed: int) -> np.random.Generator:
@@ -158,74 +163,127 @@ def build_optimizer_config(
 # Trace serialization
 
 
-def write_table(path: Path, fmt: str, header, rows):
-    """Write ``rows`` (lists in ``header`` order) as CSV or as JSON lines.
+def _cells(col: np.ndarray, fmt: str) -> list[str]:
+    """The text of a block of a column: floats as ``repr`` (JSON spells the
+    non-finite ones NaN/Infinity), ints as ints, and strings as they are in
+    CSV, JSON-encoded once per distinct value otherwise."""
+    vals = col.tolist()
+    if col.dtype.kind == "f":
+        cells = list(map(float.__repr__, vals))
+        if fmt != "csv":
+            for i in np.flatnonzero(~np.isfinite(col)).tolist():
+                cells[i] = json.dumps(vals[i])
+        return cells
+    if col.dtype.kind in "iu":
+        return list(map(int.__repr__, vals))
+    if fmt == "csv":
+        return vals
+    encoded = {v: json.dumps(v) for v in set(vals)}
+    return [encoded[v] for v in vals]
 
-    CSV carries a header line and floats in full round-trip precision;
-    any other ``fmt`` writes one JSON object per row with sorted keys.
-    """
+
+def write_table(path: Path, fmt: str, header, columns: list[np.ndarray]):
+    """Write ``columns`` (arrays of floats, ints or str objects, one per
+    ``header`` name) as CSV, or as the ``json.dumps(row, sort_keys=True)``
+    lines of the rows for any other ``fmt``, _WRITE_BLOCK rows at a time.
+    CSV carries a header line and floats in full round-trip precision."""
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ConfigurationError(f"{path}: table columns differ in length")
+    # A row is prefixes[0] cell prefixes[1] cell ... end.
+    if fmt == "csv":
+        order, head, end = range(len(header)), ",".join(header) + "\n", "\n"
+        prefixes = [""] + [","] * (len(header) - 1)
+    else:
+        order, head, end = sorted(range(len(header)), key=header.__getitem__), "", "}\n"
+        prefixes = [("{" if i == 0 else ", ") + json.dumps(header[j]) + ": "
+                    for i, j in enumerate(order)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "csv":
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-        else:
-            for row in rows:
-                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+        fh.write(head)
+        for lo in range(0, n, _WRITE_BLOCK):
+            parts = []
+            for prefix, j in zip(prefixes, order):
+                parts += [repeat(prefix), _cells(columns[j][lo:lo + _WRITE_BLOCK], fmt)]
+            fh.write("".join(chain.from_iterable(zip(*parts, repeat(end)))))
 
 
-def trace_rows(experiment: str, traces: list[Trace]):
-    """One list per recorded point, in CSV_COLUMNS order, seeds ascending."""
-    for t in sorted(traces, key=lambda t: t.seed):
-        ks = np.asarray(t.ks, dtype=np.int64).tolist()
-        cols = [np.asarray(t.metric(m), dtype=float).tolist() for m in CSV_METRICS]
-        for k, *vals in zip(ks, *cols):
-            yield [experiment, t.algorithm, t.seed, k, *vals]
+class TraceTable(dict):
+    """Trace columns by CSV column name, typed as _COLUMN_DTYPES says;
+    ``len()`` is the row count."""
+
+    def __len__(self) -> int:
+        return len(self["k"])
+
+
+def trace_table(experiment: str, traces: list[Trace]) -> TraceTable:
+    """The rows of ``traces``, seeds ascending."""
+    ts = sorted(traces, key=lambda t: t.seed)
+    lengths = [len(t.ks) for t in ts]
+    return TraceTable({
+        "experiment": np.full(sum(lengths), experiment, dtype=object),
+        "algorithm": np.repeat(np.array([t.algorithm for t in ts], dtype=object), lengths),
+        "seed": np.repeat(np.array([t.seed for t in ts], dtype=np.int64), lengths),
+        "k": np.concatenate([np.asarray(t.ks, dtype=np.int64) for t in ts]),
+        **{m: np.concatenate([np.asarray(t.metric(m), dtype=float) for t in ts])
+           for m in CSV_METRICS},
+    })
 
 
 def write_csv(path: Path, experiment: str, traces: list[Trace]):
-    write_table(path, "csv", CSV_COLUMNS, trace_rows(experiment, traces))
+    write_table(path, "csv", CSV_COLUMNS, list(trace_table(experiment, traces).values()))
 
 
 def write_jsonl(path: Path, experiment: str, traces: list[Trace]):
-    write_table(path, "json-lines", CSV_COLUMNS, trace_rows(experiment, traces))
+    write_table(path, "json-lines", CSV_COLUMNS, list(trace_table(experiment, traces).values()))
 
 
-def read_csv(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [
-            {
-                "experiment": raw["experiment"],
-                "algorithm": raw["algorithm"],
-                "seed": int(raw["seed"]),
-                "k": int(raw["k"]),
-                **{m: float(raw[m]) for m in CSV_METRICS},
-            }
-            for raw in csv.DictReader(fh)
-        ]
+def read_csv(path: Path) -> TraceTable:
+    """Read a trace CSV as written by write_csv, about _READ_BLOCK bytes of
+    lines at a time: a block's cells are split once, and each column takes
+    them by stride.  Raises ConfigurationError for a header other than
+    CSV_HEADER, a line without len(CSV_COLUMNS) cells or a cell its column
+    cannot parse."""
+    ncol = len(CSV_COLUMNS)
+    parts: dict[str, list] = {name: [] for name in CSV_COLUMNS}
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\r\n") != CSV_HEADER.encode():
+            raise ConfigurationError(f"{path}: the header is not {CSV_HEADER}")
+        for lines in iter(lambda: fh.readlines(_READ_BLOCK), []):
+            bad = [i for i, line in enumerate(lines) if line.count(b",") != ncol - 1]
+            if bad:
+                line_no = 2 + sum(map(len, parts["k"])) + bad[0]
+                raise ConfigurationError(f"{path}: line {line_no} does not have {ncol} cells")
+            cells = b",".join(lines).split(b",")  # the last column keeps its newline
+            for j, name in enumerate(CSV_COLUMNS):
+                col = cells[j::ncol]
+                try:
+                    if _COLUMN_DTYPES[name] == object:  # one str per distinct value
+                        col = list(map({c: c.decode() for c in set(col)}.__getitem__, col))
+                    parts[name].append(np.array(col, dtype=_COLUMN_DTYPES[name]))
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigurationError(f"{path}: column {name}: {exc}") from None
+    return TraceTable({name: np.concatenate(parts[name] or [np.empty(0, _COLUMN_DTYPES[name])])
+                       for name in CSV_COLUMNS})
 
 
-def traces_from_rows(rows: list[dict]) -> list[Trace]:
-    """Rebuild per-seed traces from serialized rows.
+def traces_from_rows(table: TraceTable) -> list[Trace]:
+    """Per-seed traces, seeds ascending and each sorted by k.
 
     The CSV does not carry the running means, so those metrics are zeros.
     """
-    by_seed: dict[int, list[dict]] = {}
-    for row in rows:
-        by_seed.setdefault(row["seed"], []).append(row)
-    traces = []
-    for seed in sorted(by_seed):
-        rs = sorted(by_seed[seed], key=lambda r: r["k"])
-        traces.append(
-            Trace(
-                ks=np.array([r["k"] for r in rs], dtype=np.int64),
-                **{m: np.array([r[m] for r in rs]) for m in CSV_METRICS},
-                **{m: np.zeros(len(rs)) for m in TRACE_METRICS if m not in CSV_METRICS},
-                seed=seed,
-                algorithm=rs[0]["algorithm"],
-            )
+    order = np.lexsort((table["k"], table["seed"]))
+    groups = np.split(order, np.flatnonzero(np.diff(table["seed"][order])) + 1)
+    return [
+        Trace(
+            ks=table["k"][idx],
+            **{m: table[m][idx] for m in CSV_METRICS},
+            **{m: np.zeros(len(idx)) for m in TRACE_METRICS if m not in CSV_METRICS},
+            seed=int(table["seed"][idx[0]]),
+            algorithm=table["algorithm"][idx[0]],
         )
-    return traces
+        for idx in groups
+        if len(idx)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +401,7 @@ def run_experiment(
     traces = run_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=parallel)
 
     paths = {"data": out / (cfg.outputs.csv or cfg.name + TABLE_SUFFIX[fmt])}
-    write_table(paths["data"], fmt, CSV_COLUMNS, trace_rows(cfg.name, traces))
+    write_table(paths["data"], fmt, CSV_COLUMNS, list(trace_table(cfg.name, traces).values()))
 
     verdicts = evaluate_checks(cfg, traces, calibration)
     report = Report(

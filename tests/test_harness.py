@@ -1,17 +1,31 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tailclip import runner
 from tailclip.cli import main
 from tailclip.config import apply_overrides, dump_config, load_config, save_config
 from tailclip.errors import ConfigurationError
-from tailclip.runner import CSV_HEADER, read_csv, run_experiment, traces_from_rows
+from tailclip.optimizers import ALGORITHMS, CSV_METRICS, Trace
+from tailclip.runner import (
+    CSV_COLUMNS,
+    CSV_HEADER,
+    read_csv,
+    run_experiment,
+    traces_from_rows,
+    write_csv,
+    write_table,
+)
 
 MINIMAL = """
 [experiment]
@@ -179,6 +193,10 @@ class TestConfig:
               "checks.ratio_k_lo=50"], "ratio_k_lo"),
             (["optimizer.record=10, 20", "checks.ratio_metric=grad_norm",
               "checks.ratio_k_hi=30", "checks.ratio_k_lo=10"], "ratio_k_hi"),
+            (["checks.envelope=strongly_convex"], "G constant"),
+            (["checks.slope_expect=-0.5", "checks.slope_kmin=100"], "slope_kmin"),
+            (["checks.slope_expect=-0.5", "checks.slope_kmin=20", "checks.slope_kmax=20"],
+             "slope_kmin"),
         ],
     )
     def test_bad_combination_rejected_before_run(self, minimal_cfg, overrides, named):
@@ -193,6 +211,37 @@ class TestConfig:
         apply_overrides(cfg, [f"optimizer.record={record}", "checks.ratio_metric=grad_norm",
                               f"checks.ratio_k_hi={k_hi}", f"checks.ratio_k_lo={k_lo}"])
         assert cfg.checks.ratio_k_hi == k_hi
+
+    @pytest.mark.parametrize("overrides", [
+        ["checks.envelope=strongly_convex", "schedule.G=2.0"],
+        ["checks.slope_expect=-0.5", "checks.slope_kmin=99"],
+        ["checks.slope_expect=-0.5", "checks.slope_kmin=10", "checks.slope_kmax=20"],
+    ])
+    def test_checkable_combination_accepted(self, minimal_cfg, overrides):
+        apply_overrides(load_config(minimal_cfg), overrides)
+
+    @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\rb", "a\nb", "a/b", "a\\b"])
+    def test_unusable_experiment_name_rejected(self, minimal_cfg, name):
+        cfg = load_config(minimal_cfg)
+        with pytest.raises(ConfigurationError, match="name"):
+            apply_overrides(cfg, [f"experiment.name={name}"])
+
+    @pytest.mark.parametrize("override", [
+        "noise.scale=nan", "noise.scale=inf", "noise.tail_index=nan", "problem.mu=-inf",
+        "problem.x0=1.0, nan", "problem.x_star=inf", "schedule.B=1.0, inf", "schedule.B=nan",
+        "schedule.eta=nan", "schedule.tau=nan", "schedule.G=inf", "schedule.alpha=nan",
+        "optimizer.beta1=nan", "checks.slope_tol=nan", "checks.slope_kmax=nan",
+        "checks.slope_expect=-inf", "checks.ratio_max=nan",
+    ])
+    def test_non_finite_setting_rejected(self, minimal_cfg, override):
+        cfg = load_config(minimal_cfg)
+        with pytest.raises(ConfigurationError, match=re.escape(override.split("=")[0].split(".")[1])):
+            apply_overrides(cfg, [override])
+
+    @pytest.mark.parametrize("override", ["schedule.tau=inf", "checks.slope_kmax=inf"])
+    def test_infinite_default_accepted(self, minimal_cfg, override):
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, [override])
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -252,6 +301,86 @@ class TestRunner:
         script = res.paths["plot"].read_text()
         assert "matplotlib" in script
         compile(script, str(res.paths["plot"]), "exec")  # syntactically valid
+
+
+def row_wise_table(fmt, header, rows) -> bytes:
+    """The bytes a row-at-a-time writer gives: repr and json.dumps per cell."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    else:
+        lines = [json.dumps(dict(zip(header, row)), sort_keys=True) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def same_floats(a, b) -> bool:
+    """Bit-for-bit equal, any NaN equal to any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+names = st.text(st.characters(blacklist_characters=',"\r\n/\\', blacklist_categories=("Cs",)),
+                min_size=1, max_size=12)
+
+
+class TestTraceFiles:
+    @pytest.mark.parametrize("block", [3, 4096])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_write_table_golden_bytes(self, tmp_path, monkeypatch, fmt, block):
+        monkeypatch.setattr(runner, "_WRITE_BLOCK", block)
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.7976931348623157e308]
+        text = ['na\u00efve "q\u00fcote"', "plain"] * 3 + ["\u4e2d"]
+        ints = list(range(-3, 4))
+        finite = [1.5, -2.0, 1e-300, 3.0, 0.0, 2.5e-10, 123456789.0]
+        header = ["zeta", "alpha", "mid", "beta"]
+        columns = [np.array(text, dtype=object), np.array(floats), np.array(ints), np.array(finite)]
+        write_table(tmp_path / "t", fmt, header, columns)
+        rows = list(zip(text, floats, ints, finite))
+        assert (tmp_path / "t").read_bytes() == row_wise_table(fmt, header, rows)
+
+    def test_write_table_refuses_ragged_columns(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="length"):
+            write_table(tmp_path / "t", "csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_csv_round_trip_is_exact(self, data):
+        seeds = data.draw(st.lists(st.integers(0, 2**40), min_size=2, max_size=4, unique=True))
+        assume(seeds != sorted(seeds))
+        traces = []
+        for seed in seeds:
+            ks = sorted(data.draw(st.lists(st.integers(1, 10**12), min_size=1, max_size=12,
+                                           unique=True)))
+            metrics = {m: np.array(data.draw(st.lists(st.floats(), min_size=len(ks),
+                                                      max_size=len(ks))), dtype=float)
+                       for m in CSV_METRICS}
+            zeros = {m: np.zeros(len(ks)) for m in ("avg_grad_sq", "avg_min_stat")}
+            traces.append(Trace(ks=np.array(ks), **metrics, **zeros, seed=seed,
+                                algorithm=data.draw(st.sampled_from(ALGORITHMS))))
+        name = data.draw(names)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_csv(path, name, traces)
+            table = read_csv(path)
+        assert len(table) == sum(len(t.ks) for t in traces)
+        assert set(table["experiment"]) == {name}
+        back = traces_from_rows(table)
+        for want, got in zip(sorted(traces, key=lambda t: t.seed), back, strict=True):
+            assert (got.seed, got.algorithm) == (want.seed, want.algorithm)
+            assert np.array_equal(got.ks, want.ks)
+            for m in CSV_METRICS:
+                assert same_floats(got.metric(m), want.metric(m)), m
+
+    def test_read_csv_spans_blocks(self, minimal_cfg, tmp_path, monkeypatch):
+        res = run_experiment(load_config(minimal_cfg), out_dir=tmp_path, parallel=1)
+        whole = read_csv(res.paths["data"])
+        monkeypatch.setattr(runner, "_READ_BLOCK", 50)
+        pieces = read_csv(res.paths["data"])
+        assert list(whole) == list(pieces) == list(CSV_COLUMNS)
+        for name in CSV_COLUMNS:
+            assert np.array_equal(whole[name], pieces[name]), name
 
 
 class TestCli:
@@ -376,6 +505,60 @@ class TestCli:
         assert main(["lemma-check", f"--taus={taus}", "--n", "1e4", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "thresholds must be positive" in err
+
+    @pytest.mark.parametrize("overrides", [
+        ["experiment.name=a,b"],
+        ["noise.scale=nan"],
+        ["checks.envelope=strongly_convex"],
+        ["checks.slope_expect=-0.5", "checks.slope_kmin=5000"],
+    ])
+    def test_refused_setting_exits_two_before_compute(self, minimal_cfg, tmp_path, capsys,
+                                                       overrides):
+        argv = ["run", str(minimal_cfg), "--out", str(tmp_path / "out")]
+        for o in overrides:
+            argv += ["-O", o]
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mangle", ["header", "short row", "long row", "short and long rows",
+                                        "text metric", "fractional k", "empty cell"])
+    def test_report_refuses_malformed_csv(self, minimal_cfg, tmp_path, capsys, mangle):
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        path = tmp_path / "smoke.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        if mangle == "header":
+            lines[0] = lines[0].replace("grad_norm", "gradnorm")
+        elif mangle == "short row":
+            lines[5] = ",".join(cells[:-1])
+        elif mangle == "long row":
+            lines[5] = ",".join(cells + ["1.0"])
+        elif mangle == "short and long rows":  # the cell count of the file still fits
+            lines[5] = ",".join(cells[:-1])
+            lines[6] = lines[6] + ",1.0"
+        elif mangle == "text metric":
+            lines[5] = ",".join(cells[:4] + ["abc"] + cells[5:])
+        elif mangle == "fractional k":
+            lines[5] = ",".join(cells[:3] + ["1.5"] + cells[4:])
+        else:
+            lines[5] = ",".join(cells[:6] + [""] + cells[7:])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--csv", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_report_reads_csv_without_final_newline(self, minimal_cfg, tmp_path, capsys):
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        path = tmp_path / "smoke.csv"
+        argv = ["report", "--csv", str(path), "--slope-expect", "-1.0", "--slope-tol", "5.0"]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        whole = capsys.readouterr().out
+        path.write_text(path.read_text().rstrip("\n"))
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == whole
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

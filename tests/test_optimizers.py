@@ -6,6 +6,8 @@ import pytest
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec
 from tailclip.optimizers import (
+    ALGORITHMS,
+    TRACE_METRICS,
     OptimizerConfig,
     Schedule,
     acclip_reference_run,
@@ -254,6 +256,29 @@ class TestRunLoop:
         sched = cclip_schedule(1.0, np.ones(2), 1.5)
         with pytest.raises(ConfigurationError):
             run(p, OptimizerConfig("gclip", sched, 10), 0)
+
+
+@pytest.mark.parametrize("averaging", [False, True])
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_every_step_record_matches_log_grid(alg, averaging):
+    # recording every step must not move any value the log grid records
+    d = 3
+    p = make_quadratic(d, "stable", 1.6, scale=0.5, domain=Ball(center=np.full(d, 1.0), radius=3.0))
+    if alg == "cclip":
+        sched = cclip_schedule(1.0, np.full(d, 2.0), 1.5)
+    else:
+        sched = strongly_convex_schedule(1.0, 2.0, 1.5)
+
+    def traced(record):
+        cfg = OptimizerConfig(alg, sched, 2000, x0=1.0, averaging=averaging, project=True,
+                              record=record)
+        return run(p, cfg, 17)
+
+    every, log = traced(1), traced("log")
+    idx = np.searchsorted(every.ks, log.ks)
+    assert np.array_equal(every.ks[idx], log.ks)
+    for m in TRACE_METRICS:
+        assert np.array_equal(every.metric(m)[idx], log.metric(m)), m
 
 
 class TestSeedFanOut:

@@ -24,6 +24,25 @@ def zero_noise(d):
     return NoiseSpec("zero", dimension=d)
 
 
+@pytest.mark.parametrize("d", [1, 10, 100])
+@pytest.mark.parametrize("kind", ["quadratic", "nonconvex"])
+def test_batched_value_equals_per_point_value(kind, d):
+    # the run loop evaluates all its record points in one call
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-4, 5, (300, 1))
+    if kind == "quadratic":
+        x_star = rng.standard_normal(d)
+        p = quadratic_problem(0.7, d, x_star, zero_noise(d))
+        ref = [0.5 * 0.7 * float((x - x_star) @ (x - x_star)) for x in pts]
+    else:
+        p = nonconvex_problem(d, zero_noise(d))
+        ref = [float(np.sum(x * x / (1.0 + x * x))) for x in pts]
+    batched = p.value(pts)
+    assert batched.shape == (300,)
+    for got in (batched, np.array([p.value(x) for x in pts])):
+        assert np.array_equal(got.view(np.int64), np.array(ref).view(np.int64))
+
+
 class TestQuadratic:
     def test_hand_values(self):
         p = quadratic_problem(1.0, 2, 0.0, zero_noise(2))
