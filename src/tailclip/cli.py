@@ -10,6 +10,7 @@ check failed, 2 configuration or runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -36,6 +37,15 @@ from .suites import chain_suite, lemma_check, lowerbound_suite, noise_probe
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+
+
+def finite(raw) -> float:
+    """``raw`` as a float flag value; NaN and +-inf raise, so that argparse
+    refuses the flag with exit 2 before anything is drawn."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -198,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-probe", help="histogram, variance curve and tail index of a noise spec")
     p.add_argument("--family", type=str, default="stable")
-    p.add_argument("--a", type=float, default=1.5, help="tail/stability index")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--a", type=finite, default=1.5, help="tail/stability index")
+    p.add_argument("--scale", type=finite, default=1.0)
     p.add_argument("--dimension", type=int, default=1)
     p.add_argument("--n", type=integer, default="1e6")
     p.add_argument("--block-size", type=int, default=100)
@@ -209,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="bias/variance probes over a threshold grid")
     p.add_argument("--family", type=str, default="stable")
-    p.add_argument("--a", type=float, default=1.55, help="tail/stability index of the sampler")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--a", type=finite, default=1.55, help="tail/stability index of the sampler")
+    p.add_argument("--scale", type=finite, default=1.0)
     p.add_argument("--dimension", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=1.5, help="moment exponent of the bounds")
+    p.add_argument("--alpha", type=finite, default=1.5, help="moment exponent of the bounds")
     p.add_argument("--taus", type=str, default="2,5,10,20,50")
     p.add_argument("--n", type=integer, default="1e6")
-    p.add_argument("--grad-norm", type=float, default=1.0)
+    p.add_argument("--grad-norm", type=finite, default=1.0)
     _add_common(p, table=True)
     p.set_defaults(func=cmd_lemma_check)
 
@@ -229,27 +239,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain-check", help="verify the chain hard instance's properties")
     p.add_argument("--d", type=int, default=20)
     p.add_argument("--points", type=integer, default="1e5")
-    p.add_argument("--p", type=float, default=0.5, help="oracle revealing probability")
+    p.add_argument("--p", type=finite, default=0.5, help="oracle revealing probability")
     _add_common(p)
     p.set_defaults(func=cmd_chain_check)
 
     p = sub.add_parser("sandwich", help="fuzz the RMSProp/clipping step-size correspondence")
     p.add_argument("--fuzz", type=integer, default="1e6")
-    p.add_argument("--v-max", type=float, default=100.0)
-    p.add_argument("--g-max", type=float, default=100.0)
-    p.add_argument("--a", type=float, default=1e-3)
-    p.add_argument("--beta2", type=float, default=0.99)
-    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--v-max", type=finite, default=100.0)
+    p.add_argument("--g-max", type=finite, default=100.0)
+    p.add_argument("--a", type=finite, default=1e-3)
+    p.add_argument("--beta2", type=finite, default=0.99)
+    p.add_argument("--epsilon", type=finite, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_sandwich)
 
     p = sub.add_parser("report", help="re-render a report from a results CSV")
     p.add_argument("--csv", type=str, required=True)
     p.add_argument("--metric", type=str, default="suboptimality")
-    p.add_argument("--slope-expect", type=float, default=None)
-    p.add_argument("--slope-tol", type=float, default=0.15)
-    p.add_argument("--kmin", type=float, default=1.0)
-    p.add_argument("--kmax", type=float, default=None)
+    p.add_argument("--slope-expect", type=finite, default=None)
+    p.add_argument("--slope-tol", type=finite, default=0.15)
+    p.add_argument("--kmin", type=finite, default=1.0)
+    p.add_argument("--kmax", type=finite, default=None)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_report)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .noise import NoiseSpec, canonical_family
+from .noise import NoiseSpec
 from .optimizers import ALGORITHMS, record_points
 
 _SCHEDULE_KINDS = ("constant", "nonconvex", "strongly_convex", "cclip")
@@ -167,7 +167,9 @@ _LIST_KEYS = {"x_star", "x0"}
 _INF_KEYS = {("schedule", "tau"), ("checks", "slope_kmax")}
 # An experiment name becomes file names and a CSV cell.
 _NAME_FORBIDDEN = ',"\r\n/\\'
-_AUTO_KEYS = {"G", "sigma", "f0", "L", "mu", "radius", "slope_expect", "ratio_min", "ratio_max"}
+# Constants that "auto" estimates or derives, and settings that an empty value leaves unset.
+_AUTO_KEYS = {"G", "sigma", "f0", "L", "mu", "radius"}
+_UNSET_KEYS = {"slope_expect", "ratio_min", "ratio_max"}
 
 
 def _coerce(section: str, key: str, raw: str, target):
@@ -176,9 +178,13 @@ def _coerce(section: str, key: str, raw: str, target):
         return _parse_floats(raw) if raw else []
     if key == "B":
         return "auto" if raw.lower() == "auto" else _parse_floats(raw)
+    if key in _UNSET_KEYS:
+        return float(raw) if raw else ""
     if key in _AUTO_KEYS:
-        if raw.lower() in ("auto", ""):
-            return "auto" if raw.lower() == "auto" else ""
+        if raw.lower() == "auto":
+            return "auto"
+        if not raw:
+            raise ConfigurationError(f"[{section}] {key}: expected a number or auto, got nothing")
         return float(raw)
     if isinstance(target, bool):
         if raw.lower() in ("true", "yes", "1", "on"):
@@ -277,7 +283,7 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigurationError(
                 f"[problem] {key} must be a scalar or have length {p.dimension}"
             )
-    cfg.noise.family = canonical_family(cfg.noise.family)
+    cfg.noise.build(p.dimension)  # refuses an unknown family, a bad scale or tail index
     s = cfg.schedule
     if s.kind not in _SCHEDULE_KINDS:
         raise ConfigurationError(f"[schedule] kind must be one of {_SCHEDULE_KINDS}")
@@ -363,10 +369,6 @@ def dump_config(cfg: ExperimentConfig) -> str:
                 continue
             lines.append(f"{key} = {_fmt(val)}")
     return "\n".join(lines) + "\n"
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path):
-    Path(path).write_text(dump_config(cfg), encoding="utf-8")
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]):

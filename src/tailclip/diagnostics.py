@@ -2,7 +2,7 @@
 
 fit_loglog_slope regresses log metric on log k to read off an empirical
 convergence-rate exponent; bound_envelope_check compares a seed-averaged
-metric against an analytic envelope; sandwich_check relates the effective
+metric against an analytic envelope; sandwich_steps relates the effective
 step size of an RMSProp-style update to that of threshold clipping.
 """
 
@@ -124,37 +124,28 @@ def strongly_convex_bound(mu: float, G: float, alpha: float):
 # h_clip/4 <= h_adam <= h_clip/2, comfortably inside the 1/4..2 band.
 
 
-@dataclass
-class SandwichResult:
-    h_adam: float
-    h_clip: float
-    eta: float
-    tau: float
-    ratio: float
-    within: bool
+def _refuse_bad_sandwich(v, g, a: float, beta2: float, epsilon: float):
+    if not (a > 0 and epsilon > 0 and 0.0 < beta2 < 1.0
+            and np.all((v >= 0) & (v < math.inf)) and np.all(np.isfinite(g))):
+        raise ConfigurationError(
+            "sandwich: require a > 0, epsilon > 0, beta2 in (0, 1), finite v >= 0 and finite g "
+            f"(got a={a}, epsilon={epsilon}, beta2={beta2})"
+        )
 
 
-def sandwich_check(
-    v: float, g: float, a: float = 1e-3, beta2: float = 0.99, epsilon: float = 1e-8
-) -> SandwichResult:
-    """Compare the two effective step sizes at a single (v, g) pair."""
-    if v < 0 or a <= 0 or epsilon <= 0 or not (0.0 < beta2 < 1.0):
-        raise ConfigurationError("require v >= 0, a > 0, epsilon > 0, beta2 in (0, 1)")
-    root = math.sqrt(beta2 * v)
-    h_adam = a / (epsilon + math.sqrt(beta2 * v + (1.0 - beta2) * g * g))
+def sandwich_steps(v, g, a: float = 1e-3, beta2: float = 0.99, epsilon: float = 1e-8):
+    """(h_adam, h_clip): the two effective step sizes at each (v, g) pair,
+    for arrays or scalars of second-moment estimates v and gradients g."""
+    v, g = np.asarray(v, dtype=float), np.asarray(g, dtype=float)
+    _refuse_bad_sandwich(v, g, a, beta2, epsilon)
+    root = np.sqrt(beta2 * v)
+    h_adam = a / (epsilon + np.sqrt(beta2 * v + (1.0 - beta2) * g * g))
     eta = 2.0 * a / (epsilon + root)
     tau = (epsilon + root) / math.sqrt(1.0 - beta2)
-    factor = 1.0 if (g == 0.0 or abs(g) <= tau) else tau / abs(g)
-    h_clip = eta * factor
-    ratio = h_adam / h_clip
-    return SandwichResult(
-        h_adam=h_adam,
-        h_clip=h_clip,
-        eta=eta,
-        tau=tau,
-        ratio=ratio,
-        within=(0.25 * h_clip <= h_adam <= 2.0 * h_clip),
-    )
+    absg = np.abs(g)
+    factors = np.ones(absg.shape)
+    np.divide(tau, absg, out=factors, where=absg > tau)
+    return h_adam, eta * factors
 
 
 @dataclass
@@ -181,16 +172,10 @@ def sandwich_fuzz(
     """Fuzz the quarter-to-double band over (v, g) in [0, v_max] x [-g_max, g_max]."""
     if n < 1:
         raise ConfigurationError("fuzz size must be positive")
+    _refuse_bad_sandwich(v_max, g_max, a, beta2, epsilon)
     v = rng.random(n) * v_max
     g = (rng.random(n) * 2.0 - 1.0) * g_max
-    root = np.sqrt(beta2 * v)
-    h_adam = a / (epsilon + np.sqrt(beta2 * v + (1.0 - beta2) * g * g))
-    eta = 2.0 * a / (epsilon + root)
-    tau = (epsilon + root) / math.sqrt(1.0 - beta2)
-    absg = np.abs(g)
-    factors = np.ones(n)
-    np.divide(tau, absg, out=factors, where=absg > tau)
-    h_clip = eta * factors
+    h_adam, h_clip = sandwich_steps(v, g, a, beta2, epsilon)
     ratio = h_adam / h_clip
     bad = int(np.sum((h_adam < 0.25 * h_clip) | (h_adam > 2.0 * h_clip)))
     return FuzzResult(

@@ -5,7 +5,6 @@ Provides:
   (gaussian / symmetric Pareto / symmetric alpha-stable / zero),
 - sample_noise / sample_noise_batch: seeded draws,
 - iter_blocks: a long stream of draws in fixed-size blocks,
-- empirical_moment: empirical p-th absolute moment with standard error,
 - tail_index: block-sum log-moment estimate of the tail index,
 - variance_growth_curve: streaming second moment vs. sample size.
 """
@@ -17,31 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError
 
 FAMILIES = ("gaussian", "pareto", "stable", "zero")
 
-_FAMILY_ALIASES = {
-    "gaussian": "gaussian",
-    "normal": "gaussian",
-    "pareto": "pareto",
-    "symmetric_pareto": "pareto",
-    "stable": "stable",
-    "alpha_stable": "stable",
-    "symmetric_alpha_stable": "stable",
-    "zero": "zero",
-    "none": "zero",
-}
-
 # Chunk size for streaming passes over large sample counts.
 _STREAM_CHUNK = 1 << 16
-
-
-def canonical_family(name: str) -> str:
-    key = name.strip().lower().replace("-", "_")
-    if key not in _FAMILY_ALIASES:
-        raise ConfigurationError(f"unknown noise family {name!r}; expected one of {FAMILIES}")
-    return _FAMILY_ALIASES[key]
 
 
 @dataclass
@@ -51,21 +31,24 @@ class NoiseSpec:
     ``tail_index`` is the distribution's own tail/stability parameter: the
     p-th absolute moment of a single coordinate is finite exactly for
     p < tail_index (pareto / stable families).  Unused for gaussian/zero.
-    ``per_coordinate_scales`` overrides ``scale`` coordinate-wise.
     """
 
     family: str
     dimension: int
     scale: float = 1.0
     tail_index: float = 2.0
-    per_coordinate_scales: np.ndarray | None = None
 
     def __post_init__(self):
-        self.family = canonical_family(self.family)
+        if self.family not in FAMILIES:
+            raise ConfigurationError(
+                f"unknown noise family {self.family!r}; expected one of {FAMILIES}"
+            )
         if self.dimension < 1:
             raise ConfigurationError("dimension must be a positive integer")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        if not (0.0 < self.scale < math.inf):  # written so that NaN fails too
+            raise ConfigurationError(f"scale must be positive and finite, got {self.scale}")
+        if not math.isfinite(self.tail_index):
+            raise ConfigurationError(f"tail_index must be finite, got {self.tail_index}")
         if self.family == "stable" and not (1.0 < self.tail_index <= 2.0):
             raise ConfigurationError(
                 f"stable tail_index must lie in (1, 2], got {self.tail_index}"
@@ -74,20 +57,6 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"pareto tail_index must be > 1, got {self.tail_index}"
             )
-        if self.per_coordinate_scales is not None:
-            s = np.asarray(self.per_coordinate_scales, dtype=float)
-            if s.shape != (self.dimension,):
-                raise ConfigurationError(
-                    "per_coordinate_scales must have length equal to dimension"
-                )
-            if np.any(s <= 0):
-                raise ConfigurationError("per_coordinate_scales must be positive")
-            self.per_coordinate_scales = s
-
-    def scales(self) -> np.ndarray:
-        if self.per_coordinate_scales is not None:
-            return self.per_coordinate_scales
-        return np.full(self.dimension, self.scale)
 
 
 def pareto_magnitude(u, a: float):
@@ -105,14 +74,13 @@ def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.
     d = spec.dimension
     if spec.family == "zero":
         return np.zeros((n, d))
-    scales = spec.scales()
     if spec.family == "gaussian":
-        return rng.standard_normal((n, d)) * scales
+        return rng.standard_normal((n, d)) * spec.scale
     if spec.family == "pareto":
         u2 = rng.random((n, 2 * d))
         signs = np.where(u2[:, d:] < 0.5, -1.0, 1.0)
         # Symmetrization alone gives mean zero; no additive centering.
-        return signs * pareto_magnitude(u2[:, :d], spec.tail_index) * scales
+        return signs * pareto_magnitude(u2[:, :d], spec.tail_index) * spec.scale
     # Symmetric alpha-stable via the Chambers-Mallows-Stuck transform.
     a = spec.tail_index
     u2 = rng.random((n, 2 * d))
@@ -122,7 +90,7 @@ def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.
         x = (np.sin(a * v) / np.cos(v) ** (1.0 / a)) * (
             np.cos((1.0 - a) * v) / w
         ) ** ((1.0 - a) / a)
-    return x * scales
+    return x * spec.scale
 
 
 def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
@@ -145,43 +113,6 @@ def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = 
 
 
 @dataclass
-class MomentEstimate:
-    """Empirical mean of ||X||^p with its (descriptive) standard error.
-
-    The standard error of a p-th moment of a heavy-tailed variable may
-    itself be infinite; it is reported as a descriptive statistic, never
-    as a confidence guarantee.
-    """
-
-    exponent: float
-    value: float
-    sample_count: int
-    standard_error: float
-
-
-def empirical_moment(samples: np.ndarray, p: float) -> MomentEstimate:
-    """Empirical p-th absolute moment of scalars or row-vectors.
-
-    ``samples`` is (n,) for scalars or (n, d) for vectors; the moment is of
-    |x| resp. the Euclidean norm of each row.
-    """
-    if p <= 0:
-        raise ConfigurationError("moment exponent p must be positive")
-    x = np.asarray(samples, dtype=float)
-    n = x.shape[0]
-    if n < 2:
-        raise InsufficientDataError("empirical_moment needs at least 2 samples")
-    norms = np.abs(x) if x.ndim == 1 else np.sqrt(np.sum(x * x, axis=1))
-    vals = norms**p
-    return MomentEstimate(
-        exponent=p,
-        value=float(np.mean(vals)),
-        sample_count=n,
-        standard_error=float(np.std(vals, ddof=1) / math.sqrt(n)),
-    )
-
-
-@dataclass
 class TailIndexEstimate:
     alpha_hat: float
     block_size: int
@@ -192,18 +123,14 @@ def tail_index(
     samples: np.ndarray,
     block_size: int = 100,
     rng: np.random.Generator | None = None,
-    symmetrize: bool = True,
 ) -> TailIndexEstimate:
     """Block-sum log-moment estimate of the tail index, clamped to (0, 2].
 
-    Partitions the samples into blocks of ``block_size``, forms block sums
-    Y_j and returns 1/alpha_hat = (mean log|Y_j| - mean log X_i) / log K.
-
-    With ``symmetrize`` the samples get independent random signs before
-    summation, which makes the estimator exact for magnitudes of symmetric
-    stable laws and drives light-tailed inputs to alpha_hat = 2.  Without
-    it, block sums of positive data concentrate at K * mean and the
-    estimate is pulled toward 1 (only useful as a closed-form check).
+    Partitions the samples into blocks of ``block_size``, gives them
+    independent random signs, forms block sums Y_j and returns
+    1/alpha_hat = (mean log|Y_j| - mean log X_i) / log K.  The signs make
+    the estimator exact for magnitudes of symmetric stable laws and drive
+    light-tailed inputs to alpha_hat = 2.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -222,12 +149,9 @@ def tail_index(
     m = n // k
     if m < 2:
         raise ConfigurationError("tail_index needs at least 2 blocks")
-    if symmetrize:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        signed = np.where(rng.random(n) < 0.5, -x, x)
-    else:
-        signed = x
+    if rng is None:
+        rng = np.random.default_rng(0)
+    signed = np.where(rng.random(n) < 0.5, -x, x)
     block_sums = np.abs(signed.reshape(m, k).sum(axis=1))
     block_sums = block_sums[block_sums > 0]
     if block_sums.size < 2:

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .clip import ACClipParams, ACClipState, acclip_factors, acclip_step
+from .clip import acclip_factors
 from .errors import ConfigurationError
 from .noise import iter_blocks
 from .problems import StochasticProblem
@@ -66,21 +66,13 @@ class Schedule:
         return np.arange(1, K + 1, dtype=float) ** self.tau_exponent
 
 
-def constant_schedule(eta: float, tau: float = math.inf) -> Schedule:
-    return Schedule(eta, tau)
-
-
-def nonconvex_schedule(
-    L: float, sigma: float, alpha: float, K: int, f0: float, variant: str = "full"
-) -> Schedule:
+def nonconvex_schedule(L: float, sigma: float, alpha: float, K: int, f0: float) -> Schedule:
     """Constant (eta, tau) pair for L-smooth nonconvex objectives.
 
     tau = max{2, 48^(1/(a-1)) s^(a/(a-1)), 8s, (f0/(s^2 K))^(a/(3a-2)) / L^((2a-2)/(3a-2))}
     eta = min{1/(4L), s^a/(L tau^a), 1/(24 L tau)}
 
-    ``variant="simple"`` replaces the last term of the max by the simpler
-    s * K^(1/(3a-2)) used in the rate derivation.  sigma = 0 degenerates to
-    eta = 1/(4L), tau = 2 by convention.
+    sigma = 0 degenerates to eta = 1/(4L), tau = 2 by convention.
     """
     if L <= 0 or K < 1 or f0 <= 0:
         raise ConfigurationError("L, K and f0 must be positive")
@@ -88,18 +80,13 @@ def nonconvex_schedule(
         raise ConfigurationError("sigma must be nonnegative")
     if not (1.0 < alpha <= 2.0):
         raise ConfigurationError("alpha must lie in (1, 2] (alpha=1 divides by zero)")
-    if variant not in ("full", "simple"):
-        raise ConfigurationError("variant must be 'full' or 'simple'")
     if sigma == 0.0:
         tau = 2.0
         eta = 1.0 / (4.0 * L)
     else:
-        if variant == "full":
-            last = (f0 / (sigma**2 * K)) ** (alpha / (3.0 * alpha - 2.0)) / L ** (
-                (2.0 * alpha - 2.0) / (3.0 * alpha - 2.0)
-            )
-        else:
-            last = sigma * K ** (1.0 / (3.0 * alpha - 2.0))
+        last = (f0 / (sigma**2 * K)) ** (alpha / (3.0 * alpha - 2.0)) / L ** (
+            (2.0 * alpha - 2.0) / (3.0 * alpha - 2.0)
+        )
         tau = max(
             2.0,
             48.0 ** (1.0 / (alpha - 1.0)) * sigma ** (alpha / (alpha - 1.0)),
@@ -110,20 +97,13 @@ def nonconvex_schedule(
     return Schedule(eta, tau)
 
 
-def strongly_convex_schedule(
-    mu: float, G: float, alpha: float, threshold_exponent: float | None = None
-) -> Schedule:
-    """eta_k = 4/(mu (k+1)) with tau_k = G k^(1/alpha) for strongly convex runs.
-
-    The exponent 1/alpha is the one the rate derivation closes with; pass
-    ``threshold_exponent`` to experiment with alternatives (e.g. alpha-1).
-    """
+def strongly_convex_schedule(mu: float, G: float, alpha: float) -> Schedule:
+    """eta_k = 4/(mu (k+1)) with tau_k = G k^(1/alpha) for strongly convex runs."""
     if mu <= 0 or G <= 0:
         raise ConfigurationError("mu and G must be positive")
     if not (1.0 < alpha <= 2.0):
         raise ConfigurationError("alpha must lie in (1, 2]")
-    exponent = 1.0 / alpha if threshold_exponent is None else threshold_exponent
-    return Schedule(4.0 / mu, G, exponent, inverse_time=True)
+    return Schedule(4.0 / mu, G, 1.0 / alpha, inverse_time=True)
 
 
 def cclip_schedule(mu: float, B: np.ndarray, alpha: float) -> Schedule:
@@ -135,24 +115,6 @@ def cclip_schedule(mu: float, B: np.ndarray, alpha: float) -> Schedule:
     if np.any(B < 0):
         raise ConfigurationError("B must be nonnegative elementwise")
     return Schedule(4.0 / mu, B, 1.0 / alpha, inverse_time=True)
-
-
-def weighted_average(iterates) -> np.ndarray:
-    """j-weighted average of x_0..x_{k-1}: sum_j j*x_{j-1} / sum_j j.
-
-    Single streaming pass over the sequence.
-    """
-    total = None
-    weight = 0.0
-    j = 0
-    for x in iterates:
-        j += 1
-        x = np.asarray(x, dtype=float)
-        total = j * x if total is None else total + j * x
-        weight += j
-    if total is None:
-        raise ConfigurationError("weighted_average needs a nonempty sequence")
-    return total / weight
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +391,3 @@ def run_seeds(
     results.sort(key=lambda pair: pair[0])
     return [t for _, t in results]
 
-
-def acclip_reference_run(
-    problem: StochasticProblem, config: OptimizerConfig, seed
-) -> np.ndarray:
-    """Final iterate from repeated acclip_step calls (cross-check for run)."""
-    rng = np.random.default_rng(seed)
-    d = problem.dimension
-    x0 = np.broadcast_to(np.asarray(config.x0, dtype=float), (d,)).astype(float).copy()
-    params = ACClipParams(
-        beta1=config.beta1, beta2=config.beta2,
-        alpha=config.acclip_alpha, epsilon=config.epsilon,
-    )
-    state = ACClipState(x=x0, params=params)
-    stream = chain.from_iterable(iter_blocks(problem.noise, rng, config.iterations, _NOISE_BLOCK))
-    for eta in config.schedule.etas(config.iterations):
-        g = problem.exact_gradient(state.x) + next(stream)
-        state = acclip_step(state, g, eta)
-    return state.x

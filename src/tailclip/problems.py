@@ -2,9 +2,8 @@
 
 Provides strongly convex quadratics, a smooth bounded nonconvex objective,
 the two-point adversarial gradient oracle on [0, 1/2] used for the
-strongly-convex lower bound, the chain hard instance with its
-probability-p revealing oracle, and Euclidean projections onto balls,
-boxes and intervals.
+strongly-convex lower bound, the chain hard instance, and Euclidean
+projection onto a ball.
 """
 
 from __future__ import annotations
@@ -41,38 +40,7 @@ class Ball:
         return self.center + dev * (self.radius / dist)
 
 
-@dataclass
-class Box:
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != self.upper.shape or np.any(self.lower >= self.upper):
-            raise ConfigurationError("box requires lower < upper elementwise")
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        return np.clip(y, self.lower, self.upper)
-
-
-@dataclass
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ConfigurationError("interval requires lo < hi")
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        return np.clip(y, self.lo, self.hi)
-
-
-Domain = Ball | Box | Interval
-
-
-def project(domain: Domain, y: np.ndarray) -> np.ndarray:
+def project(domain: Ball, y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the domain (idempotent, nonexpansive)."""
     return domain.project(np.asarray(y, dtype=float))
 
@@ -104,7 +72,7 @@ class StochasticProblem:
     exact_gradient: Callable[[np.ndarray], np.ndarray]
     noise: NoiseSpec
     constants: Constants = field(default_factory=Constants)
-    domain: Domain | None = None
+    domain: Ball | None = None
     optimum: tuple[np.ndarray, float] | None = None
 
 
@@ -283,31 +251,17 @@ def chain_phi_prime(t):
 
 @dataclass
 class ChainInstance:
-    """Chain objective of length d with a probability-p revealing oracle.
-
-    With scaling (lam, gradient_scale) the rescaled objective is
-    value(x) = gradient_scale * lam * f_d(x / lam) whose gradient is
-    gradient_scale * grad f_d(x / lam); defaults give f_d itself.
-    """
+    """Chain objective f_d of length d, whose oracle reveals the next
+    coordinate with probability p."""
 
     d: int
     p: float
-    lam: float = 1.0
-    gradient_scale: float = 1.0
 
     def __post_init__(self):
         if self.d < 1:
             raise ConfigurationError("chain length d must be >= 1")
         if not (0.0 < self.p <= 1.0):
             raise ConfigurationError("revealing probability p must lie in (0, 1]")
-        if self.lam <= 0 or self.gradient_scale <= 0:
-            raise ConfigurationError("scaling parameters must be positive")
-
-    def value(self, x: np.ndarray) -> float:
-        return self.gradient_scale * self.lam * chain_value_raw(np.asarray(x) / self.lam)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.gradient_scale * chain_gradient_raw(np.asarray(x) / self.lam)
 
 
 def chain_value_raw(x: np.ndarray):
@@ -346,33 +300,6 @@ def prog(x: np.ndarray, beta: float) -> int:
     """Highest 1-based index i with |x_i| > beta; 0 if none."""
     hits = np.nonzero(np.abs(np.asarray(x, dtype=float)) > beta)[0]
     return int(hits[-1]) + 1 if hits.size else 0
-
-
-def _chain_oracle_with_z(inst: ChainInstance, x: np.ndarray, z: int) -> np.ndarray:
-    g = inst.gradient(x)
-    j = prog(np.asarray(x, dtype=float) / inst.lam, 0.25) + 1
-    if j <= inst.d:
-        g[j - 1] *= z / inst.p
-    return g
-
-
-def chain_oracle(inst: ChainInstance, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased stochastic gradient revealing the next chain coordinate
-    only when a Bernoulli(p) draw succeeds; all other coordinates exact."""
-    z = 1 if rng.random() < inst.p else 0
-    return _chain_oracle_with_z(inst, x, z)
-
-
-def direction_alignment_bound_holds(v: np.ndarray, w: np.ndarray) -> bool:
-    """Check <v/||v||, w> >= ||w||/3 - (8/3)||v - w|| for v != 0."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        raise ConfigurationError("v must be nonzero")
-    lhs = float(v @ w) / nv
-    rhs = float(np.linalg.norm(w)) / 3.0 - (8.0 / 3.0) * float(np.linalg.norm(v - w))
-    return lhs >= rhs - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .optimizers import (
     Trace,
     average_traces,
     cclip_schedule,
-    constant_schedule,
     run_seeds,
     nonconvex_schedule,
     strongly_convex_schedule,
@@ -97,7 +96,7 @@ def build_schedule(
     calibration: dict = {}
     rng = calibration_stream(cfg.master_seed)
     if s.kind == "constant":
-        return constant_schedule(s.eta, s.tau), calibration
+        return Schedule(s.eta, s.tau), calibration
     if s.kind == "nonconvex":
         L = problem.constants.L if s.L == "auto" else float(s.L)
         if L is None:
@@ -220,7 +219,8 @@ def trace_table(experiment: str, traces: list[Trace]) -> TraceTable:
     ts = sorted(traces, key=lambda t: t.seed)
     lengths = [len(t.ks) for t in ts]
     return TraceTable({
-        "experiment": np.full(sum(lengths), experiment, dtype=object),
+        # not np.full, which drops a str fill value's trailing NULs
+        "experiment": np.repeat(np.array([experiment], dtype=object), sum(lengths)),
         "algorithm": np.repeat(np.array([t.algorithm for t in ts], dtype=object), lengths),
         "seed": np.repeat(np.array([t.seed for t in ts], dtype=np.int64), lengths),
         "k": np.concatenate([np.asarray(t.ks, dtype=np.int64) for t in ts]),
@@ -294,13 +294,21 @@ def slope_verdict(
     criterion: str, mean_trace: Trace, metric: str, k_range: tuple[float, float],
     expect: float, tol: float,
 ) -> Verdict:
-    """PASS when the log-log slope of the seed-mean metric is within tol of expect."""
+    """PASS when the log-log slope of the seed-mean metric is within tol of
+    expect.  A non-finite seed-mean value inside k_range is a FAIL that names
+    its k: the fit would drop it and could pass on the points left."""
+    description = f"log-log slope of seed-mean {metric}"
+    threshold = f"{expect:.4f} +- {tol}"
+    ks, vals = mean_trace.ks, mean_trace.metric(metric)
+    bad = ks[(ks >= k_range[0]) & (ks <= k_range[1]) & ~np.isfinite(vals)]
+    if bad.size:
+        return Verdict(criterion, description, f"non-finite value at k={bad[0]}", threshold, False)
     fit = fit_loglog_slope(mean_trace, metric, k_range)
     return Verdict(
         criterion=criterion,
-        description=f"log-log slope of seed-mean {metric}",
+        description=description,
         observed=f"{fit.slope:.4f} (r2={fit.r_squared:.3f})",
-        threshold=f"{expect:.4f} +- {tol}",
+        threshold=threshold,
         passed=abs(fit.slope - expect) <= tol,
     )
 
@@ -333,7 +341,7 @@ def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dic
             )
         )
     if c.ratio_metric:
-        ratios = []
+        ratios, non_finite = [], []
         for t in traces:
             ks = list(t.ks)
             try:
@@ -344,11 +352,13 @@ def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dic
                     f"[checks] ratio ks {c.ratio_k_lo},{c.ratio_k_hi} are not recorded points"
                 ) from None
             vals = t.metric(c.ratio_metric)
+            non_finite += [ks[i] for i in (lo, hi) if not math.isfinite(vals[i])]
             denom = vals[lo]
-            ratios.append(float(vals[hi] / denom) if denom != 0 else math.inf)
+            with np.errstate(invalid="ignore"):  # inf / inf; non_finite fails the check
+                ratios.append(float(vals[hi] / denom) if denom != 0 else math.inf)
         stat = float(np.median(ratios)) if c.ratio_stat == "median" else float(np.mean(ratios))
         conditions = []
-        passed = True
+        passed = not non_finite
         if c.ratio_min != "":
             conditions.append(f"> {float(c.ratio_min)}")
             passed = passed and stat > float(c.ratio_min)
@@ -361,7 +371,7 @@ def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dic
                 description=(
                     f"seed-{c.ratio_stat} of {c.ratio_metric}[k={c.ratio_k_hi}] / [k={c.ratio_k_lo}]"
                 ),
-                observed=f"{stat:.4g}",
+                observed=f"non-finite value at k={min(non_finite)}" if non_finite else f"{stat:.4g}",
                 threshold=" and ".join(conditions) or "none",
                 passed=passed,
             )

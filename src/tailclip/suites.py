@@ -240,7 +240,7 @@ def chain_suite(
 ) -> SuiteResult:
     """Numerically verify the chain objective's advertised properties,
     plus oracle unbiasedness and gradient/finite-difference agreement."""
-    inst = ChainInstance(d=d, p=p)
+    ChainInstance(d=d, p=p)  # refuses a bad d or p before any draw
     pts = _chain_test_points(d, n_points, rng)
     grads = chain_gradient_raw(pts)
     grad_inf = np.max(np.abs(grads), axis=1)

@@ -6,9 +6,7 @@ import pytest
 from tailclip.errors import ConfigurationError
 from tailclip.problems import (
     ChainInstance,
-    _chain_oracle_with_z,
     chain_gradient_raw,
-    chain_oracle,
     chain_phi,
     chain_phi_prime,
     chain_psi,
@@ -50,10 +48,9 @@ def test_psi_phi_derivatives_match_fd():
 
 
 def test_chain_value_d1_closed_form():
-    inst = ChainInstance(d=1, p=0.5)
     x = np.array([0.37])
-    assert inst.value(x) == pytest.approx(-chain_phi(0.37), rel=1e-12)
-    assert inst.gradient(x)[0] == pytest.approx(-chain_phi_prime(0.37), rel=1e-12)
+    assert chain_value_raw(x) == pytest.approx(-chain_phi(0.37), rel=1e-12)
+    assert chain_gradient_raw(x)[0] == pytest.approx(-chain_phi_prime(0.37), rel=1e-12)
 
 
 def test_chain_gradient_matches_fd():
@@ -71,54 +68,16 @@ def test_chain_gradient_matches_fd():
         assert np.linalg.norm(fd - g) <= 1e-4 * max(np.linalg.norm(g), 1e-8)
 
 
-def test_scaled_instance():
-    inst = ChainInstance(d=4, p=0.5, lam=2.0, gradient_scale=3.0)
-    x = np.array([0.8, -1.1, 0.2, 0.0])
-    assert inst.value(x) == pytest.approx(3.0 * 2.0 * chain_value_raw(x / 2.0), rel=1e-12)
-    assert np.allclose(inst.gradient(x), 3.0 * chain_gradient_raw(x / 2.0))
-    # gradient consistent with finite differences of the scaled value
-    h = 1e-5
-    e = np.zeros(4)
-    e[1] = h
-    fd = (inst.value(x + e) - inst.value(x - e)) / (2 * h)
-    assert fd == pytest.approx(inst.gradient(x)[1], rel=1e-5)
-
-
-def test_oracle_deterministic_limit():
-    inst = ChainInstance(d=5, p=1.0)
-    x = np.array([1.2, 0.9, 0.1, 0.0, 0.0])
-    g = chain_oracle(inst, x, np.random.default_rng(0))
-    assert np.allclose(g, inst.gradient(x))
-
-
-def test_oracle_z_zero_kills_next_coordinate():
-    inst = ChainInstance(d=5, p=0.5)
-    x = np.array([1.2, 0.9, 0.1, 0.0, 0.0])
-    j = prog(x, 0.25) + 1  # first unrevealed coordinate
-    g = _chain_oracle_with_z(inst, x, 0)
-    exact = inst.gradient(x)
-    assert g[j - 1] == 0.0
-    mask = np.ones(5, dtype=bool)
-    mask[j - 1] = False
-    assert np.array_equal(g[mask], exact[mask])
-
-
-def test_oracle_complete_progress_is_exact():
-    inst = ChainInstance(d=3, p=0.25)
-    x = np.array([1.0, 1.0, 2.0])  # prog_{1/4}(x) = d, nothing to reveal
-    g = _chain_oracle_with_z(inst, x, 0)
-    assert np.array_equal(g, inst.gradient(x))
-
-
 def test_oracle_unbiased_monte_carlo():
-    inst = ChainInstance(d=4, p=0.3)
+    # the revealed coordinate, drawn as chain_suite draws it
+    p = 0.3
     x = np.array([1.4, 0.6, 0.05, 0.0])
-    exact = inst.gradient(x)
+    exact = chain_gradient_raw(x)
     j = prog(x, 0.25) + 1
     rng = np.random.default_rng(9)
     n = 10**5
-    z = (rng.random(n) < inst.p).astype(float)
-    draws = exact[j - 1] * z / inst.p
+    z = (rng.random(n) < p).astype(float)
+    draws = exact[j - 1] * z / p
     se = np.std(draws, ddof=1) / math.sqrt(n)
     assert abs(float(np.mean(draws)) - exact[j - 1]) <= 4 * se
 
@@ -129,7 +88,7 @@ def test_chain_validation():
     with pytest.raises(ConfigurationError):
         ChainInstance(d=3, p=0.0)
     with pytest.raises(ConfigurationError):
-        ChainInstance(d=3, p=0.5, lam=-1.0)
+        ChainInstance(d=3, p=1.5)
 
 
 def test_chain_suite_small():

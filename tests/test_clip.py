@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailclip.clip import (
-    ACClipParams,
-    ACClipState,
-    acclip_step,
-    bias_variance_grid,
-    cclip,
-    gclip,
-)
+from tailclip.clip import bias_variance_grid, cclip, gclip
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, sample_noise_batch
+from test_optimizers import ACClipParams, ACClipState, acclip_step
 
 vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=6
@@ -187,15 +181,6 @@ class TestBiasVarianceProbe:
         sigma_a = res.sigma_moment
         assert res.second_moment <= sigma_a * tau**0.5 + 3 * res.second_moment_se
         assert res.bias_norm <= 2 * sigma_a * tau**-0.5 + 3 * res.bias_se
-        # smooth-case bounds apply since ||grad|| = 0 <= tau/2
-        assert res.smooth_bound_second_moment is not None
-
-    def test_smooth_case_gate(self):
-        tg = np.array([3.0])
-        res = bias_variance_grid(
-            NoiseSpec("gaussian", dimension=1), tg, [2.0], 10**4, np.random.default_rng(3), 2.0
-        )[0]
-        assert res.smooth_bound_second_moment is None  # ||grad|| > tau/2
 
     def test_minimum_sample_count(self):
         with pytest.raises(ConfigurationError):

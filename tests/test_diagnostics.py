@@ -6,8 +6,8 @@ import pytest
 from tailclip.diagnostics import (
     bound_envelope_check,
     fit_loglog_slope,
-    sandwich_check,
     sandwich_fuzz,
+    sandwich_steps,
     strongly_convex_bound,
 )
 from tailclip.errors import ConfigurationError, InsufficientDataError
@@ -115,29 +115,45 @@ class TestEnvelope:
 
 class TestSandwich:
     def test_zero_gradient_ratio_half(self):
-        res = sandwich_check(2.0, 0.0)
-        assert res.ratio == pytest.approx(0.5, rel=1e-12)
-        assert res.within
+        h_adam, h_clip = sandwich_steps(2.0, 0.0)
+        assert h_adam / h_clip == pytest.approx(0.5, rel=1e-12)
 
     def test_worked_example(self):
-        res = sandwich_check(1.0, 1.0, a=1e-3, beta2=0.99, epsilon=1e-8)
-        assert res.h_adam == pytest.approx(1.000e-3, rel=1e-3)
-        assert res.h_clip == pytest.approx(2.010e-3, rel=1e-3)
+        h_adam, h_clip = sandwich_steps(1.0, 1.0, a=1e-3, beta2=0.99, epsilon=1e-8)
+        assert h_adam == pytest.approx(1.000e-3, rel=1e-3)
+        assert h_clip == pytest.approx(2.010e-3, rel=1e-3)
         # sits just below the 1/2 constant
-        assert res.ratio == pytest.approx(0.4975, abs=5e-4)
-        assert res.within
+        assert h_adam / h_clip == pytest.approx(0.4975, abs=5e-4)
 
     def test_clipping_active_branch(self):
-        res = sandwich_check(1.0, 50.0, a=1e-3, beta2=0.99, epsilon=1e-8)
-        assert res.tau < 50.0
-        assert res.within
-        assert 0.25 <= res.ratio <= 0.5
+        # tau = (eps + sqrt(b2 v)) / sqrt(1 - b2) is about 9.95 < |g| = 50
+        h_adam, h_clip = sandwich_steps(1.0, 50.0, a=1e-3, beta2=0.99, epsilon=1e-8)
+        eta = 2e-3 / (1e-8 + math.sqrt(0.99))
+        assert h_clip < eta
+        assert 0.25 <= h_adam / h_clip <= 0.5
+
+    def test_arrays_match_scalars(self):
+        v, g = np.array([0.0, 1.0, 2.0, 1.0]), np.array([3.0, 1.0, 0.0, 50.0])
+        h_adam, h_clip = sandwich_steps(v, g)
+        for i in range(v.size):
+            assert (h_adam[i], h_clip[i]) == sandwich_steps(v[i], g[i])
 
     def test_validation(self):
+        for kwargs in (dict(v=-1.0), dict(beta2=1.0), dict(beta2=0.0), dict(a=0.0),
+                       dict(epsilon=0.0), dict(a=math.nan), dict(v=math.inf), dict(g=math.nan)):
+            args = {"v": 1.0, "g": 0.0} | kwargs
+            with pytest.raises(ConfigurationError):
+                sandwich_steps(**args)
+
+    @pytest.mark.parametrize("kwargs", [dict(v_max=-5.0), dict(a=math.nan), dict(a=0.0),
+                                        dict(epsilon=0.0, v_max=0.0), dict(beta2=1.5),
+                                        dict(g_max=math.inf)])
+    def test_fuzz_refuses_bad_parameters_before_drawing(self, kwargs):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ConfigurationError):
-            sandwich_check(-1.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            sandwich_check(1.0, 0.0, beta2=1.0)
+            sandwich_fuzz(10**4, rng, **kwargs)
+        assert rng.bit_generator.state == state
 
     def test_fuzz_respects_provable_band(self):
         res = sandwich_fuzz(10**5, np.random.default_rng(3))

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from tailclip import runner
 from tailclip.cli import main
-from tailclip.config import apply_overrides, dump_config, load_config, save_config
+from tailclip.config import ExperimentConfig, apply_overrides, dump_config, load_config
 from tailclip.errors import ConfigurationError
-from tailclip.optimizers import ALGORITHMS, CSV_METRICS, Trace
+from tailclip.noise import FAMILIES
+from tailclip.optimizers import ALGORITHMS, CSV_METRICS, TRACE_METRICS, Trace, record_points
 from tailclip.runner import (
     CSV_COLUMNS,
     CSV_HEADER,
+    evaluate_checks,
     read_csv,
     run_experiment,
     traces_from_rows,
@@ -62,15 +64,76 @@ def minimal_cfg(tmp_path):
     return path
 
 
+@st.composite
+def config_settings(draw):
+    """``section.key=value`` overrides that together make a valid config."""
+    finite = st.floats(1e-3, 1e3)
+    d = draw(st.integers(1, 4))
+    vector = st.lists(finite, min_size=d, max_size=d).map(lambda v: ", ".join(map(repr, v)))
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    if algorithm == "cclip":
+        kind = draw(st.sampled_from(["constant", "cclip"]))
+    else:
+        kind = draw(st.sampled_from(["constant", "nonconvex", "strongly_convex"]))
+    family = draw(st.sampled_from(FAMILIES))
+    out = {
+        "experiment.name": draw(st.text("abcXYZ019_-.", min_size=1, max_size=12)),
+        "experiment.seeds": draw(st.integers(1, 100)),
+        "experiment.master_seed": draw(st.integers(0, 2**32)),
+        "experiment.iterations": draw(st.integers(1000, 10**6)),
+        "problem.kind": draw(st.sampled_from(["quadratic", "nonconvex"])),
+        "problem.dimension": d,
+        "problem.mu": draw(finite),
+        "problem.x_star": draw(vector),
+        "problem.x0": draw(st.floats(-10.0, 10.0)),
+        "problem.domain": "ball" if algorithm == "proj_gclip" else draw(st.sampled_from(["none", "ball"])),
+        "problem.radius": draw(st.just("auto") | finite),
+        "noise.family": family,
+        "noise.tail_index": draw(st.floats(1.05, 2.0) if family == "stable" else st.floats(1.05, 5.0)),
+        "noise.scale": draw(finite),
+        "schedule.kind": kind,
+        "schedule.eta": draw(finite),
+        "schedule.tau": draw(st.just(math.inf) | finite),
+        "schedule.alpha": draw(st.floats(1.05, 2.0)),
+        "schedule.G": draw(st.just("auto") | finite),
+        "schedule.B": draw(st.just("auto") | vector),
+        "schedule.calibration_draws": draw(st.integers(1, 10**6)),
+        "optimizer.algorithm": algorithm,
+        "optimizer.averaging": draw(st.booleans()),
+        "optimizer.beta1": draw(st.floats(0.0, 1.0)),
+        "optimizer.warmup": draw(st.integers(0, 100)),
+        "optimizer.record": draw(st.just("log") | st.integers(1, 100).map(str)),
+        "checks.slope_expect": draw(st.just("") | st.floats(-2.0, 0.0)),
+        "checks.slope_kmin": draw(st.floats(1.0, 999.0)),
+        "checks.slope_tol": draw(finite),
+        "outputs.plots": draw(st.booleans()),
+    }
+    return [f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in out.items()]
+
+
 class TestConfig:
     def test_round_trip(self, minimal_cfg, tmp_path):
         cfg = load_config(minimal_cfg)
         out = tmp_path / "dumped.cfg"
-        save_config(cfg, out)
+        out.write_text(dump_config(cfg))
         again = load_config(out)
         assert cfg == again
         # serialize -> parse -> serialize is a fixed point
         assert dump_config(cfg) == dump_config(again)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_dump_load_round_trip_property(self, data):
+        cfg = ExperimentConfig()
+        apply_overrides(cfg, data.draw(config_settings()))
+        text = dump_config(cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dumped.cfg"
+            path.write_text(text)
+            again = load_config(path)
+        assert again == cfg
+        assert dump_config(again) == text
 
     def test_include_overrides(self, tmp_path):
         (tmp_path / "base.cfg").write_text(MINIMAL)
@@ -172,6 +235,7 @@ class TestConfig:
             ("problem.domain=box", "box"),
             ("problem.domain=interval", "interval"),
             ("checks.envelope=cclip", "cclip"),
+            ("noise.family=normal", "normal"),
         ],
     )
     def test_deleted_setting_rejected(self, minimal_cfg, override, named):
@@ -238,6 +302,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=re.escape(override.split("=")[0].split(".")[1])):
             apply_overrides(cfg, [override])
 
+    @pytest.mark.parametrize("key", ["schedule.G", "schedule.sigma", "schedule.f0", "schedule.L",
+                                     "schedule.mu", "problem.radius"])
+    def test_empty_auto_constant_rejected(self, minimal_cfg, key):
+        cfg = load_config(minimal_cfg)
+        with pytest.raises(ConfigurationError, match=re.escape(key.split(".")[1])):
+            apply_overrides(cfg, [f"{key}="])
+
+    @pytest.mark.parametrize("key", ["checks.slope_expect", "checks.ratio_min", "checks.ratio_max"])
+    def test_empty_optional_setting_is_unset(self, minimal_cfg, key):
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, [f"{key}=-0.5", f"{key}="])
+        assert getattr(cfg.checks, key.split(".")[1]) == ""
+
     @pytest.mark.parametrize("override", ["schedule.tau=inf", "checks.slope_kmax=inf"])
     def test_infinite_default_accepted(self, minimal_cfg, override):
         cfg = load_config(minimal_cfg)
@@ -301,6 +378,67 @@ class TestRunner:
         script = res.paths["plot"].read_text()
         assert "matplotlib" in script
         compile(script, str(res.paths["plot"]), "exec")  # syntactically valid
+
+
+CHECK_KS = record_points(1000, "log")
+
+
+def checked_config(ratio_bounds) -> ExperimentConfig:
+    """A 1000-step config declaring a slope (S), an envelope (E) and a ratio (R)
+    check that traces_for_checks passes."""
+    cfg = ExperimentConfig(iterations=1000)
+    cfg.schedule.G = 1.0
+    c = cfg.checks
+    c.slope_id, c.slope_expect, c.slope_kmin = "S", -0.5, 10.0
+    c.envelope, c.envelope_id = "strongly_convex", "E"
+    c.ratio_id, c.ratio_metric, c.ratio_k_hi, c.ratio_k_lo = "R", "grad_norm", 1000, 100
+    c.ratio_min, c.ratio_max = ratio_bounds
+    return cfg
+
+
+def traces_for_checks(n_seeds: int) -> list[Trace]:
+    """Suboptimality k^-1/2 (slope -1/2, under the envelope) and grad_norm 1."""
+    return [
+        Trace(ks=CHECK_KS, **{m: np.ones(len(CHECK_KS)) for m in TRACE_METRICS if m != "suboptimality"},
+              suboptimality=CHECK_KS ** -0.5, seed=i, algorithm="sgd")
+        for i in range(n_seeds)
+    ]
+
+
+class TestChecks:
+    @pytest.mark.parametrize("ratio_bounds", [(0.5, ""), ("", 2.0), (0.5, 2.0)])
+    def test_clean_traces_pass(self, ratio_bounds):
+        verdicts = evaluate_checks(checked_config(ratio_bounds), traces_for_checks(2), {})
+        assert [(v.criterion, v.passed) for v in verdicts] == [("S", True), ("E", True), ("R", True)]
+
+    def test_nan_seed_fails_the_slope_and_names_its_k(self):
+        # one of two seeds NaN at its last three records: the fit alone
+        # drops those points and passes
+        traces = traces_for_checks(2)
+        traces[1].suboptimality[-3:] = math.nan
+        verdict = evaluate_checks(checked_config((0.5, "")), traces, {})[0]
+        assert not verdict.passed
+        assert verdict.observed == f"non-finite value at k={CHECK_KS[-3]}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        check=st.sampled_from(["S", "E", "R"]),
+        ratio_bounds=st.sampled_from([(0.5, ""), ("", 2.0), (0.5, 2.0)]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        data=st.data(),
+    )
+    def test_non_finite_checked_value_fails(self, check, ratio_bounds, bad, data):
+        traces = traces_for_checks(data.draw(st.integers(1, 4)))
+        seed = data.draw(st.integers(0, len(traces) - 1))
+        if check == "R":
+            metric, ks = "grad_norm", [100, 1000]
+        else:  # the slope fits k in [10, 1000]; the envelope holds from k = 10
+            metric, ks = "suboptimality", CHECK_KS[CHECK_KS >= 10]
+        k = data.draw(st.sampled_from(list(ks)))
+        traces[seed].metric(metric)[list(CHECK_KS).index(k)] = bad
+        verdicts = evaluate_checks(checked_config(ratio_bounds), traces, {})
+        (verdict,) = [v for v in verdicts if v.criterion == check]
+        assert not verdict.passed
 
 
 def row_wise_table(fmt, header, rows) -> bytes:
@@ -492,6 +630,17 @@ class TestCli:
             ["lowerbound", "--n", "nan"],
             ["chain-check", "--points", "1e-3"],
             ["sandwich", "--fuzz", "1500.5"],
+            # float flags that are not finite
+            ["noise-probe", "--scale", "nan"],
+            ["noise-probe", "--family", "pareto", "--a", "nan"],
+            ["lemma-check", "--scale", "nan"],
+            ["lemma-check", "--grad-norm", "nan"],
+            ["lemma-check", "--alpha", "inf"],
+            ["chain-check", "--p", "nan"],
+            ["sandwich", "--a", "nan"],
+            ["sandwich", "--g-max", "inf"],
+            ["report", "--csv", "smoke.csv", "--kmin", "nan"],
+            ["report", "--csv", "smoke.csv", "--slope-tol", "inf"],
         ],
         ids=" ".join,
     )
@@ -499,6 +648,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--a", "0"], ["--v-max", "-5"],
+                                       ["--epsilon", "0", "--v-max", "0"], ["--beta2", "1.5"]],
+                             ids=" ".join)
+    def test_sandwich_refuses_parameters_outside_the_formula(self, tmp_path, capsys, flags):
+        assert main(["sandwich", "--fuzz", "1e4", *flags, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("taus", ["0,5", "-1,5", "nan"])
     def test_lemma_check_refuses_nonpositive_threshold(self, tmp_path, capsys, taus):
@@ -511,6 +669,8 @@ class TestCli:
         ["noise.scale=nan"],
         ["checks.envelope=strongly_convex"],
         ["checks.slope_expect=-0.5", "checks.slope_kmin=5000"],
+        ["schedule.G="],
+        ["problem.radius="],
     ])
     def test_refused_setting_exits_two_before_compute(self, minimal_cfg, tmp_path, capsys,
                                                        overrides):
@@ -596,7 +756,7 @@ class TestBundledConfigs:
         # every config the CLI, the tests and the benchmark run loads, and
         # none of its settings is lost in a dump
         cfg = load_config(path)
-        save_config(cfg, tmp_path / path.name)
+        (tmp_path / path.name).write_text(dump_config(cfg))
         assert load_config(tmp_path / path.name) == cfg
 
     def test_strongly_convex_alpha15_declares_acceptance_checks(self):
