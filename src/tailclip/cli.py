@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import apply_overrides, integer, load_config
+from .config import apply_overrides, integer, load_config, number, numbers
 from .diagnostics import sandwich_fuzz
 from .errors import ConfigurationError
 from .noise import NoiseSpec
@@ -42,10 +42,22 @@ EXIT_ERROR = 2
 def finite(raw) -> float:
     """``raw`` as a float flag value; NaN and +-inf raise, so that argparse
     refuses the flag with exit 2 before anything is drawn."""
-    value = float(raw)
+    value = number(raw)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw!r}")
     return value
+
+
+def at_least(lo: int):
+    """An argparse type: an integer count of at least ``lo``."""
+
+    def count(raw) -> int:
+        value = integer(raw)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {raw!r}")
+        return value
+
+    return count
 
 
 def _out_dir(args) -> Path:
@@ -123,7 +135,7 @@ def cmd_noise_probe(args) -> int:
 def cmd_lemma_check(args) -> int:
     spec = _noise_spec_from_args(args)
     rng = np.random.default_rng(args.seed)
-    taus = [float(t) for t in args.taus.split(",")]
+    taus = numbers(args.taus, "--taus")
     res = lemma_check(spec, taus, args.n, rng, args.alpha, grad_norm=args.grad_norm)
     fields = ("tau", "second_moment", "second_moment_se", "bias_norm", "bias_se",
               "bound_second_moment", "bound_bias")
@@ -136,8 +148,8 @@ def cmd_lemma_check(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     rng = np.random.default_rng(args.seed)
-    eps = [float(e) for e in args.epsilons.split(",")]
-    alphas = [float(a) for a in args.alphas.split(",")]
+    eps = numbers(args.epsilons, "--epsilons")
+    alphas = numbers(args.alphas, "--alphas")
     res = lowerbound_suite(eps, alphas, args.n, rng)
     ok = _print_verdicts(res.verdicts)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -212,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=finite, default=1.0)
     p.add_argument("--dimension", type=int, default=1)
     p.add_argument("--n", type=integer, default="1e6")
-    p.add_argument("--block-size", type=int, default=100)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--block-size", type=at_least(2), default=100)
+    p.add_argument("--bins", type=at_least(1), default=50)
     _add_common(p, table=True)
     p.set_defaults(func=cmd_noise_probe)
 

@@ -62,22 +62,20 @@ def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray
 @dataclass
 class ProbeResult:
     tau: float
-    n: int
     second_moment: float
     second_moment_se: float
     bias_norm: float
     bias_se: float
     g_moment: float  # empirical E||g||^alpha
-    sigma_moment: float  # empirical E||g - grad||^alpha
     bound_second_moment: float
     bound_bias: float
 
 
 def _probe_from_draws(
-    draws: np.ndarray, true_grad: np.ndarray, tau: float, alpha: float
+    draws: np.ndarray, norms: np.ndarray, g_mom: float, true_grad: np.ndarray, tau: float,
+    alpha: float,
 ) -> ProbeResult:
     n = draws.shape[0]
-    norms = np.sqrt(np.sum(draws * draws, axis=1))
     factors = np.ones(n)
     np.divide(tau, norms, out=factors, where=norms > tau)
     clipped = draws * factors[:, None]
@@ -88,18 +86,13 @@ def _probe_from_draws(
     bias_vec = mean_clip - true_grad
     bias_norm = float(np.linalg.norm(bias_vec))
     bias_se = float(math.sqrt(np.sum(np.var(clipped, axis=0, ddof=1)) / n))
-    g_mom = float(np.mean(norms**alpha))
-    noise = draws - true_grad
-    sigma_mom = float(np.mean(np.sum(noise * noise, axis=1) ** (alpha / 2.0)))
     return ProbeResult(
         tau=tau,
-        n=n,
         second_moment=second,
         second_moment_se=second_se,
         bias_norm=bias_norm,
         bias_se=bias_se,
         g_moment=g_mom,
-        sigma_moment=sigma_mom,
         bound_second_moment=g_mom * tau ** (2.0 - alpha),
         bound_bias=g_mom * tau ** (1.0 - alpha),
     )
@@ -129,4 +122,6 @@ def bias_variance_grid(
             raise ConfigurationError(f"clip thresholds must be positive, got {t!r}")
     true_grad = np.asarray(true_grad, dtype=float)
     draws = sample_noise_batch(noise, rng, n) + true_grad
-    return [_probe_from_draws(draws, true_grad, t, alpha) for t in taus]
+    norms = np.sqrt(np.sum(draws * draws, axis=1))
+    g_mom = float(np.mean(norms**alpha))
+    return [_probe_from_draws(draws, norms, g_mom, true_grad, t, alpha) for t in taus]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .noise import NoiseSpec
-from .optimizers import ALGORITHMS, record_points
+from .optimizers import ALGORITHMS, TRACE_METRICS, record_points
 
 _SCHEDULE_KINDS = ("constant", "nonconvex", "strongly_convex", "cclip")
 _PROBLEM_KINDS = ("quadratic", "nonconvex")
@@ -39,18 +39,25 @@ def integer(raw, key: str = "value") -> int:
     return int(value)
 
 
-def parse_record(record: str) -> str | int | list[int]:
-    """``[optimizer] record`` as "log", an integer stride or a list of ks."""
-    if record == "log":
-        return record
-    toks = str(record).replace(",", " ").split()
-    if len(toks) > 1:
-        return [integer(t, "[optimizer] record") for t in toks]
-    return integer(record, "[optimizer] record")
+def number(raw, key: str = "value") -> float:
+    """``raw`` as a float; a spelling that is not a number raises, naming ``key``."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigurationError(f"{key}: expected a number, got {raw!r}") from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def numbers(text: str, key: str = "value") -> list[float]:
+    """A comma- or space-separated list of at least one number."""
+    values = [number(tok, key) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise ConfigurationError(f"{key}: expected a list of numbers, got {text!r}")
+    return values
+
+
+def parse_record(record: str) -> str | int:
+    """``[optimizer] record`` as "log" or an integer stride."""
+    return record if record == "log" else integer(record, "[optimizer] record")
 
 
 def _fmt(value) -> str:
@@ -98,8 +105,6 @@ class ScheduleSection:
     G: float | str = "auto"
     sigma: float | str = "auto"
     f0: float | str = "auto"
-    L: float | str = "auto"
-    mu: float | str = "auto"
     B: list[float] | str = "auto"
     calibration_draws: int = 100_000
 
@@ -112,8 +117,7 @@ class OptimizerSection:
     beta2: float = 0.99
     acclip_alpha: float = 1.0
     epsilon: float = 1e-5
-    warmup: int = 0
-    record: str = "log"  # "log", an integer stride, or a comma list
+    record: str = "log"  # "log" or an integer stride
 
 
 @dataclass
@@ -141,8 +145,6 @@ class ChecksSection:
 
 @dataclass
 class OutputsSection:
-    csv: str = ""
-    report: str = ""
     plots: bool = False
 
 
@@ -162,40 +164,38 @@ class ExperimentConfig:
 
 _SECTIONS = ("problem", "noise", "schedule", "optimizer", "checks", "outputs")
 
-_LIST_KEYS = {"x_star", "x0"}
+_LIST_KEYS = {"x_star", "x0", "B"}
 # Float settings whose default is inf; every other float setting must be finite.
 _INF_KEYS = {("schedule", "tau"), ("checks", "slope_kmax")}
-# An experiment name becomes file names and a CSV cell.
-_NAME_FORBIDDEN = ',"\r\n/\\'
+# An experiment name becomes file names and a CSV cell; in a dumped config a
+# ";" or "#" in any text value would start a comment.
+_NAME_FORBIDDEN = ',"\r\n/\\;#'
+_ID_FORBIDDEN = "\r\n;#"
 # Constants that "auto" estimates or derives, and settings that an empty value leaves unset.
-_AUTO_KEYS = {"G", "sigma", "f0", "L", "mu", "radius"}
+_AUTO_KEYS = {"G", "sigma", "f0", "radius", "B"}
 _UNSET_KEYS = {"slope_expect", "ratio_min", "ratio_max"}
 
 
 def _coerce(section: str, key: str, raw: str, target):
-    raw = raw.strip()
+    raw, where = raw.strip(), f"[{section}] {key}"
+    if key in _AUTO_KEYS and raw.lower() == "auto":
+        return "auto"
     if key in _LIST_KEYS:
-        return _parse_floats(raw) if raw else []
-    if key == "B":
-        return "auto" if raw.lower() == "auto" else _parse_floats(raw)
+        return numbers(raw, where)
     if key in _UNSET_KEYS:
-        return float(raw) if raw else ""
+        return number(raw, where) if raw else ""
     if key in _AUTO_KEYS:
-        if raw.lower() == "auto":
-            return "auto"
-        if not raw:
-            raise ConfigurationError(f"[{section}] {key}: expected a number or auto, got nothing")
-        return float(raw)
+        return number(raw, where)
     if isinstance(target, bool):
         if raw.lower() in ("true", "yes", "1", "on"):
             return True
         if raw.lower() in ("false", "no", "0", "off"):
             return False
-        raise ConfigurationError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    if isinstance(target, int) and not isinstance(target, bool):
-        return integer(raw, f"[{section}] {key}")
+        raise ConfigurationError(f"{where}: expected a boolean, got {raw!r}")
+    if isinstance(target, int):
+        return integer(raw, where)
     if isinstance(target, float):
-        return float(raw)
+        return number(raw, where)
     return raw
 
 
@@ -226,8 +226,8 @@ def _apply(cfg: ExperimentConfig, parser: configparser.ConfigParser, path: Path)
 
 
 def _read_parser(path: Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.optionxform = str  # keep key case: G, B, L are distinct constants
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive: [schedule] G and B
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -261,7 +261,7 @@ def validate_config(cfg: ExperimentConfig):
     if not cfg.name or any(ch in cfg.name for ch in _NAME_FORBIDDEN):
         raise ConfigurationError(
             f"[experiment] name = {cfg.name!r}: it names the output files and fills a CSV "
-            "cell, so it must be non-empty and hold none of , \" CR LF / \\"
+            "cell, so it must be non-empty and hold none of , \" CR LF / \\ ; #"
         )
     _check_finite(cfg)
     if cfg.seeds < 1:
@@ -301,10 +301,31 @@ def validate_config(cfg: ExperimentConfig):
             "[schedule] kind = cclip gives per-coordinate thresholds, which only [optimizer] "
             f"algorithm = cclip takes (got {o.algorithm})"
         )
-    recorded = _recorded(cfg.iterations, parse_record(o.record))
+    record = parse_record(o.record)
+    try:
+        recorded = record_points(cfg.iterations, record)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[optimizer] record: {exc}") from None
     c = cfg.checks
+    for key in ("slope_id", "envelope_id", "ratio_id"):
+        if any(ch in getattr(c, key) for ch in _ID_FORBIDDEN):
+            raise ConfigurationError(
+                f"[checks] {key} = {getattr(c, key)!r}: it must hold none of ; # CR LF"
+            )
+    for key in ("slope_metric", "ratio_metric") if c.ratio_metric else ("slope_metric",):
+        if getattr(c, key) not in TRACE_METRICS:
+            raise ConfigurationError(
+                f"[checks] {key} = {getattr(c, key)!r}: expected one of {TRACE_METRICS}"
+            )
+    if c.ratio_stat not in ("median", "mean"):
+        raise ConfigurationError(f"[checks] ratio_stat = {c.ratio_stat!r}: expected median or mean")
     if c.envelope and c.envelope != "strongly_convex":
         raise ConfigurationError(f"[checks] envelope = {c.envelope!r}: expected 'strongly_convex'")
+    if p.kind == "nonconvex" and (s.kind in ("strongly_convex", "cclip") or c.envelope):
+        raise ConfigurationError(
+            "[problem] kind = nonconvex has no strong convexity constant mu, which [schedule] "
+            "kind = strongly_convex or cclip and [checks] envelope need"
+        )
     if c.envelope and s.kind != "strongly_convex" and isinstance(s.G, str):
         raise ConfigurationError(
             "[checks] envelope = strongly_convex needs the G constant: set [schedule] "
@@ -319,7 +340,7 @@ def validate_config(cfg: ExperimentConfig):
         if c.ratio_k_hi <= 0 or c.ratio_k_lo <= 0:
             raise ConfigurationError("[checks] ratio checks need ratio_k_hi and ratio_k_lo")
         for key in ("ratio_k_hi", "ratio_k_lo"):
-            if not recorded(getattr(c, key)):
+            if getattr(c, key) not in recorded:
                 raise ConfigurationError(
                     f"[checks] {key} = {getattr(c, key)} is not a point that [optimizer] "
                     f"record = {o.record} records in {cfg.iterations} iterations"
@@ -338,20 +359,6 @@ def _check_finite(cfg: ExperimentConfig):
                     )
 
 
-def _recorded(iterations: int, record: str | int | list[int]):
-    """Membership test for the points a run records (optimizers.record_points),
-    refusing a stride below 1 or explicit points outside [1, iterations].
-    A stride is tested arithmetically: its point set can hold every k."""
-    if isinstance(record, int):
-        if record < 1:
-            raise ConfigurationError(f"[optimizer] record: stride must be >= 1, got {record}")
-        return lambda k: 1 <= k <= iterations and (k in (1, iterations) or k % record == 0)
-    try:
-        return set(record_points(iterations, record).tolist()).__contains__
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"[optimizer] record: {exc}") from None
-
-
 def dump_config(cfg: ExperimentConfig) -> str:
     """Serialize to the sectioned key-value format (canonical key order)."""
     lines = ["[experiment]"]
@@ -363,9 +370,7 @@ def dump_config(cfg: ExperimentConfig) -> str:
         lines.append(f"[{section}]")
         for key in vars(obj):
             val = getattr(obj, key)
-            if isinstance(val, list) and not val:
-                continue
-            if val == "" or val is None:
+            if val == "":
                 continue
             lines.append(f"{key} = {_fmt(val)}")
     return "\n".join(lines) + "\n"

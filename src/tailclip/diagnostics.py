@@ -22,7 +22,6 @@ class SlopeFit:
     slope: float
     intercept: float
     r_squared: float
-    k_range: tuple[float, float]
     n_points: int
 
 
@@ -31,11 +30,13 @@ def fit_loglog_slope(
     metric: str = "suboptimality",
     k_range: tuple[float, float] | None = None,
 ) -> SlopeFit:
-    """Ordinary least squares of log(metric) on log(k).
+    """Weighted least squares of log(metric) on log(k).
 
-    The trace should already be seed-averaged (metric-space averaging
-    before logs).  Nonpositive metric values are dropped; at least three
-    points must survive.
+    Each point weighs its trapezoid share of the fitted log k range, so a
+    denser record grid does not tilt the fit toward large k.  r_squared is
+    the weighted r^2.  The trace should already be seed-averaged
+    (metric-space averaging before logs).  Nonpositive metric values are
+    dropped; at least three points must survive.
     """
     vals = np.asarray(trace.metric(metric), dtype=float)
     ks = np.asarray(trace.ks, dtype=float)
@@ -51,17 +52,20 @@ def fit_loglog_slope(
             f"need >= 3 positive points in k range [{kmin}, {kmax}], have {ks.size}"
         )
     lx, ly = np.log(ks), np.log(vals)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(resid @ resid)
-    centered = ly - ly.mean()
-    ss_tot = float(centered @ centered)
+    gaps = np.diff(lx)
+    w = np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0)  # twice the trapezoid weights
+    mean_x, mean_y = (w @ lx) / w.sum(), (w @ ly) / w.sum()
+    dx, dy = lx - mean_x, ly - mean_y
+    slope = (w * dx) @ dy / ((w * dx) @ dx)
+    intercept = mean_y - slope * mean_x
+    resid = dy - slope * dx
+    ss_res = float((w * resid) @ resid)
+    ss_tot = float((w * dy) @ dy)
     r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else (1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
     return SlopeFit(
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(min(max(r2, 0.0), 1.0)),
-        k_range=(kmin, kmax),
         n_points=int(ks.size),
     )
 

@@ -3,7 +3,7 @@
 Provides:
 - NoiseSpec: declarative description of a mean-zero noise distribution
   (gaussian / symmetric Pareto / symmetric alpha-stable / zero),
-- sample_noise / sample_noise_batch: seeded draws,
+- sample_noise_batch: seeded draws,
 - iter_blocks: a long stream of draws in fixed-size blocks,
 - tail_index: block-sum log-moment estimate of the tail index,
 - variance_growth_curve: streaming second moment vs. sample size.
@@ -93,11 +93,6 @@ def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.
     return x * spec.scale
 
 
-def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """One noise draw of length spec.dimension."""
-    return sample_noise_batch(spec, rng, 1)[0]
-
-
 def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = _STREAM_CHUNK):
     """Yield ``n`` draws as consecutive sample_noise_batch blocks of ``block`` rows.
 
@@ -116,13 +111,12 @@ def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = 
 class TailIndexEstimate:
     alpha_hat: float
     block_size: int
-    sample_count: int
 
 
 def tail_index(
     samples: np.ndarray,
-    block_size: int = 100,
-    rng: np.random.Generator | None = None,
+    block_size: int,
+    rng: np.random.Generator,
 ) -> TailIndexEstimate:
     """Block-sum log-moment estimate of the tail index, clamped to (0, 2].
 
@@ -140,8 +134,8 @@ def tail_index(
     x = x[x > 0]
     n = x.size
     k = int(block_size)
-    if k < 1:
-        raise ConfigurationError("block_size must be a positive integer")
+    if k < 2:  # log K = 0 divides by zero
+        raise ConfigurationError(f"block_size must be at least 2, got {k}")
     if n % k != 0:
         raise ConfigurationError(
             f"sample count {n} (after dropping zeros) is not a multiple of block size {k}"
@@ -149,8 +143,6 @@ def tail_index(
     m = n // k
     if m < 2:
         raise ConfigurationError("tail_index needs at least 2 blocks")
-    if rng is None:
-        rng = np.random.default_rng(0)
     signed = np.where(rng.random(n) < 0.5, -x, x)
     block_sums = np.abs(signed.reshape(m, k).sum(axis=1))
     block_sums = block_sums[block_sums > 0]
@@ -158,7 +150,7 @@ def tail_index(
         raise ConfigurationError("all block sums vanished; cannot estimate tail index")
     inv = (np.mean(np.log(block_sums)) - np.mean(np.log(x))) / math.log(k)
     alpha = 2.0 if inv <= 0.5 else 1.0 / inv
-    return TailIndexEstimate(alpha_hat=float(min(alpha, 2.0)), block_size=k, sample_count=n)
+    return TailIndexEstimate(alpha_hat=float(min(alpha, 2.0)), block_size=k)
 
 
 def variance_growth_curve(
@@ -192,15 +184,12 @@ class NoiseHistogram:
 
     edges: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    sample_count: int = 0
 
 
-def norm_histogram(
-    spec: NoiseSpec, n: int, rng: np.random.Generator, bins: int = 50, clip_quantile: float = 0.999
-) -> NoiseHistogram:
-    """Histogram of ||x|| over n draws, range capped at a high quantile."""
+def norm_histogram(spec: NoiseSpec, n: int, rng: np.random.Generator, bins: int = 50) -> NoiseHistogram:
+    """Histogram of ||x|| over n draws, range capped at the 0.999 quantile."""
     draws = sample_noise_batch(spec, rng, n)
     norms = np.sqrt(np.sum(draws * draws, axis=1))
-    hi = float(np.quantile(norms, clip_quantile)) if norms.size else 1.0
+    hi = float(np.quantile(norms, 0.999)) if norms.size else 1.0
     counts, edges = np.histogram(norms, bins=bins, range=(0.0, max(hi, 1e-12)))
-    return NoiseHistogram(edges=edges, counts=counts, sample_count=n)
+    return NoiseHistogram(edges=edges, counts=counts)

@@ -133,8 +133,7 @@ class OptimizerConfig:
     epsilon: float = 1e-5
     averaging: bool = False
     project: bool = False
-    acclip_warmup: int = 0
-    record: str | int | list[int] = "log"
+    record: str | int = "log"
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -194,17 +193,15 @@ def average_traces(traces: list[Trace], stat: str = "mean") -> Trace:
     return Trace(ks=ks.copy(), seed=-1, algorithm=traces[0].algorithm, **stacked)
 
 
-def record_points(iterations: int, record: str | int | list[int]) -> np.ndarray:
-    """Checkpoints at which a run is recorded.
+def record_points(iterations: int, record: str | int) -> np.ndarray:
+    """Checkpoints at which a run is recorded, always including 1 and the
+    final iteration K.
 
-    "log": geometric spacing (powers of 1.25) plus every power of ten,
-    always including 1 and the final iteration.  An integer gives a fixed
-    stride; an explicit list is used as given.
+    "log": geometric spacing (powers of 1.25) plus every power of ten.  An
+    integer s >= 1: every multiple of s up to K.
     """
     K = iterations
-    if isinstance(record, str):
-        if record != "log":
-            raise ConfigurationError(f"unknown record mode {record!r}")
+    if record == "log":
         pts = {1, K}
         k = 1.0
         while k <= K:
@@ -215,15 +212,14 @@ def record_points(iterations: int, record: str | int | list[int]) -> np.ndarray:
             pts.add(dec)
             dec *= 10
         return np.array(sorted(p for p in pts if 1 <= p <= K), dtype=np.int64)
-    if isinstance(record, int):
-        if record < 1:
-            raise ConfigurationError("record stride must be positive")
-        pts = sorted(set(range(record, K + 1, record)) | {1, K})
-        return np.array(pts, dtype=np.int64)
-    pts = sorted(set(int(p) for p in record))
-    if not pts or pts[0] < 1 or pts[-1] > K:
-        raise ConfigurationError("explicit record points must lie in [1, iterations]")
-    return np.array(pts, dtype=np.int64)
+    if not isinstance(record, int) or record < 1:
+        raise ConfigurationError(f"expected 'log' or a stride >= 1, got {record!r}")
+    pts = np.arange(record, K + 1, record, dtype=np.int64)
+    if record > 1:
+        pts = np.insert(pts, 0, 1)
+    if pts[-1] != K:
+        pts = np.append(pts, K)
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +250,6 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     acc_alpha = config.acclip_alpha
     eps = config.epsilon
     b1, b2 = config.beta1, config.beta2
-    warmup = config.acclip_warmup
 
     averaging = config.averaging
     w_sum = np.zeros(d)
@@ -268,7 +263,6 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     points = np.empty((len(rec), d))
     scalars = []
 
-    f_star = problem.optimum[1] if problem.optimum is not None else 0.0
     exact_gradient = problem.exact_gradient
     noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K, _NOISE_BLOCK))
 
@@ -311,14 +305,11 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
         elif alg == "acclip":
             m = b1 * m + (1.0 - b1) * g
             tau_alpha = b2 * tau_alpha + (1.0 - b2) * np.abs(g) ** acc_alpha
-            if k > warmup:
-                tau_vec = tau_alpha ** (1.0 / acc_alpha)
-                factors = acclip_factors(m, tau_vec, eps)
-                x = x - eta * (factors * m)
-                clip_frac = float(np.mean(factors < 1.0))
-                eff_step = eta * float(np.mean(factors))
-            else:
-                eff_step = 0.0
+            tau_vec = tau_alpha ** (1.0 / acc_alpha)
+            factors = acclip_factors(m, tau_vec, eps)
+            x = x - eta * (factors * m)
+            clip_frac = float(np.mean(factors < 1.0))
+            eff_step = eta * float(np.mean(factors))
         else:  # adamlike
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
@@ -346,7 +337,7 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     seed_label = seed if isinstance(seed, (int, np.integer)) else -1
     return Trace(
         ks=rec,
-        suboptimality=problem.value(points) - f_star,
+        suboptimality=problem.value(points),
         grad_norm=grad_norm,
         min_grad_stat=np.minimum(grad_norm, gsq),
         clip_frac=clip_frac,

@@ -63,8 +63,8 @@ class StochasticProblem:
 
     The stochastic gradient at x is exact_gradient(x) plus one draw of
     ``noise``; optimizers pre-generate the draws in blocks.  ``value`` takes
-    one point or a stack of points (one per row).  ``optimum`` is
-    (x_star, f_star) when known.
+    one point or a stack of points (one per row).  Both problems have
+    minimum value 0, so ``value`` is the suboptimality.
     """
 
     dimension: int
@@ -73,7 +73,6 @@ class StochasticProblem:
     noise: NoiseSpec
     constants: Constants = field(default_factory=Constants)
     domain: Ball | None = None
-    optimum: tuple[np.ndarray, float] | None = None
 
 
 def _quad_value(mu: float, x_star: np.ndarray, x: np.ndarray):
@@ -104,7 +103,6 @@ def quadratic_problem(
         exact_gradient=grad,
         constants=Constants(L=mu, mu=mu),
         noise=noise,
-        optimum=(xs, 0.0),
     )
 
 
@@ -136,7 +134,6 @@ def nonconvex_problem(dimension: int, noise: NoiseSpec) -> StochasticProblem:
         exact_gradient=_ratio_grad,
         constants=Constants(L=2.0),
         noise=noise,
-        optimum=(np.zeros(dimension), 0.0),
     )
 
 
@@ -161,7 +158,7 @@ class LowerBoundInstance:
 
     @property
     def b(self) -> float:
-        """Location of the optimum: (2 - nu) * epsilon."""
+        """Location of the minimizer: (2 - nu) * epsilon."""
         return (2 - self.nu) * self.epsilon
 
     @property
@@ -172,9 +169,6 @@ class LowerBoundInstance:
     def p(self) -> float:
         return self.gamma**self.alpha - 2.0 * self.nu * self.gamma * self.epsilon
 
-    def value(self, x: float) -> float:
-        return 0.5 * (x - self.b) ** 2
-
     def exact_gradient(self, x: float) -> float:
         return x - self.b
 
@@ -183,17 +177,15 @@ def lowerbound_oracle(
     inst: LowerBoundInstance,
     x: float,
     rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Stochastic gradient: x - 1/(2*gamma) with prob. p, else x.
+    size: int,
+) -> np.ndarray:
+    """``size`` stochastic gradients: x - 1/(2*gamma) with prob. p, else x.
 
     Unbiased for the gradient of (x-b)^2/2 and E|g|^alpha <= 1 on [0, 1/2].
     """
     if not (0.0 <= x <= 0.5):
         raise DomainError(f"x={x} outside the feasible interval [0, 1/2]")
     spike = x - 1.0 / (2.0 * inst.gamma)
-    if size is None:
-        return spike if rng.random() < inst.p else x
     hits = rng.random(size) < inst.p
     return np.where(hits, spike, x)
 
@@ -247,21 +239,6 @@ def chain_phi_prime(t):
     t = np.asarray(t, dtype=float)
     out = _SQRT_E * np.exp(-0.5 * t * t)
     return out if out.ndim else float(out)
-
-
-@dataclass
-class ChainInstance:
-    """Chain objective f_d of length d, whose oracle reveals the next
-    coordinate with probability p."""
-
-    d: int
-    p: float
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError("chain length d must be >= 1")
-        if not (0.0 < self.p <= 1.0):
-            raise ConfigurationError("revealing probability p must lie in (0, 1]")
 
 
 def chain_value_raw(x: np.ndarray):

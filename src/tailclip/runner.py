@@ -47,7 +47,7 @@ from .report import Report, Verdict
 
 CSV_COLUMNS = ("experiment", "algorithm", "seed", "k") + CSV_METRICS
 CSV_HEADER = ",".join(CSV_COLUMNS)
-TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl", "jsonl": ".jsonl"}
+TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl"}
 _WRITE_BLOCK = 4096  # rows formatted at a time; bounds the writer's memory
 _READ_BLOCK = 1 << 20  # bytes of lines read at a time; bounds the reader's memory
 # The type of each CSV column in a TraceTable.
@@ -98,28 +98,19 @@ def build_schedule(
     if s.kind == "constant":
         return Schedule(s.eta, s.tau), calibration
     if s.kind == "nonconvex":
-        L = problem.constants.L if s.L == "auto" else float(s.L)
-        if L is None:
-            raise ConfigurationError("[schedule] nonconvex needs L (problem has no constant)")
         if s.sigma == "auto":
             sigma = estimate_sigma(problem.noise, s.alpha, s.calibration_draws, rng)
             calibration["sigma"] = sigma
         else:
             sigma = float(s.sigma)
-        if s.f0 == "auto":
-            f_star = problem.optimum[1] if problem.optimum else 0.0
-            f0 = problem.value(x0) - f_star
-        else:
-            f0 = float(s.f0)
-        calibration.setdefault("f0", f0)
-        sched = nonconvex_schedule(L, sigma, s.alpha, cfg.iterations, f0)
+        f0 = problem.value(x0) if s.f0 == "auto" else float(s.f0)
+        calibration["f0"] = f0
+        sched = nonconvex_schedule(problem.constants.L, sigma, s.alpha, cfg.iterations, f0)
         calibration["eta"] = sched.eta
         calibration["tau"] = float(sched.tau)
         return sched, calibration
+    mu = problem.constants.mu  # validate_config refuses these kinds on a problem without mu
     if s.kind == "strongly_convex":
-        mu = problem.constants.mu if s.mu == "auto" else float(s.mu)
-        if mu is None:
-            raise ConfigurationError("[schedule] strongly_convex needs mu (problem has no constant)")
         if s.G == "auto":
             G = estimate_G(problem, x0, s.alpha, s.calibration_draws, rng)
             calibration["G"] = G
@@ -127,9 +118,6 @@ def build_schedule(
             G = float(s.G)
         return strongly_convex_schedule(mu, G, s.alpha), calibration
     # cclip
-    mu = problem.constants.mu if s.mu == "auto" else float(s.mu)
-    if mu is None:
-        raise ConfigurationError("[schedule] cclip needs mu (problem has no constant)")
     if isinstance(s.B, str):
         B = estimate_B(problem, x0, s.alpha, s.calibration_draws, rng)
         calibration["B_norm2"] = float(np.linalg.norm(B))
@@ -153,7 +141,6 @@ def build_optimizer_config(
         epsilon=o.epsilon,
         averaging=o.averaging,
         project=has_domain,
-        acclip_warmup=o.warmup,
         record=parse_record(o.record),
     )
 
@@ -325,7 +312,7 @@ def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dic
                                       (c.slope_kmin, kmax), float(c.slope_expect), c.slope_tol))
     if c.envelope:
         s = cfg.schedule
-        mu = calibration.get("mu", cfg.problem.mu if s.mu == "auto" else float(s.mu))
+        mu = cfg.problem.mu  # validate_config refuses the envelope on a problem without mu
         G = calibration.get("G", None if isinstance(s.G, str) else float(s.G))
         if G is None:
             raise ConfigurationError("[checks] envelope=strongly_convex needs the G constant")
@@ -410,7 +397,7 @@ def run_experiment(
     opt = build_optimizer_config(cfg, schedule, x0, problem.domain is not None)
     traces = run_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=parallel)
 
-    paths = {"data": out / (cfg.outputs.csv or cfg.name + TABLE_SUFFIX[fmt])}
+    paths = {"data": out / (cfg.name + TABLE_SUFFIX[fmt])}
     write_table(paths["data"], fmt, CSV_COLUMNS, list(trace_table(cfg.name, traces).values()))
 
     verdicts = evaluate_checks(cfg, traces, calibration)
@@ -422,8 +409,7 @@ def run_experiment(
         verdicts=verdicts,
         calibration={k: float(v) for k, v in calibration.items()},
     )
-    report_name = cfg.outputs.report or f"{cfg.name}.report.txt"
-    paths["report"] = out / report_name
+    paths["report"] = out / f"{cfg.name}.report.txt"
     paths["report"].write_text(report.render_text(), encoding="utf-8")
     paths["verdicts"] = out / f"{cfg.name}.verdicts.jsonl"
     paths["verdicts"].write_text(report.verdict_jsonl(), encoding="utf-8")

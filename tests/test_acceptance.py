@@ -123,7 +123,7 @@ def test_a6_cclip_beats_gclip_at_high_dimension():
         ("gclip", "proj_gclip", strongly_convex_schedule(1.0, G, alpha)),
         ("cclip", "cclip", cclip_schedule(1.0, B, alpha)),
     ):
-        cfg = OptimizerConfig(alg, sched, K, x0=x0, averaging=True, record=[K])
+        cfg = OptimizerConfig(alg, sched, K, x0=x0, averaging=True, record=K)
         traces = run_seeds(problem, cfg, seeds, 5, parallel=1)
         finals[name] = np.array([t.suboptimality[-1] for t in traces])
     wins = int(np.sum(finals["cclip"] < finals["gclip"]))

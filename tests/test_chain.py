@@ -5,7 +5,6 @@ import pytest
 
 from tailclip.errors import ConfigurationError
 from tailclip.problems import (
-    ChainInstance,
     chain_gradient_raw,
     chain_phi,
     chain_phi_prime,
@@ -83,12 +82,12 @@ def test_oracle_unbiased_monte_carlo():
 
 
 def test_chain_validation():
-    with pytest.raises(ConfigurationError):
-        ChainInstance(d=0, p=0.5)
-    with pytest.raises(ConfigurationError):
-        ChainInstance(d=3, p=0.0)
-    with pytest.raises(ConfigurationError):
-        ChainInstance(d=3, p=1.5)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for d, p in ((0, 0.5), (3, 0.0), (3, 1.5), (3, math.nan)):
+        with pytest.raises(ConfigurationError):
+            chain_suite(d, 100, rng, p=p)
+    assert rng.bit_generator.state == state  # refused before any draw
 
 
 def test_chain_suite_small():

@@ -178,7 +178,7 @@ class TestBiasVarianceProbe:
             NoiseSpec("stable", dimension=3, tail_index=1.55),
             np.zeros(3), [tau], 10**6, np.random.default_rng(2), alpha,
         )[0]
-        sigma_a = res.sigma_moment
+        sigma_a = res.g_moment  # at a zero gradient, the noise moment
         assert res.second_moment <= sigma_a * tau**0.5 + 3 * res.second_moment_se
         assert res.bias_norm <= 2 * sigma_a * tau**-0.5 + 3 * res.bias_se
 

@@ -11,7 +11,7 @@ from tailclip.diagnostics import (
     strongly_convex_bound,
 )
 from tailclip.errors import ConfigurationError, InsufficientDataError
-from tailclip.optimizers import Trace
+from tailclip.optimizers import Trace, record_points
 
 
 def synthetic_trace(ks, values):
@@ -44,6 +44,21 @@ class TestSlopeFit:
         vals = ks**-1.0 * (1.0 + 0.01 * np.sin(np.log(ks)))
         fit = fit_loglog_slope(synthetic_trace(ks, vals), "suboptimality")
         assert abs(fit.slope - (-1.0)) <= 0.02
+
+    def test_record_density_does_not_move_the_slope(self):
+        # 1/k up to k = 1000, then k^-1/2: an equal-weight fit over every k
+        # reads -0.53 and over the log grid -0.81
+        K = 10**5
+        every = np.arange(1, K + 1)
+        log = record_points(K, "log")
+
+        def curve(ks):
+            return np.where(ks < 1000, 1.0 / ks, np.sqrt(1000.0 / ks) / 1000.0)
+
+        fits = [fit_loglog_slope(synthetic_trace(ks, curve(ks))) for ks in (every, log)]
+        assert abs(fits[0].slope - fits[1].slope) <= 0.02
+        assert fits[0].slope == pytest.approx(-0.824, abs=0.005)
+        assert all(0.0 <= f.r_squared <= 1.0 for f in fits)
 
     def test_k_range_filter_and_validation(self):
         ks = np.array([1, 10, 100, 1000, 10000])

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,24 +66,33 @@ def minimal_cfg(tmp_path):
     return path
 
 
+# The settings that take free text, in the order validate_config checks them.
+TEXT_KEYS = ("name", "slope_id", "envelope_id", "ratio_id")
+
+
 @st.composite
 def config_settings(draw):
-    """``section.key=value`` overrides that together make a valid config."""
+    """``section.key=value`` overrides that together make a valid config,
+    except that the free-text values (TEXT_KEYS) may hold a ";" or "#"."""
     finite = st.floats(1e-3, 1e3)
     d = draw(st.integers(1, 4))
     vector = st.lists(finite, min_size=d, max_size=d).map(lambda v: ", ".join(map(repr, v)))
     algorithm = draw(st.sampled_from(ALGORITHMS))
-    if algorithm == "cclip":
-        kind = draw(st.sampled_from(["constant", "cclip"]))
-    else:
-        kind = draw(st.sampled_from(["constant", "nonconvex", "strongly_convex"]))
+    problem = draw(st.sampled_from(["quadratic", "nonconvex"]))
+    kinds = ["constant"]
+    if algorithm != "cclip":
+        kinds.append("nonconvex")
+    if problem == "quadratic":  # the strongly convex schedules need the quadratic's mu
+        kinds.append("cclip" if algorithm == "cclip" else "strongly_convex")
+    kind = draw(st.sampled_from(kinds))
     family = draw(st.sampled_from(FAMILIES))
     out = {
-        "experiment.name": draw(st.text("abcXYZ019_-.", min_size=1, max_size=12)),
+        "experiment.name": draw(st.text("abcXYZ019_-. %;#", min_size=1, max_size=12)
+                                .filter(str.strip)),
         "experiment.seeds": draw(st.integers(1, 100)),
         "experiment.master_seed": draw(st.integers(0, 2**32)),
         "experiment.iterations": draw(st.integers(1000, 10**6)),
-        "problem.kind": draw(st.sampled_from(["quadratic", "nonconvex"])),
+        "problem.kind": problem,
         "problem.dimension": d,
         "problem.mu": draw(finite),
         "problem.x_star": draw(vector),
@@ -101,8 +112,9 @@ def config_settings(draw):
         "optimizer.algorithm": algorithm,
         "optimizer.averaging": draw(st.booleans()),
         "optimizer.beta1": draw(st.floats(0.0, 1.0)),
-        "optimizer.warmup": draw(st.integers(0, 100)),
         "optimizer.record": draw(st.just("log") | st.integers(1, 100).map(str)),
+        **{f"checks.{key}": draw(st.text("abcXYZ019_-. %;#", max_size=12))
+           for key in TEXT_KEYS[1:]},
         "checks.slope_expect": draw(st.just("") | st.floats(-2.0, 0.0)),
         "checks.slope_kmin": draw(st.floats(1.0, 999.0)),
         "checks.slope_tol": draw(finite),
@@ -126,7 +138,15 @@ class TestConfig:
     @given(data=st.data())
     def test_dump_load_round_trip_property(self, data):
         cfg = ExperimentConfig()
-        apply_overrides(cfg, data.draw(config_settings()))
+        overrides = data.draw(config_settings())
+        # a ";" or "#" would start a comment in the dump: refused, naming the key
+        commented = [key for key, _, value in (o.partition("=") for o in overrides)
+                     if key.split(".")[1] in TEXT_KEYS and ("#" in value or ";" in value)]
+        if commented:
+            with pytest.raises(ConfigurationError, match=commented[0].split(".")[1]):
+                apply_overrides(cfg, overrides)
+            return
+        apply_overrides(cfg, overrides)
         text = dump_config(cfg)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "dumped.cfg"
@@ -207,7 +227,6 @@ class TestConfig:
             ("experiment", "seeds", "2.7"),
             ("experiment", "iterations", "1999.9"),
             ("experiment", "seeds", "inf"),
-            ("optimizer", "warmup", "3.5"),
             ("checks", "envelope_kmin", "10.2"),
             ("optimizer", "record", "2.5"),
             ("optimizer", "record", "10, 20.5"),
@@ -236,6 +255,12 @@ class TestConfig:
             ("problem.domain=interval", "interval"),
             ("checks.envelope=cclip", "cclip"),
             ("noise.family=normal", "normal"),
+            ("schedule.mu=1.0", "mu"),
+            ("schedule.L=2.0", "L"),
+            ("optimizer.warmup=5", "warmup"),
+            ("outputs.csv=x.csv", "csv"),
+            ("outputs.report=x.txt", "report"),
+            ("optimizer.record=10, 20", "record"),
         ],
     )
     def test_deleted_setting_rejected(self, minimal_cfg, override, named):
@@ -255,12 +280,17 @@ class TestConfig:
              "ratio_k_hi"),
             (["optimizer.record=7", "checks.ratio_metric=grad_norm", "checks.ratio_k_hi=100",
               "checks.ratio_k_lo=50"], "ratio_k_lo"),
-            (["optimizer.record=10, 20", "checks.ratio_metric=grad_norm",
-              "checks.ratio_k_hi=30", "checks.ratio_k_lo=10"], "ratio_k_hi"),
+            (["optimizer.record=10", "checks.ratio_metric=grad_norm",
+              "checks.ratio_k_hi=35", "checks.ratio_k_lo=10"], "ratio_k_hi"),
             (["checks.envelope=strongly_convex"], "G constant"),
             (["checks.slope_expect=-0.5", "checks.slope_kmin=100"], "slope_kmin"),
             (["checks.slope_expect=-0.5", "checks.slope_kmin=20", "checks.slope_kmax=20"],
              "slope_kmin"),
+            (["problem.kind=nonconvex", "schedule.kind=strongly_convex"], "nonconvex"),
+            (["problem.kind=nonconvex", "schedule.kind=cclip", "optimizer.algorithm=cclip"],
+             "nonconvex"),
+            (["problem.kind=nonconvex", "checks.envelope=strongly_convex", "schedule.G=2.0"],
+             "nonconvex"),
         ],
     )
     def test_bad_combination_rejected_before_run(self, minimal_cfg, overrides, named):
@@ -269,7 +299,7 @@ class TestConfig:
             apply_overrides(cfg, overrides)
 
     @pytest.mark.parametrize("record,k_hi,k_lo", [("7", 98, 1), ("7", 100, 7), ("log", 100, 1),
-                                                  ("10, 20", 20, 10)])
+                                                  ("10", 20, 10)])
     def test_recorded_ratio_points_accepted(self, minimal_cfg, record, k_hi, k_lo):
         cfg = load_config(minimal_cfg)
         apply_overrides(cfg, [f"optimizer.record={record}", "checks.ratio_metric=grad_norm",
@@ -302,8 +332,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=re.escape(override.split("=")[0].split(".")[1])):
             apply_overrides(cfg, [override])
 
-    @pytest.mark.parametrize("key", ["schedule.G", "schedule.sigma", "schedule.f0", "schedule.L",
-                                     "schedule.mu", "problem.radius"])
+    @pytest.mark.parametrize("key", ["schedule.G", "schedule.sigma", "schedule.f0", "schedule.B",
+                                     "problem.radius"])
     def test_empty_auto_constant_rejected(self, minimal_cfg, key):
         cfg = load_config(minimal_cfg)
         with pytest.raises(ConfigurationError, match=re.escape(key.split(".")[1])):
@@ -641,6 +671,13 @@ class TestCli:
             ["sandwich", "--g-max", "inf"],
             ["report", "--csv", "smoke.csv", "--kmin", "nan"],
             ["report", "--csv", "smoke.csv", "--slope-tol", "inf"],
+            # counts below what the estimate needs
+            ["noise-probe", "--block-size", "1"],
+            ["noise-probe", "--block-size", "0"],
+            ["noise-probe", "--bins", "0"],
+            # numbers that do not parse
+            ["noise-probe", "--scale", "abc"],
+            ["chain-check", "--p", "x"],
         ],
         ids=" ".join,
     )
@@ -658,6 +695,16 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [["lemma-check", "--taus", "2,abc"],
+                                      ["lemma-check", "--taus", ","],
+                                      ["lowerbound", "--epsilons", "0.1,x"],
+                                      ["lowerbound", "--alphas", "1.5;2"]], ids=" ".join)
+    def test_number_list_flag_refused(self, tmp_path, capsys, argv):
+        assert main([*argv, "--n", "1e4", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("taus", ["0,5", "-1,5", "nan"])
     def test_lemma_check_refuses_nonpositive_threshold(self, tmp_path, capsys, taus):
         assert main(["lemma-check", f"--taus={taus}", "--n", "1e4", "--out", str(tmp_path)]) == 2
@@ -671,6 +718,15 @@ class TestCli:
         ["checks.slope_expect=-0.5", "checks.slope_kmin=5000"],
         ["schedule.G="],
         ["problem.radius="],
+        ["checks.ratio_stat=bogus", "checks.ratio_metric=grad_norm", "checks.ratio_k_hi=100",
+         "checks.ratio_k_lo=1"],
+        ["checks.slope_metric=bogus", "checks.slope_expect=-0.5"],
+        ["checks.ratio_metric=bogus", "checks.ratio_k_hi=100", "checks.ratio_k_lo=1"],
+        ["schedule.eta=abc"],
+        ["problem.x0=1.0, x"],
+        ["checks.ratio_min=x"],
+        ["checks.slope_id=A1 ;x"],
+        ["experiment.name=a#b"],
     ])
     def test_refused_setting_exits_two_before_compute(self, minimal_cfg, tmp_path, capsys,
                                                        overrides):
@@ -739,6 +795,16 @@ BUNDLED = [
     "nonconvex_decay",
     "smoke",
 ]
+CONFIG_FILES = sorted((REPO / "configs").glob("*.cfg")) + sorted((REPO / "perfbench" / "configs").glob("*.cfg"))
+# Config keys that no config file sets, each with the reader that keeps it.
+KEPT_UNSET_KEYS = {
+    "optimizer.beta1": "the paper's ACClip and Adam parameters",
+    "optimizer.beta2": "the paper's ACClip and Adam parameters",
+    "optimizer.acclip_alpha": "the paper's ACClip parameters",
+    "optimizer.epsilon": "the paper's ACClip and Adam parameters",
+    "optimizer.record": "perfbench/workloads.py overrides it",
+    "checks.slope_kmax": "perfbench/traced.py reads it",
+}
 
 
 class TestBundledConfigs:
@@ -747,17 +813,28 @@ class TestBundledConfigs:
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
         assert cfg.name == name
 
-    @pytest.mark.parametrize(
-        "path",
-        sorted((REPO / "configs").glob("*.cfg")) + sorted((REPO / "perfbench" / "configs").glob("*.cfg")),
-        ids=lambda p: str(p.relative_to(REPO)),
-    )
+    @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: str(p.relative_to(REPO)))
     def test_config_round_trips(self, path, tmp_path):
         # every config the CLI, the tests and the benchmark run loads, and
         # none of its settings is lost in a dump
         cfg = load_config(path)
         (tmp_path / path.name).write_text(dump_config(cfg))
         assert load_config(tmp_path / path.name) == cfg
+
+    def test_every_config_key_is_set_by_a_config_file(self):
+        # a key that no config sets and no reader keeps is a setting only
+        # tests reach; an auto or empty value counts as set
+        keys = set()
+        for name, value in vars(ExperimentConfig()).items():
+            keys |= {f"{name}.{k}" for k in vars(value)} if is_dataclass(value) else {f"experiment.{name}"}
+        set_keys = set()
+        for path in CONFIG_FILES:
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.optionxform = str
+            parser.read(path, encoding="utf-8")
+            set_keys |= {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+        assert sorted(keys - set_keys - set(KEPT_UNSET_KEYS)) == []
+        assert set(KEPT_UNSET_KEYS) <= keys - set_keys  # the keep-list names only live, unset keys
 
     def test_strongly_convex_alpha15_declares_acceptance_checks(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "strongly_convex_alpha15.cfg")

@@ -8,7 +8,6 @@ from tailclip.errors import ConfigurationError
 from tailclip.noise import (
     NoiseSpec,
     pareto_magnitude,
-    sample_noise,
     iter_blocks,
     sample_noise_batch,
     tail_index,
@@ -18,7 +17,7 @@ from tailclip.noise import (
 
 def test_zero_family_returns_zeros():
     spec = NoiseSpec("zero", dimension=7)
-    out = sample_noise(spec, np.random.default_rng(0))
+    out = sample_noise_batch(spec, np.random.default_rng(0), 1)[0]
     assert out.shape == (7,)
     assert np.all(out == 0.0)
 
@@ -70,7 +69,7 @@ def test_batch_matches_repeated_single_draws(family, tail):
     spec = NoiseSpec(family, dimension=2, tail_index=tail)
     batch = sample_noise_batch(spec, np.random.default_rng(5), 6)
     rng = np.random.default_rng(5)
-    singles = np.stack([sample_noise(spec, rng) for _ in range(6)])
+    singles = np.stack([sample_noise_batch(spec, rng, 1)[0] for _ in range(6)])
     assert np.array_equal(batch, singles)
     for block in (1, 4, 6, 64):
         blocks = list(iter_blocks(spec, np.random.default_rng(5), 6, block))
@@ -138,12 +137,15 @@ def test_tail_index_stable_oracle():
 
 
 def test_tail_index_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        tail_index(np.ones(105), 10)  # not a multiple of the block size
+        tail_index(np.ones(105), 10, rng)  # not a multiple of the block size
     with pytest.raises(ConfigurationError):
-        tail_index(np.ones(10), 10)  # single block
+        tail_index(np.ones(10), 10, rng)  # single block
     with pytest.raises(ConfigurationError):
-        tail_index(np.array([-1.0] * 100), 10)
+        tail_index(np.array([-1.0] * 100), 10, rng)
+    with pytest.raises(ConfigurationError, match="at least 2"):
+        tail_index(np.ones(100), 1, rng)  # log K = 0
 
 
 def test_variance_growth_zero_family():

@@ -141,7 +141,7 @@ def final_iterate(problem, config: OptimizerConfig, seed) -> np.ndarray:
         points.append(np.array(x))
         return problem.value(x)
 
-    run(replace(problem, value=value), replace(config, record=[config.iterations]), seed)
+    run(replace(problem, value=value), replace(config, record=config.iterations), seed)
     return points[-1][-1]
 
 
@@ -244,10 +244,16 @@ class TestRecordPoints:
     def test_stride(self):
         assert list(record_points(10, 3)) == [1, 3, 6, 9, 10]
 
-    def test_explicit(self):
-        assert list(record_points(100, [50, 2, 100])) == [2, 50, 100]
-        with pytest.raises(ConfigurationError):
-            record_points(100, [0, 5])
+    @pytest.mark.parametrize("K,stride,want", [(1, 1, [1]), (1, 5, [1]), (7, 10, [1, 7]),
+                                               (10, 10, [1, 10]), (12, 4, [1, 4, 8, 12])])
+    def test_stride_adds_first_and_last(self, K, stride, want):
+        pts = record_points(K, stride)
+        assert pts.dtype == np.int64 and list(pts) == want
+
+    @pytest.mark.parametrize("record", [0, -3, "every", [5, 10]])
+    def test_bad_record_refused(self, record):
+        with pytest.raises(ConfigurationError, match="stride"):
+            record_points(100, record)
 
 
 class TestRunLoop:
@@ -321,7 +327,7 @@ class TestRunLoop:
     def test_averaging_matches_weighted_average_op(self):
         p = make_quadratic(2, "gaussian")
         K = 50
-        cfg = OptimizerConfig("sgd", Schedule(0.05), K, x0=1.0, averaging=True, record=[K])
+        cfg = OptimizerConfig("sgd", Schedule(0.05), K, x0=1.0, averaging=True, record=K)
         tr = run(p, cfg, 13)
         # replay the iterates to cross-check the averaged suboptimality
         rng_trace = []
@@ -339,7 +345,7 @@ class TestRunLoop:
         p = make_quadratic(3, "gaussian")
         cfg = OptimizerConfig(
             "acclip", Schedule(0.05), 40, x0=1.0,
-            beta1=0.9, beta2=0.99, acclip_alpha=1.0, epsilon=1e-5, record=[40],
+            beta1=0.9, beta2=0.99, acclip_alpha=1.0, epsilon=1e-5, record=40,
         )
         tr = run(p, cfg, 21)
         x_ref = acclip_reference_run(p, cfg, 21)
@@ -368,15 +374,6 @@ class TestRunLoop:
             cfg = OptimizerConfig(alg, sched, 800, x0=1.0, beta1=0.9, beta2=0.99, epsilon=1e-8)
             tr = run(p, cfg, 0)
             assert tr.suboptimality[-1] < 1e-3, alg
-
-    def test_acclip_warmup_freezes_iterate(self):
-        p = make_quadratic(2, "gaussian")
-        cfg = OptimizerConfig(
-            "acclip", Schedule(0.1), 5, x0=1.0, acclip_warmup=5, record=1
-        )
-        tr = run(p, cfg, 1)
-        assert np.allclose(tr.suboptimality, p.value(np.full(2, 1.0)))
-        assert np.all(tr.eff_step == 0.0)
 
     def test_vector_threshold_only_for_cclip(self):
         p = make_quadratic(2)

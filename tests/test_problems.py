@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailclip.errors import ConfigurationError, DomainError
-from tailclip.noise import NoiseSpec, sample_noise, sample_noise_batch
+from tailclip.noise import NoiseSpec, sample_noise_batch
 from tailclip.problems import (
     Ball,
     LowerBoundInstance,
@@ -58,7 +58,7 @@ class TestQuadratic:
     def test_zero_noise_oracle_is_exact(self):
         p = quadratic_problem(1.0, 2, 0.0, zero_noise(2))
         x = np.array([0.3, -0.7])
-        g = p.exact_gradient(x) + sample_noise(p.noise, np.random.default_rng(0))
+        g = p.exact_gradient(x) + sample_noise_batch(p.noise, np.random.default_rng(0), 1)[0]
         assert np.array_equal(g, p.exact_gradient(x))
 
     def test_dimension_mismatch(self):
@@ -178,7 +178,7 @@ class TestLowerBound:
     def test_domain_error(self):
         inst = LowerBoundInstance(epsilon=0.125, alpha=1.5, nu=0)
         with pytest.raises(DomainError):
-            lowerbound_oracle(inst, 0.6, np.random.default_rng(0))
+            lowerbound_oracle(inst, 0.6, np.random.default_rng(0), 10)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
