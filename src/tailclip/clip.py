@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import NoiseSpec, sample_noise_batch
+from .noise import NoiseSpec, iter_blocks
 
 
 def gclip(g: np.ndarray, tau: float) -> np.ndarray:
@@ -59,6 +59,14 @@ def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray
 # the analytic bounds G^a t^(2-a) / G^(2a) t^(-2(a-1)).
 
 
+def _row_sq_sums(a: np.ndarray, out: np.ndarray, rows: int = 1 << 14) -> np.ndarray:
+    """out[i] = np.sum(a[i] * a[i]), as np.sum(a * a, axis=1) gives it, through a
+    temporary of ``rows`` rows instead of one the size of a."""
+    for start in range(0, len(a), rows):
+        np.sum(np.square(a[start:start + rows]), axis=1, out=out[start:start + rows])
+    return out
+
+
 @dataclass
 class ProbeResult:
     tau: float
@@ -69,33 +77,6 @@ class ProbeResult:
     g_moment: float  # empirical E||g||^alpha
     bound_second_moment: float
     bound_bias: float
-
-
-def _probe_from_draws(
-    draws: np.ndarray, norms: np.ndarray, g_mom: float, true_grad: np.ndarray, tau: float,
-    alpha: float,
-) -> ProbeResult:
-    n = draws.shape[0]
-    factors = np.ones(n)
-    np.divide(tau, norms, out=factors, where=norms > tau)
-    clipped = draws * factors[:, None]
-    sq = np.sum(clipped * clipped, axis=1)
-    second = float(np.mean(sq))
-    second_se = float(np.std(sq, ddof=1) / math.sqrt(n))
-    mean_clip = clipped.mean(axis=0)
-    bias_vec = mean_clip - true_grad
-    bias_norm = float(np.linalg.norm(bias_vec))
-    bias_se = float(math.sqrt(np.sum(np.var(clipped, axis=0, ddof=1)) / n))
-    return ProbeResult(
-        tau=tau,
-        second_moment=second,
-        second_moment_se=second_se,
-        bias_norm=bias_norm,
-        bias_se=bias_se,
-        g_moment=g_mom,
-        bound_second_moment=g_mom * tau ** (2.0 - alpha),
-        bound_bias=g_mom * tau ** (1.0 - alpha),
-    )
 
 
 def bias_variance_grid(
@@ -121,7 +102,31 @@ def bias_variance_grid(
         if not t > 0.0:
             raise ConfigurationError(f"clip thresholds must be positive, got {t!r}")
     true_grad = np.asarray(true_grad, dtype=float)
-    draws = sample_noise_batch(noise, rng, n) + true_grad
-    norms = np.sqrt(np.sum(draws * draws, axis=1))
+    # Two (n, d) arrays, draws and clipped draws, written in place; each value comes
+    # from the operations that draws + true_grad, np.var, ... apply, in their order.
+    draws, start = np.empty((n, noise.dimension)), 0
+    for block in iter_blocks(noise, rng, n):
+        np.add(block, true_grad, out=draws[start:start + len(block)])
+        start += len(block)
+    norms = np.sqrt(_row_sq_sums(draws, np.empty(n)))
     g_mom = float(np.mean(norms**alpha))
-    return [_probe_from_draws(draws, norms, g_mom, true_grad, t, alpha) for t in taus]
+    clipped, sq, results = np.empty_like(draws), np.empty(n), []
+    for tau in taus:
+        factors = np.ones(n)
+        np.divide(tau, norms, out=factors, where=norms > tau)
+        _row_sq_sums(np.multiply(draws, factors[:, None], out=clipped), sq)
+        mean_clip = clipped.mean(axis=0)
+        # np.var(clipped, axis=0, ddof=1): sum, divide by n, subtract, square, sum
+        np.square(np.subtract(clipped, mean_clip, out=clipped), out=clipped)
+        var = np.sum(clipped, axis=0) / (n - 1)
+        results.append(ProbeResult(
+            tau=tau,
+            second_moment=float(np.mean(sq)),
+            second_moment_se=float(np.std(sq, ddof=1) / math.sqrt(n)),
+            bias_norm=float(np.linalg.norm(mean_clip - true_grad)),
+            bias_se=float(math.sqrt(np.sum(var) / n)),
+            g_moment=g_mom,
+            bound_second_moment=g_mom * tau ** (2.0 - alpha),
+            bound_bias=g_mom * tau ** (1.0 - alpha),
+        ))
+    return results

@@ -277,11 +277,11 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigurationError("[problem] mu must be positive")
     if p.domain not in _DOMAIN_KINDS:
         raise ConfigurationError(f"[problem] domain = {p.domain!r}: expected one of {_DOMAIN_KINDS}")
-    for key in ("x_star", "x0"):
-        vec = getattr(p, key)
-        if len(vec) not in (1, p.dimension):
+    for section, key in (("problem", "x_star"), ("problem", "x0"), ("schedule", "B")):
+        vec = getattr(getattr(cfg, section), key)
+        if vec != "auto" and len(vec) not in (1, p.dimension):
             raise ConfigurationError(
-                f"[problem] {key} must be a scalar or have length {p.dimension}"
+                f"[{section}] {key} must be a scalar or have length {p.dimension}"
             )
     cfg.noise.build(p.dimension)  # refuses an unknown family, a bad scale or tail index
     s = cfg.schedule

@@ -273,10 +273,12 @@ def chain_gradient_raw(x: np.ndarray) -> np.ndarray:
     return g if np.asarray(x).ndim == 2 else g[0]
 
 
-def prog(x: np.ndarray, beta: float) -> int:
-    """Highest 1-based index i with |x_i| > beta; 0 if none."""
-    hits = np.nonzero(np.abs(np.asarray(x, dtype=float)) > beta)[0]
-    return int(hits[-1]) + 1 if hits.size else 0
+def prog(x: np.ndarray, beta: float):
+    """Highest 1-based index i with |x_i| > beta, 0 if none: an int for one
+    point, one count per row for an (m, d) array."""
+    hits = np.abs(np.asarray(x, dtype=float)) > beta
+    out = np.max(np.where(hits, np.arange(1, hits.shape[-1] + 1), 0), axis=-1, initial=0)
+    return int(out) if hits.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

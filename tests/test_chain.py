@@ -13,7 +13,7 @@ from tailclip.problems import (
     chain_value_raw,
     prog,
 )
-from tailclip.suites import chain_suite
+from tailclip.suites import _chain_test_points, chain_suite
 
 
 def test_psi_values():
@@ -94,3 +94,80 @@ def test_chain_suite_small():
     res = chain_suite(8, 4000, np.random.default_rng(5), curvature_points=500)
     for v in res.verdicts:
         assert v.passed, v.line()
+
+
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_batched_rows_equal_single_points(d):
+    xs = np.random.default_rng(d).uniform(-3.0, 3.0, size=(50, d))
+    values = chain_value_raw(xs)
+    grads = chain_gradient_raw(xs)
+    for x, v, g in zip(xs, values, grads):
+        assert chain_value_raw(x) == v
+        assert np.array_equal(chain_gradient_raw(x), g)
+
+
+def reference_chain_observations(d, n, rng):
+    """chain_suite's value gap, zero-chain excess and finite-difference error
+    computed one point at a time, drawing from ``rng`` as chain_suite does."""
+    pts = _chain_test_points(d, n, rng)
+    grads = chain_gradient_raw(pts)
+    best = float(np.min(chain_value_raw(pts)))
+    x_cur = pts[np.argmin(chain_value_raw(pts))].copy()
+    for _ in range(300):
+        x_cur -= 0.05 * chain_gradient_raw(x_cur)
+    best = min(best, float(chain_value_raw(x_cur)))
+    for _ in range(20):
+        x_cur = rng.uniform(-2.0, 2.0, size=d)
+        for _ in range(150):
+            x_cur -= 0.05 * chain_gradient_raw(x_cur)
+        best = min(best, float(chain_value_raw(x_cur)))
+    gap = chain_value_raw(np.zeros(d)) - best
+    zero_chain = "ok"
+    for x, g in zip(pts, grads):
+        if prog(g, 0.0) > prog(x, 0.5) + 1:
+            zero_chain = f"excess {prog(g, 0.0) - prog(x, 0.5)}"
+            break
+    rng.integers(0, pts.shape[0], size=2000)  # the curvature check's draws
+    rng.standard_normal((2000, d))
+    hfd = 1e-5
+    max_rel = 0.0
+    for x in pts[rng.integers(0, pts.shape[0], size=100)]:
+        g = chain_gradient_raw(x)
+        fd = np.empty(d)
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = hfd
+            fd[j] = (chain_value_raw(x + e) - chain_value_raw(x - e)) / (2.0 * hfd)
+        max_rel = max(max_rel, float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8)))
+    return {
+        "chain_value_gap": f"{gap:.4g}",
+        "chain_zero_chain": zero_chain,
+        "chain_gradient_fd": f"max rel err {max_rel:.3g}",
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 3, 12])
+def test_chain_suite_matches_per_point_reference(d, seed):
+    observed = {v.criterion: v.observed
+                for v in chain_suite(d, 1500, np.random.default_rng(seed)).verdicts}
+    want = reference_chain_observations(d, 1500, np.random.default_rng(seed))
+    assert {k: observed[k] for k in want} == want
+
+
+def test_zero_chain_reports_first_offending_point(monkeypatch):
+    # A gradient that reveals every coordinate at once breaks the zero-chain
+    # property; the suite reports the excess at the first such point.
+    def revealing(x):
+        g = chain_gradient_raw(x)
+        if np.ndim(x) == 2 and len(x) > 1000:
+            g = g.copy()
+            g[7:, -1] = 1.0
+        return g
+
+    monkeypatch.setattr("tailclip.suites.chain_gradient_raw", revealing)
+    pts = _chain_test_points(6, 1500, np.random.default_rng(4))
+    first = next(i for i in range(7, len(pts)) if prog(pts[i], 0.5) + 1 < 6)
+    v = {v.criterion: v for v in chain_suite(6, 1500, np.random.default_rng(4)).verdicts}
+    assert not v["chain_zero_chain"].passed
+    assert v["chain_zero_chain"].observed == f"excess {6 - prog(pts[first], 0.5)}"

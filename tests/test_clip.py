@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailclip.clip import bias_variance_grid, cclip, gclip
+from tailclip.clip import ProbeResult, bias_variance_grid, cclip, gclip
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, sample_noise_batch
 from test_optimizers import ACClipParams, ACClipState, acclip_step
@@ -213,3 +215,69 @@ class TestBiasVarianceProbe:
             assert hi.bias_norm <= lo.bias_norm + 3 * (lo.bias_se + hi.bias_se)
         assert all(r.second_moment <= r.bound_second_moment + 3 * r.second_moment_se for r in res)
         assert all(r.bias_norm <= r.bound_bias + 3 * r.bias_se for r in res)
+
+
+def reference_bias_variance_grid(noise, true_grad, taus, n, rng, alpha):
+    """bias_variance_grid as whole-array numpy expressions: one batch of
+    draws and a fresh clipped array per threshold."""
+    true_grad = np.asarray(true_grad, dtype=float)
+    draws = sample_noise_batch(noise, rng, n) + true_grad
+    norms = np.sqrt(np.sum(draws * draws, axis=1))
+    g_mom = float(np.mean(norms**alpha))
+    out = []
+    for tau in [float(t) for t in taus]:
+        factors = np.ones(n)
+        np.divide(tau, norms, out=factors, where=norms > tau)
+        clipped = draws * factors[:, None]
+        sq = np.sum(clipped * clipped, axis=1)
+        out.append(ProbeResult(
+            tau=tau,
+            second_moment=float(np.mean(sq)),
+            second_moment_se=float(np.std(sq, ddof=1) / math.sqrt(n)),
+            bias_norm=float(np.linalg.norm(clipped.mean(axis=0) - true_grad)),
+            bias_se=float(math.sqrt(np.sum(np.var(clipped, axis=0, ddof=1)) / n)),
+            g_moment=g_mom,
+            bound_second_moment=g_mom * tau ** (2.0 - alpha),
+            bound_bias=g_mom * tau ** (1.0 - alpha),
+        ))
+    return out
+
+
+class TestProbeMatchesReference:
+    # 1e-9 lies below every draw's norm, so it clips every row.
+    TAUS = [1e-9, 0.5, 2.0, 10.0, 50.0]
+
+    @pytest.mark.parametrize("n", [10**4, 70001, 123457])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("family,tail", [("zero", 2.0), ("gaussian", 2.0), ("pareto", 1.6),
+                                             ("stable", 1.55)])
+    def test_bit_identical(self, family, tail, d, n):
+        spec = NoiseSpec(family, dimension=d, tail_index=tail)
+        grad = np.zeros(d)
+        grad[0] = 1.0
+        seed = n + d
+        got = bias_variance_grid(spec, grad, self.TAUS, n, np.random.default_rng(seed), 1.5)
+        want = reference_bias_variance_grid(spec, grad, self.TAUS, n,
+                                            np.random.default_rng(seed), 1.5)
+        assert [dataclasses.astuple(r) for r in got] == [dataclasses.astuple(r) for r in want]
+
+    def test_every_row_clipped_below_all_norms(self):
+        spec = NoiseSpec("gaussian", dimension=3)
+        res = bias_variance_grid(spec, np.array([1.0, 0.0, 0.0]), [1e-9], 10**4,
+                                 np.random.default_rng(0), 1.5)[0]
+        assert res.second_moment == pytest.approx(1e-18, rel=1e-9)
+
+
+def test_probe_peak_memory_below_three_draw_arrays():
+    n, d = 5 * 10**5, 10
+    spec = NoiseSpec("stable", dimension=d, tail_index=1.55)
+    grad = np.zeros(d)
+    grad[0] = 1.0
+    tracemalloc.start()
+    try:
+        bias_variance_grid(spec, grad, [2.0, 5.0, 10.0, 20.0, 50.0], n,
+                           np.random.default_rng(0), 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * d * 8, f"traced peak {peak / (n * d * 8):.2f}x the draws array"

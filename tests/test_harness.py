@@ -339,6 +339,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=re.escape(key.split(".")[1])):
             apply_overrides(cfg, [f"{key}="])
 
+    @pytest.mark.parametrize("B,ok", [("0.5", True), ("0.5, 1.0", True), ("0.5, 1.0, 2.0", False)])
+    def test_schedule_B_length_is_one_or_dimension(self, minimal_cfg, B, ok):
+        cfg = load_config(minimal_cfg)  # dimension 2
+        overrides = ["schedule.kind=cclip", "optimizer.algorithm=cclip", f"schedule.B={B}"]
+        if ok:
+            apply_overrides(cfg, overrides)
+            return
+        with pytest.raises(ConfigurationError, match=r"\[schedule\] B .*length 2"):
+            apply_overrides(cfg, overrides)
+
     @pytest.mark.parametrize("key", ["checks.slope_expect", "checks.ratio_min", "checks.ratio_max"])
     def test_empty_optional_setting_is_unset(self, minimal_cfg, key):
         cfg = load_config(minimal_cfg)
@@ -724,6 +734,7 @@ class TestCli:
         ["checks.ratio_metric=bogus", "checks.ratio_k_hi=100", "checks.ratio_k_lo=1"],
         ["schedule.eta=abc"],
         ["problem.x0=1.0, x"],
+        ["schedule.kind=cclip", "optimizer.algorithm=cclip", "schedule.B=1.0, 2.0, 3.0"],
         ["checks.ratio_min=x"],
         ["checks.slope_id=A1 ;x"],
         ["experiment.name=a#b"],

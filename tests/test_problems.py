@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tailclip.errors import ConfigurationError, DomainError
 from tailclip.noise import NoiseSpec, sample_noise_batch
@@ -231,6 +232,34 @@ def test_prog_examples():
     assert prog(np.zeros(5), 1.0) == 0
     # strict comparison at the boundary
     assert prog(np.array([0.5]), 0.5) == 0
+
+
+@st.composite
+def rows_and_beta(draw):
+    """An (m, d) array whose entries often sit at 0, -0 or exactly +-beta."""
+    beta = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    special = st.sampled_from([0.0, -0.0, beta, -beta])
+    entries = st.one_of(special, st.floats(-3.0, 3.0))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 6)))
+    return draw(hnp.arrays(float, shape, elements=entries)), beta
+
+
+@given(rows_and_beta())
+@settings(max_examples=300, deadline=None)
+def test_prog_rows_match_single_points(case):
+    rows, beta = case
+    batched = prog(rows, beta)
+    assert batched.shape == (rows.shape[0],)
+    for i, row in enumerate(rows):
+        single = prog(row, beta)
+        assert isinstance(single, int)
+        assert batched[i] == single
+        assert single == max([j + 1 for j, v in enumerate(row) if abs(v) > beta], default=0)
+
+
+def test_prog_rows_all_zero_and_d1():
+    assert prog(np.zeros((3, 4)), 0.0).tolist() == [0, 0, 0]
+    assert prog(np.array([[0.5], [0.6], [-0.7], [0.0]]), 0.5).tolist() == [0, 1, 1, 0]
 
 
 def direction_alignment_bound_holds(v: np.ndarray, w: np.ndarray) -> bool:
