@@ -1,10 +1,9 @@
-"""Clipping operators and Monte-Carlo probes of their bias/variance.
+"""Adaptive clip factors and Monte-Carlo probes of the clipped estimator.
 
-gclip rescales the whole vector so its norm never exceeds tau; cclip clamps
-each coordinate to its own threshold; acclip_factors gives the adaptive
-coordinate-wise clip factors.  The zero convention throughout: a zero
-gradient (or coordinate) is returned unchanged, the continuous extension of
-min{tau/|g|, 1} * g.
+acclip_factors gives the adaptive coordinate-wise clip factors; the run loop
+in ``optimizers`` applies global and coordinate-wise clipping itself.  The
+zero convention throughout: a zero gradient (or coordinate) is returned
+unchanged, the continuous extension of min{tau/|g|, 1} * g.
 """
 
 from __future__ import annotations
@@ -16,34 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .noise import NoiseSpec, iter_blocks
-
-
-def gclip(g: np.ndarray, tau: float) -> np.ndarray:
-    """min{tau/||g||, 1} * g, with g returned unchanged when ||g|| = 0."""
-    if tau < 0:
-        raise ConfigurationError("tau must be nonnegative")
-    g = np.asarray(g, dtype=float)
-    peak = float(np.max(np.abs(g))) if g.size else 0.0
-    if peak == 0.0:
-        return g.copy()
-    # scale by the peak so the squared sum cannot under/overflow
-    scaled = g / peak
-    unit_norm = math.sqrt(float(scaled @ scaled))
-    if peak * unit_norm <= tau:
-        return g.copy()
-    # rescale the peak-scaled vector: tau / ||g|| itself can underflow
-    return scaled * (tau / unit_norm)
-
-
-def cclip(g: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Elementwise min{tau_i/|g_i|, 1} * g_i (sign preserved)."""
-    g = np.asarray(g, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != g.shape:
-        raise ConfigurationError(f"threshold shape {tau.shape} does not match gradient {g.shape}")
-    if np.any(tau < 0):
-        raise ConfigurationError("thresholds must be nonnegative")
-    return np.clip(g, -tau, tau)
 
 
 def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray:

@@ -52,7 +52,7 @@ class Schedule:
             raise ConfigurationError("step-size parameter must be positive")
         if np.ndim(self.tau):
             self.tau = np.asarray(self.tau, dtype=float)
-        if np.any(np.asarray(self.tau) < 0):
+        if not np.all(np.asarray(self.tau) >= 0):  # NaN included
             raise ConfigurationError("thresholds must be nonnegative")
 
     def etas(self, K: int) -> np.ndarray:
@@ -227,36 +227,50 @@ def record_points(iterations: int, record: str | int) -> np.ndarray:
 
 
 def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
-    """Execute one optimization run; deterministic given (problem, config, seed)."""
+    """Execute one optimization run; deterministic given (problem, config, seed).
+
+    At d = 1 the state is held as Python floats, and the problem's
+    ``exact_gradient`` and ``Ball.project`` take and return floats: one
+    numpy operation on a one-element array costs as much as some twenty
+    float operations.  Both kinds of state take the same IEEE operations in
+    the same order, so the trace is the same to the bit.  Powers go through
+    ``np.power``, which on a float equals numpy's array power; ``**`` on a
+    float calls the C library's pow, which can differ in the last bit, even
+    at p = 2.
+    """
     alg = config.algorithm
     K = config.iterations
     sched = config.schedule
     d = problem.dimension
+    scalar = d == 1
     rng = np.random.default_rng(seed)
 
-    x = np.broadcast_to(np.asarray(config.x0, dtype=float), (d,)).astype(float).copy()
+    x = np.broadcast_to(np.asarray(config.x0, dtype=float), (d,)).astype(float)
+    x = float(x[0]) if scalar else x
     domain = problem.domain
-    if config.project and domain is None:
+    project = config.project
+    if project and domain is None:
         raise ConfigurationError(f"{alg} requires a feasible domain on the problem")
     if np.ndim(sched.tau) and alg != "cclip":
         raise ConfigurationError("vector thresholds only apply to coordinate-wise clipping")
-    etas = sched.etas(K)
-    tau = sched.tau
-    tau_scales = sched.tau_scales(K)
+    # a float, except a per-coordinate threshold vector at d >= 2
+    tau = float(np.ravel(sched.tau)[0]) if scalar or not np.ndim(sched.tau) else sched.tau
+    etas = sched.etas(K).tolist()
+    tau_scales = sched.tau_scales(K).tolist()
 
-    m = np.zeros(d)
-    tau_alpha = np.zeros(d)
-    v = np.zeros(d)
+    m = v = tau_alpha = 0.0 if scalar else np.zeros(d)  # rebound each step, never updated in place
     acc_alpha = config.acclip_alpha
+    inv_alpha = 1.0 / acc_alpha
     eps = config.epsilon
     b1, b2 = config.beta1, config.beta2
 
     averaging = config.averaging
-    w_sum = np.zeros(d)
+    w_sum = 0.0 if scalar else np.zeros(d)
     w_total = 0.0
 
     rec = record_points(K, config.record)
-    rec_set = set(int(r) for r in rec)
+    pending = iter(rec.tolist())
+    next_rec = next(pending)
     # Per record point: the evaluated point (the weighted sum when averaging,
     # divided after the loop) and the scalars (gsq, clip_frac, eff_step,
     # run_sq, run_min, w_total).
@@ -264,19 +278,21 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     scalars = []
 
     exact_gradient = problem.exact_gradient
-    noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K, _NOISE_BLOCK))
+    blocks = iter_blocks(problem.noise, rng, K, _NOISE_BLOCK)
+    # at d = 1 each block's rows as floats: the same doubles
+    rows = (b.ravel().tolist() for b in blocks) if scalar else blocks
+    noise_rows = chain.from_iterable(rows)
 
     run_sq = 0.0
     run_min = 0.0
     eg = exact_gradient(x)
 
-    for k in range(1, K + 1):
+    for k, xi, eta, scale in zip(range(1, K + 1), noise_rows, etas, tau_scales):
         if averaging:
             w_sum += k * x
             w_total += k
 
-        g = eg + next(noise_rows)
-        eta = etas[k - 1]
+        g = eg + xi
         clip_frac = 0.0
         eff_step = eta
 
@@ -286,49 +302,48 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
             m = b1 * m + (1.0 - b1) * g
             x = x - eta * m
         elif alg in ("gclip", "proj_gclip"):
-            tau_k = tau * tau_scales[k - 1]
-            norm = math.sqrt(float(g @ g))
+            tau_k = tau * scale
+            norm = math.sqrt(g * g if scalar else float(g @ g))
             c = 1.0 if (norm == 0.0 or norm <= tau_k) else tau_k / norm
             x = x - (eta * c) * g
             clip_frac = 1.0 if c < 1.0 else 0.0
             eff_step = eta * c
         elif alg == "cclip":
-            tau_k = tau * tau_scales[k - 1]
-            clipped = np.clip(g, -tau_k, tau_k)
-            x = x - eta * clipped
-            if k in rec_set:
-                absg = np.abs(g)
+            tau_k = tau * scale
+            # min/max keep g's sign, zero and NaN as np.clip does; thresholds are never NaN
+            x = x - eta * (min(max(g, -tau_k), tau_k) if scalar else np.clip(g, -tau_k, tau_k))
+            if k == next_rec:
+                absg = abs(g)
                 factors = np.ones(d)
                 np.divide(tau_k, absg, out=factors, where=absg > tau_k)
-                clip_frac = float(np.mean(factors < 1.0))
-                eff_step = eta * float(np.mean(factors))
+                clip_frac = np.count_nonzero(factors < 1.0) / d
+                eff_step = eta * (float(factors.sum()) / d)
         elif alg == "acclip":
             m = b1 * m + (1.0 - b1) * g
-            tau_alpha = b2 * tau_alpha + (1.0 - b2) * np.abs(g) ** acc_alpha
-            tau_vec = tau_alpha ** (1.0 / acc_alpha)
-            factors = acclip_factors(m, tau_vec, eps)
+            tau_alpha = b2 * tau_alpha + (1.0 - b2) * np.power(abs(g), acc_alpha)
+            factors = acclip_factors(m, np.power(tau_alpha, inv_alpha), eps)
             x = x - eta * (factors * m)
-            clip_frac = float(np.mean(factors < 1.0))
-            eff_step = eta * float(np.mean(factors))
-        else:  # adamlike
+            clip_frac = np.count_nonzero(factors < 1.0) / d
+            eff_step = eta * (float(factors.sum()) / d)
+        else:  # adamlike; np.sqrt makes denom numpy's at d = 1 too: x / 0 is inf or NaN, no error
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             denom = eps + np.sqrt(v)
-            direction = m if b1 > 0.0 else g
-            x = x - eta * direction / denom
-            eff_step = eta * float(np.mean(1.0 / denom))
+            x = x - eta * (m if b1 > 0.0 else g) / denom
+            eff_step = eta * (float((1.0 / denom).sum()) / d)
 
-        if config.project:
+        if project:
             x = domain.project(x)
 
         eg = exact_gradient(x)
-        gsq = float(eg @ eg)
+        gsq = eg * eg if scalar else float(eg @ eg)
         run_sq += gsq
         run_min += gsq if gsq < 1.0 else math.sqrt(gsq)
 
-        if k in rec_set:
+        if k == next_rec:
             points[len(scalars)] = w_sum if averaging else x
             scalars.append((gsq, clip_frac, eff_step, run_sq, run_min, w_total))
+            next_rec = next(pending, 0)
 
     gsq, clip_frac, eff_step, run_sq, run_min, w_total = np.array(scalars).T
     if averaging:

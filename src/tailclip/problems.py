@@ -32,12 +32,15 @@ class Ball:
         if self.radius <= 0:
             raise ConfigurationError("ball radius must be positive")
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        dev = y - self.center
-        dist = math.sqrt(float(dev @ dev))
+    def project(self, y: np.ndarray | float) -> np.ndarray | float:
+        """Nearest point of the ball: a float for a float ``y`` (d = 1)."""
+        scalar = isinstance(y, float)
+        c = float(self.center[0]) if scalar else self.center
+        dev = y - c
+        dist = math.sqrt(dev * dev if scalar else float(dev @ dev))
         if dist <= self.radius:
             return y
-        return self.center + dev * (self.radius / dist)
+        return c + dev * (self.radius / dist)
 
 
 def project(domain: Ball, y: np.ndarray) -> np.ndarray:
@@ -62,25 +65,26 @@ class StochasticProblem:
     """An objective with exact gradient, additive gradient noise and metadata.
 
     The stochastic gradient at x is exact_gradient(x) plus one draw of
-    ``noise``; optimizers pre-generate the draws in blocks.  ``value`` takes
+    ``noise``; optimizers pre-generate the draws in blocks.  At d = 1
+    ``exact_gradient`` also takes a float and returns one.  ``value`` takes
     one point or a stack of points (one per row).  Both problems have
     minimum value 0, so ``value`` is the suboptimality.
     """
 
     dimension: int
     value: Callable[[np.ndarray], float | np.ndarray]
-    exact_gradient: Callable[[np.ndarray], np.ndarray]
+    exact_gradient: Callable[[np.ndarray | float], np.ndarray | float]
     noise: NoiseSpec
     constants: Constants = field(default_factory=Constants)
     domain: Ball | None = None
 
 
-def _quad_value(mu: float, x_star: np.ndarray, x: np.ndarray):
+def _quad_value(mu: float, x_star: np.ndarray | float, x: np.ndarray):
     dev = x - x_star
     return 0.5 * mu * np.vecdot(dev, dev)  # per row; equals dev @ dev bit for bit
 
 
-def _quad_grad(mu: float, x_star: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _quad_grad(mu: float, x_star: np.ndarray | float, x: np.ndarray | float):
     return mu * (x - x_star)
 
 
@@ -91,6 +95,8 @@ def quadratic_problem(
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
     xs = np.broadcast_to(np.asarray(x_star, dtype=float), (dimension,)).copy()
+    if dimension == 1:  # a float, so that a float x keeps its type
+        xs = float(xs[0])
     if noise.dimension != dimension:
         raise ConfigurationError(
             f"noise dimension {noise.dimension} does not match problem dimension {dimension}"
@@ -111,9 +117,9 @@ def _ratio_value(x: np.ndarray):
     return np.sum(x * x / (1.0 + x * x), axis=-1)
 
 
-def _ratio_grad(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return 2.0 * x / (1.0 + x * x) ** 2
+def _ratio_grad(x: np.ndarray | float):
+    t = 1.0 + x * x
+    return 2.0 * x / (t * t)  # not t ** 2: on a float, ** calls pow
 
 
 def nonconvex_problem(dimension: int, noise: NoiseSpec) -> StochasticProblem:
@@ -242,8 +248,11 @@ def chain_phi_prime(t):
 
 
 def chain_value_raw(x: np.ndarray):
-    """f_d at one point (1-d input) or batched rows (2-d input)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """f_d at one point (1-d input, a float) or batched rows (2-d input, one
+    value per row)."""
+    x = np.asarray(x, dtype=float)
+    batched = x.ndim == 2
+    x = np.atleast_2d(x)
     total = -chain_psi(1.0) * chain_phi(x[:, 0])
     if x.shape[1] > 1:
         prev, cur = x[:, :-1], x[:, 1:]
@@ -251,7 +260,7 @@ def chain_value_raw(x: np.ndarray):
             chain_psi(-prev) * chain_phi(-cur) - chain_psi(prev) * chain_phi(cur),
             axis=1,
         )
-    return total if total.size > 1 else float(total[0])
+    return total if batched else float(total[0])
 
 
 def chain_gradient_raw(x: np.ndarray) -> np.ndarray:

@@ -260,7 +260,7 @@ def chain_suite(
     for x, steps in ((x_best, 300), (restarts, 150)):
         for _ in range(steps):
             x -= 0.05 * chain_gradient_raw(x)
-    best = min(best, float(chain_value_raw(x_best)), float(np.min(chain_value_raw(restarts))))
+    best = min(best, float(chain_value_raw(x_best)[0]), float(np.min(chain_value_raw(restarts))))
     gap = f0 - best
     verdicts.append(
         Verdict(

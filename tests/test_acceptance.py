@@ -5,7 +5,8 @@ each checked config runs through ``run_experiment`` at its own scale and
 every verdict it prints must PASS.  Their frozen scales, seeds and
 tolerances live in those config files; ``tailclip run configs/<name>.cfg``
 prints the observed margins.  The other criteria call the library
-directly.  Run with:
+directly.  The tests that run a bundled config, and A6 with its 30 seeds
+of 1e5 steps, carry the ``slow`` marker.  Run with:
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -32,8 +33,6 @@ from tailclip.optimizers import (
 from tailclip.problems import Ball, estimate_B, estimate_G, quadratic_problem
 from tailclip.runner import calibration_stream, run_experiment
 from tailclip.suites import chain_suite, lemma_check, lowerbound_suite
-
-pytestmark = pytest.mark.slow
 
 K = 10**5
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -72,6 +71,7 @@ def test_every_checked_config_has_expected_ids():
     assert CHECKED == sorted(EXPECTED_IDS)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", CHECKED)
 def test_config_verdicts(config_run, name):
     verdicts = config_run(name).report.verdicts
@@ -87,11 +87,13 @@ def config_verdict(config_run, name, cid):
     return verdict
 
 
+@pytest.mark.slow
 def test_a1_strongly_convex_heavy_tail_rate(config_run):
     v = config_verdict(config_run, "strongly_convex_alpha15", "A1")
     criterion("A1", v.passed, f"averaged-iterate slope {v.observed} vs {v.threshold}")
 
 
+@pytest.mark.slow
 def test_a2_strongly_convex_bound_envelope(config_run):
     v = config_verdict(config_run, "strongly_convex_alpha15", "A2")
     criterion("A2", v.passed, f"violations of the strongly convex bound: {v.observed} ({v.threshold})")
@@ -109,6 +111,7 @@ def test_a5_bias_variance_lemma_probes():
     criterion("A5", res.passed, "clipped-estimator bounds and monotonicity hold on the tau grid")
 
 
+@pytest.mark.slow
 def test_a6_cclip_beats_gclip_at_high_dimension():
     d, alpha, seeds = 100, 1.5, 30
     noise = NoiseSpec("stable", dimension=d, tail_index=1.55, scale=1.0)
@@ -170,6 +173,7 @@ def test_a9_rmsprop_acclip_sandwich():
     )
 
 
+@pytest.mark.slow
 def test_a10_nonconvex_decay(config_run):
     # Beyond the config's own A10 check (the seed-mean of per-seed ratios),
     # the ratio of seed-means must fall at least 2x and the slope be negative.

@@ -106,6 +106,15 @@ def test_batched_rows_equal_single_points(d):
         assert np.array_equal(chain_gradient_raw(x), g)
 
 
+@pytest.mark.parametrize("d", [1, 4])
+def test_value_follows_the_input_rank(d):
+    # a float for one point, one value per row for an (m, d) array, m = 1 included
+    rows = np.random.default_rng(d).uniform(-2.0, 2.0, size=(1, d))
+    batched, single = chain_value_raw(rows), chain_value_raw(rows[0])
+    assert isinstance(batched, np.ndarray) and batched.shape == (1,)
+    assert isinstance(single, float) and batched[0] == single
+
+
 def reference_chain_observations(d, n, rng):
     """chain_suite's value gap, zero-chain excess and finite-difference error
     computed one point at a time, drawing from ``rng`` as chain_suite does."""

@@ -1,16 +1,110 @@
-import dataclasses
 import math
 import tracemalloc
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailclip.clip import ProbeResult, bias_variance_grid, cclip, gclip
+from tailclip.clip import ProbeResult, acclip_factors, bias_variance_grid
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, sample_noise_batch
-from test_optimizers import ACClipParams, ACClipState, acclip_step
+
+# ---------------------------------------------------------------------------
+# Reference clipping operators and the adaptive clipping state machine, one
+# gradient at a time; the run loop in tailclip.optimizers applies each inline,
+# and tests/test_optimizers.py checks it against them.
+
+
+def gclip(g: np.ndarray, tau: float) -> np.ndarray:
+    """min{tau/||g||, 1} * g, with g returned unchanged when ||g|| = 0."""
+    if tau < 0:
+        raise ConfigurationError("tau must be nonnegative")
+    g = np.asarray(g, dtype=float)
+    peak = float(np.max(np.abs(g))) if g.size else 0.0
+    if peak == 0.0:
+        return g.copy()
+    # scale by the peak so the squared sum cannot under/overflow
+    scaled = g / peak
+    unit_norm = math.sqrt(float(scaled @ scaled))
+    if peak * unit_norm <= tau:
+        return g.copy()
+    # rescale the peak-scaled vector: tau / ||g|| itself can underflow
+    return scaled * (tau / unit_norm)
+
+
+def cclip(g: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Elementwise min{tau_i/|g_i|, 1} * g_i (sign preserved)."""
+    g = np.asarray(g, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != g.shape:
+        raise ConfigurationError(f"threshold shape {tau.shape} does not match gradient {g.shape}")
+    if np.any(tau < 0):
+        raise ConfigurationError("thresholds must be nonnegative")
+    return np.clip(g, -tau, tau)
+
+
+@dataclass
+class ACClipParams:
+    """Defaults follow the reference hyperparameters: beta1=0.9, beta2=0.99,
+    moment exponent alpha=1 (the conservative choice), epsilon=1e-5."""
+
+    beta1: float = 0.9
+    beta2: float = 0.99
+    alpha: float = 1.0
+    epsilon: float = 1e-5
+
+    def __post_init__(self):
+        if not (0.0 <= self.beta1 <= 1.0) or not (0.0 <= self.beta2 <= 1.0):
+            raise ConfigurationError("beta1 and beta2 must lie in [0, 1]")
+        if not (1.0 <= self.alpha <= 2.0):
+            raise ConfigurationError("alpha must lie in [1, 2]")
+        if self.epsilon < 0:
+            raise ConfigurationError("epsilon must be nonnegative")
+
+
+@dataclass
+class ACClipState:
+    """State of the adaptive clipping loop.
+
+    ``tau_alpha`` tracks the exponential moving average of |g|^alpha per
+    coordinate (tau_0^alpha = 0, no bias correction), so early steps clip
+    aggressively until the estimate warms up.
+    """
+
+    x: np.ndarray
+    params: ACClipParams = field(default_factory=ACClipParams)
+    m: np.ndarray | None = None
+    tau_alpha: np.ndarray | None = None
+    k: int = 0
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float)
+        self.m = np.zeros_like(self.x) if self.m is None else np.asarray(self.m, dtype=float)
+        if self.tau_alpha is None:
+            self.tau_alpha = np.zeros_like(self.x)
+        self.tau_alpha = np.asarray(self.tau_alpha, dtype=float)
+
+
+def acclip_step(state: ACClipState, g: np.ndarray, eta: float) -> ACClipState:
+    """One adaptive coordinate-wise clipping update; returns the new state.
+
+    m <- b1*m + (1-b1)*g; tau^a <- b2*tau^a + (1-b2)*|g|^a;
+    x <- x - eta * min{tau/(|m|+eps), 1} * m.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.shape != state.x.shape:
+        raise ConfigurationError("gradient dimension does not match state")
+    if eta <= 0:
+        raise ConfigurationError("eta must be positive")
+    p = state.params
+    m = p.beta1 * state.m + (1.0 - p.beta1) * g
+    tau_alpha = p.beta2 * state.tau_alpha + (1.0 - p.beta2) * np.abs(g) ** p.alpha
+    tau = tau_alpha ** (1.0 / p.alpha)
+    g_hat = acclip_factors(m, tau, p.epsilon) * m
+    return replace(state, x=state.x - eta * g_hat, m=m, tau_alpha=tau_alpha, k=state.k + 1)
+
 
 vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=6
@@ -259,7 +353,7 @@ class TestProbeMatchesReference:
         got = bias_variance_grid(spec, grad, self.TAUS, n, np.random.default_rng(seed), 1.5)
         want = reference_bias_variance_grid(spec, grad, self.TAUS, n,
                                             np.random.default_rng(seed), 1.5)
-        assert [dataclasses.astuple(r) for r in got] == [dataclasses.astuple(r) for r in want]
+        assert [astuple(r) for r in got] == [astuple(r) for r in want]
 
     def test_every_row_clipped_below_all_norms(self):
         spec = NoiseSpec("gaussian", dimension=3)

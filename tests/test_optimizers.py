@@ -1,17 +1,20 @@
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain, product
 
 import numpy as np
 import pytest
 
-from tailclip.clip import acclip_factors, cclip, gclip
+from tailclip.clip import acclip_factors
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, iter_blocks
 from tailclip.optimizers import (
+    _NOISE_BLOCK,
     ALGORITHMS,
     TRACE_METRICS,
     OptimizerConfig,
     Schedule,
+    Trace,
     average_traces,
     cclip_schedule,
     record_points,
@@ -20,7 +23,14 @@ from tailclip.optimizers import (
     nonconvex_schedule,
     strongly_convex_schedule,
 )
-from tailclip.problems import Ball, nonconvex_problem, project, quadratic_problem
+from tailclip.problems import (
+    Ball,
+    StochasticProblem,
+    nonconvex_problem,
+    project,
+    quadratic_problem,
+)
+from test_clip import ACClipParams, ACClipState, acclip_step, cclip, gclip
 
 
 # ---------------------------------------------------------------------------
@@ -43,67 +53,6 @@ def weighted_average(iterates) -> np.ndarray:
     if total is None:
         raise ConfigurationError("weighted_average needs a nonempty sequence")
     return total / weight
-
-
-@dataclass
-class ACClipParams:
-    """Defaults follow the reference hyperparameters: beta1=0.9, beta2=0.99,
-    moment exponent alpha=1 (the conservative choice), epsilon=1e-5."""
-
-    beta1: float = 0.9
-    beta2: float = 0.99
-    alpha: float = 1.0
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 <= 1.0) or not (0.0 <= self.beta2 <= 1.0):
-            raise ConfigurationError("beta1 and beta2 must lie in [0, 1]")
-        if not (1.0 <= self.alpha <= 2.0):
-            raise ConfigurationError("alpha must lie in [1, 2]")
-        if self.epsilon < 0:
-            raise ConfigurationError("epsilon must be nonnegative")
-
-
-@dataclass
-class ACClipState:
-    """State of the adaptive clipping loop.
-
-    ``tau_alpha`` tracks the exponential moving average of |g|^alpha per
-    coordinate (tau_0^alpha = 0, no bias correction), so early steps clip
-    aggressively until the estimate warms up.
-    """
-
-    x: np.ndarray
-    params: ACClipParams = field(default_factory=ACClipParams)
-    m: np.ndarray | None = None
-    tau_alpha: np.ndarray | None = None
-    k: int = 0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.m = np.zeros_like(self.x) if self.m is None else np.asarray(self.m, dtype=float)
-        if self.tau_alpha is None:
-            self.tau_alpha = np.zeros_like(self.x)
-        self.tau_alpha = np.asarray(self.tau_alpha, dtype=float)
-
-
-def acclip_step(state: ACClipState, g: np.ndarray, eta: float) -> ACClipState:
-    """One adaptive coordinate-wise clipping update; returns the new state.
-
-    m <- b1*m + (1-b1)*g; tau^a <- b2*tau^a + (1-b2)*|g|^a;
-    x <- x - eta * min{tau/(|m|+eps), 1} * m.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.x.shape:
-        raise ConfigurationError("gradient dimension does not match state")
-    if eta <= 0:
-        raise ConfigurationError("eta must be positive")
-    p = state.params
-    m = p.beta1 * state.m + (1.0 - p.beta1) * g
-    tau_alpha = p.beta2 * state.tau_alpha + (1.0 - p.beta2) * np.abs(g) ** p.alpha
-    tau = tau_alpha ** (1.0 / p.alpha)
-    g_hat = acclip_factors(m, tau, p.epsilon) * m
-    return replace(state, x=state.x - eta * g_hat, m=m, tau_alpha=tau_alpha, k=state.k + 1)
 
 
 def acclip_reference_run(problem, config: OptimizerConfig, seed) -> np.ndarray:
@@ -131,6 +80,131 @@ def clip_reference_run(problem, config: OptimizerConfig, seed) -> np.ndarray:
         if config.project:
             x = project(problem.domain, x)
     return x
+
+
+def reference_run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
+    """The run loop with its state held in numpy arrays at every d, numpy scalars
+    for the schedules and a set of record points: the reference ``run`` must
+    equal bit for bit."""
+    alg = config.algorithm
+    K = config.iterations
+    sched = config.schedule
+    d = problem.dimension
+    rng = np.random.default_rng(seed)
+
+    x = np.broadcast_to(np.asarray(config.x0, dtype=float), (d,)).astype(float).copy()
+    domain = problem.domain
+    if config.project and domain is None:
+        raise ConfigurationError(f"{alg} requires a feasible domain on the problem")
+    if np.ndim(sched.tau) and alg != "cclip":
+        raise ConfigurationError("vector thresholds only apply to coordinate-wise clipping")
+    etas = sched.etas(K)
+    tau = sched.tau
+    tau_scales = sched.tau_scales(K)
+
+    m = np.zeros(d)
+    tau_alpha = np.zeros(d)
+    v = np.zeros(d)
+    acc_alpha = config.acclip_alpha
+    eps = config.epsilon
+    b1, b2 = config.beta1, config.beta2
+
+    averaging = config.averaging
+    w_sum = np.zeros(d)
+    w_total = 0.0
+
+    rec = record_points(K, config.record)
+    rec_set = set(int(r) for r in rec)
+    # Per record point: the evaluated point (the weighted sum when averaging,
+    # divided after the loop) and the scalars (gsq, clip_frac, eff_step,
+    # run_sq, run_min, w_total).
+    points = np.empty((len(rec), d))
+    scalars = []
+
+    exact_gradient = problem.exact_gradient
+    noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K, _NOISE_BLOCK))
+
+    run_sq = 0.0
+    run_min = 0.0
+    eg = exact_gradient(x)
+
+    for k in range(1, K + 1):
+        if averaging:
+            w_sum += k * x
+            w_total += k
+
+        g = eg + next(noise_rows)
+        eta = etas[k - 1]
+        clip_frac = 0.0
+        eff_step = eta
+
+        if alg == "sgd":
+            x = x - eta * g
+        elif alg == "momentum_sgd":
+            m = b1 * m + (1.0 - b1) * g
+            x = x - eta * m
+        elif alg in ("gclip", "proj_gclip"):
+            tau_k = tau * tau_scales[k - 1]
+            norm = math.sqrt(float(g @ g))
+            c = 1.0 if (norm == 0.0 or norm <= tau_k) else tau_k / norm
+            x = x - (eta * c) * g
+            clip_frac = 1.0 if c < 1.0 else 0.0
+            eff_step = eta * c
+        elif alg == "cclip":
+            tau_k = tau * tau_scales[k - 1]
+            clipped = np.clip(g, -tau_k, tau_k)
+            x = x - eta * clipped
+            if k in rec_set:
+                absg = np.abs(g)
+                factors = np.ones(d)
+                np.divide(tau_k, absg, out=factors, where=absg > tau_k)
+                clip_frac = float(np.mean(factors < 1.0))
+                eff_step = eta * float(np.mean(factors))
+        elif alg == "acclip":
+            m = b1 * m + (1.0 - b1) * g
+            tau_alpha = b2 * tau_alpha + (1.0 - b2) * np.abs(g) ** acc_alpha
+            tau_vec = tau_alpha ** (1.0 / acc_alpha)
+            factors = acclip_factors(m, tau_vec, eps)
+            x = x - eta * (factors * m)
+            clip_frac = float(np.mean(factors < 1.0))
+            eff_step = eta * float(np.mean(factors))
+        else:  # adamlike
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            denom = eps + np.sqrt(v)
+            direction = m if b1 > 0.0 else g
+            x = x - eta * direction / denom
+            eff_step = eta * float(np.mean(1.0 / denom))
+
+        if config.project:
+            x = domain.project(x)
+
+        eg = exact_gradient(x)
+        gsq = float(eg @ eg)
+        run_sq += gsq
+        run_min += gsq if gsq < 1.0 else math.sqrt(gsq)
+
+        if k in rec_set:
+            points[len(scalars)] = w_sum if averaging else x
+            scalars.append((gsq, clip_frac, eff_step, run_sq, run_min, w_total))
+
+    gsq, clip_frac, eff_step, run_sq, run_min, w_total = np.array(scalars).T
+    if averaging:
+        points /= w_total[:, None]
+    grad_norm = np.sqrt(gsq)
+    seed_label = seed if isinstance(seed, (int, np.integer)) else -1
+    return Trace(
+        ks=rec,
+        suboptimality=problem.value(points),
+        grad_norm=grad_norm,
+        min_grad_stat=np.minimum(grad_norm, gsq),
+        clip_frac=clip_frac,
+        eff_step=eff_step,
+        avg_grad_sq=run_sq / rec,
+        avg_min_stat=run_min / rec,
+        seed=int(seed_label),
+        algorithm=alg,
+    )
 
 
 def final_iterate(problem, config: OptimizerConfig, seed) -> np.ndarray:
@@ -213,6 +287,9 @@ class TestSchedules:
             Schedule(eta=0.1, tau=-1.0)
         with pytest.raises(ConfigurationError):
             Schedule(eta=0.1, tau=np.array([1.0, -1.0]))
+        for nan_tau in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ConfigurationError, match="nonnegative"):
+                Schedule(eta=0.1, tau=nan_tau)
 
 
 class TestWeightedAverage:
@@ -438,3 +515,120 @@ def test_nonconvex_problem_decreases_under_sgd():
     cfg = OptimizerConfig("sgd", Schedule(0.05), 2000, x0=1.2)
     tr = run(p, cfg, 0)
     assert tr.suboptimality[-1] < 0.05 * tr.suboptimality[0]
+
+
+# ---------------------------------------------------------------------------
+# The run loop against reference_run, bit for bit: every algorithm at d = 1
+# (float state) and d >= 2 (array state), on both problems, three noise
+# families, with and without averaging and projection.
+
+GATE_K = 300
+GATE_NOISE = {
+    "stable": dict(family="stable", tail_index=1.5),
+    "gaussian": dict(family="gaussian"),
+    "pareto": dict(family="pareto", tail_index=2.5),
+}
+
+
+@dataclass
+class ArrayBall:
+    """Ball.project written on arrays only."""
+
+    center: np.ndarray
+    radius: float
+
+    def project(self, y):
+        dev = y - self.center
+        dist = math.sqrt(float(dev @ dev))
+        if dist <= self.radius:
+            return y
+        return self.center + dev * (self.radius / dist)
+
+
+def gate_problems(kind: str, d: int, noise: NoiseSpec):
+    """The library's problem, with a ball around x0 = 1, and the same problem
+    with value, gradient and projection written on arrays only."""
+    mu, x_star = 0.7, np.full(d, 0.2)
+    if kind == "quadratic":
+        problem = quadratic_problem(mu, d, 0.2, noise)
+
+        def value(x):
+            dev = x - x_star
+            return 0.5 * mu * np.vecdot(dev, dev)
+
+        def gradient(x):
+            return mu * (x - x_star)
+    else:
+        problem = nonconvex_problem(d, noise)
+
+        def value(x):
+            return np.sum(x * x / (1.0 + x * x), axis=-1)
+
+        def gradient(x):
+            return 2.0 * x / (1.0 + x * x) ** 2
+    problem.domain = Ball(center=np.ones(d), radius=1.5)
+    reference = StochasticProblem(d, value, gradient, noise, domain=ArrayBall(np.ones(d), 1.5))
+    return problem, reference
+
+
+def gate_schedule(alg: str, d: int) -> Schedule:
+    if alg == "cclip":
+        return cclip_schedule(1.0, np.linspace(0.3, 2.0, d), 1.5)
+    if alg == "adamlike":
+        return Schedule(0.01)
+    return strongly_convex_schedule(1.0, 0.8, 1.5)
+
+
+def assert_same_bits(trace: Trace, ref: Trace, label):
+    assert np.array_equal(trace.ks, ref.ks), label
+    assert (trace.seed, trace.algorithm) == (ref.seed, ref.algorithm), label
+    for f in TRACE_METRICS:
+        got, want = trace.metric(f), ref.metric(f)
+        assert got.dtype == want.dtype == np.float64, (label, f)
+        # compared as bit patterns, so NaN equals NaN and -0.0 differs from 0.0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (label, f)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 100])
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_run_matches_reference_bit_for_bit(alg, d):
+    # acclip alternates its moment exponent between 1 and 1.5 (a non-integer
+    # power), adamlike its momentum between on and off; the log grid and a
+    # stride run on the plain stable cases
+    variants = {"acclip": [dict(acclip_alpha=1.0), dict(acclip_alpha=1.5)],
+                "adamlike": [dict(beta1=0.9), dict(beta1=0.0)]}.get(alg, [{}])
+    cases = 0
+    for family, kind, averaging, proj in product(GATE_NOISE, ("quadratic", "nonconvex"),
+                                                 (False, True), (False, True)):
+        if alg == "proj_gclip" and not proj:
+            continue
+        noise = NoiseSpec(dimension=d, **GATE_NOISE[family])
+        problem, reference = gate_problems(kind, d, noise)
+        plain = not (averaging or proj) and family == "stable"
+        for record in [1, "log", 7] if plain else [1]:
+            variant = variants[cases % len(variants)]
+            cfg = OptimizerConfig(alg, gate_schedule(alg, d), GATE_K, x0=1.0, averaging=averaging,
+                                  project=proj, record=record, **variant)
+            assert_same_bits(run(problem, cfg, cases), reference_run(reference, cfg, cases),
+                             (family, kind, averaging, proj, variant, record))
+            cases += 1
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_divergent_d1_runs_match_reference_bit_for_bit(alg):
+    # Pareto noise of tail index 1.05 at large constant steps: the traces run
+    # into inf and NaN, which must come out as the array loop computes them
+    noise = NoiseSpec("pareto", dimension=1, tail_index=1.05)
+    non_finite = 0
+    for eta, kind, averaging in product((3.0, 50.0), ("quadratic", "nonconvex"), (False, True)):
+        problem, reference = gate_problems(kind, 1, noise)
+        cfg = OptimizerConfig(alg, Schedule(eta, 1.0 if alg != "cclip" else np.ones(1)), GATE_K,
+                              x0=1.0, averaging=averaging, project=alg == "proj_gclip", record=1,
+                              acclip_alpha=1.5 if averaging else 1.0)
+        with np.errstate(all="ignore"):
+            trace = run(problem, cfg, 5)
+            ref = reference_run(reference, cfg, 5)
+        assert_same_bits(trace, ref, (eta, kind, averaging))
+        non_finite += sum(int(np.sum(~np.isfinite(trace.metric(f)))) for f in TRACE_METRICS)
+    if alg == "sgd":
+        assert non_finite > 0  # the case the test is for
