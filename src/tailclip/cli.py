@@ -85,7 +85,7 @@ def _print_verdicts(verdicts) -> bool:
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True, table: bool = False):
     """--out always; --seed for commands that draw, --format for those that write a table."""
     if seed:
-        parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        parser.add_argument("--seed", type=at_least(0), default=0, help="master seed (default 0)")
     parser.add_argument("--out", type=str, default="", help="output directory")
     if table:
         parser.add_argument("--format", choices=("csv", "json-lines"), default="csv",
@@ -121,13 +121,13 @@ def cmd_noise_probe(args) -> int:
     res = noise_probe(spec, args.n, rng, block_size=args.block_size, bins=args.bins)
     counts, moments = zip(*res.variance_curve)
     path = _table(args, "noise_probe_variance", {"sample_count": counts, "second_moment": moments})
-    edges = np.asarray(res.histogram.edges, dtype=float)
+    hist_counts, edges = res.histogram
     _table(args, "noise_probe_histogram",
-           {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": res.histogram.counts})
+           {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": hist_counts})
     for c, v in res.variance_curve:
         print(f"n={c}: empirical second moment {v:.6g}")
     if res.tail is not None:
-        print(f"tail index alpha_hat = {res.tail.alpha_hat:.4f} (block size {res.tail.block_size})")
+        print(f"tail index alpha_hat = {res.tail:.4f} (block size {args.block_size})")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override", "-O", action="append", default=[],
                    metavar="SECTION.KEY=VALUE", help="override a config value")
     p.add_argument("--parallel", type=int, default=None, help="worker processes across seeds")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p.add_argument("--seed", type=at_least(0), default=None, help="override the master seed")
     _add_common(p, seed=False, table=True)
     p.set_defaults(func=cmd_run)
 

@@ -266,6 +266,8 @@ def validate_config(cfg: ExperimentConfig):
     _check_finite(cfg)
     if cfg.seeds < 1:
         raise ConfigurationError("[experiment] seeds must be >= 1")
+    if cfg.master_seed < 0:
+        raise ConfigurationError("[experiment] master_seed must be >= 0")
     if cfg.iterations < 1:
         raise ConfigurationError("[experiment] iterations must be >= 1")
     p = cfg.problem

@@ -5,14 +5,13 @@ Provides:
   (gaussian / symmetric Pareto / symmetric alpha-stable / zero),
 - sample_noise_batch: seeded draws,
 - iter_blocks: a long stream of draws in fixed-size blocks,
-- tail_index: block-sum log-moment estimate of the tail index,
-- variance_growth_curve: streaming second moment vs. sample size.
+- tail_index: block-sum log-moment estimate of the tail index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,17 +106,11 @@ def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = 
         drawn += chunk
 
 
-@dataclass
-class TailIndexEstimate:
-    alpha_hat: float
-    block_size: int
-
-
 def tail_index(
     samples: np.ndarray,
     block_size: int,
     rng: np.random.Generator,
-) -> TailIndexEstimate:
+) -> float:
     """Block-sum log-moment estimate of the tail index, clamped to (0, 2].
 
     Partitions the samples into blocks of ``block_size``, gives them
@@ -150,46 +143,5 @@ def tail_index(
         raise ConfigurationError("all block sums vanished; cannot estimate tail index")
     inv = (np.mean(np.log(block_sums)) - np.mean(np.log(x))) / math.log(k)
     alpha = 2.0 if inv <= 0.5 else 1.0 / inv
-    return TailIndexEstimate(alpha_hat=float(min(alpha, 2.0)), block_size=k)
+    return float(min(alpha, 2.0))
 
-
-def variance_growth_curve(
-    spec: NoiseSpec,
-    checkpoints: list[int],
-    rng: np.random.Generator,
-) -> list[tuple[int, float]]:
-    """Running second moment of the noise norm at increasing sample counts.
-
-    One streaming pass; at each checkpoint n records (1/n) * sum ||x_i||^2.
-    For families with tail index < 2 the curve drifts upward; for gaussian
-    it stabilizes at the true second moment.
-    """
-    cps = [int(c) for c in checkpoints]
-    if any(c <= 0 for c in cps) or any(b >= a for b, a in zip(cps, cps[1:])):
-        raise ConfigurationError("checkpoints must be strictly increasing positive integers")
-    out: list[tuple[int, float]] = []
-    total = 0.0
-    drawn = 0
-    for cp in cps:
-        for block in iter_blocks(spec, rng, cp - drawn):
-            total += float(np.sum(block * block))
-        drawn = cp
-        out.append((cp, total / cp))
-    return out
-
-
-@dataclass
-class NoiseHistogram:
-    """Fixed-width histogram of noise norms, for the noise-probe report."""
-
-    edges: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
-
-
-def norm_histogram(spec: NoiseSpec, n: int, rng: np.random.Generator, bins: int = 50) -> NoiseHistogram:
-    """Histogram of ||x|| over n draws, range capped at the 0.999 quantile."""
-    draws = sample_noise_batch(spec, rng, n)
-    norms = np.sqrt(np.sum(draws * draws, axis=1))
-    hi = float(np.quantile(norms, 0.999)) if norms.size else 1.0
-    counts, edges = np.histogram(norms, bins=bins, range=(0.0, max(hi, 1e-12)))
-    return NoiseHistogram(edges=edges, counts=counts)

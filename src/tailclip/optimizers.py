@@ -226,8 +226,12 @@ def record_points(iterations: int, record: str | int) -> np.ndarray:
 # The run loop
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     """Execute one optimization run; deterministic given (problem, config, seed).
+
+    A divergent run overflows to inf and NaN without a RuntimeWarning: its
+    trace carries them, and the checks fail on them.
 
     At d = 1 the state is held as Python floats, and the problem's
     ``exact_gradient`` and ``Ball.project`` take and return floats: one
@@ -323,14 +327,16 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
             tau_alpha = b2 * tau_alpha + (1.0 - b2) * np.power(abs(g), acc_alpha)
             factors = acclip_factors(m, np.power(tau_alpha, inv_alpha), eps)
             x = x - eta * (factors * m)
-            clip_frac = np.count_nonzero(factors < 1.0) / d
-            eff_step = eta * (float(factors.sum()) / d)
+            if k == next_rec:
+                clip_frac = np.count_nonzero(factors < 1.0) / d
+                eff_step = eta * (float(factors.sum()) / d)
         else:  # adamlike; np.sqrt makes denom numpy's at d = 1 too: x / 0 is inf or NaN, no error
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             denom = eps + np.sqrt(v)
             x = x - eta * (m if b1 > 0.0 else g) / denom
-            eff_step = eta * (float((1.0 / denom).sum()) / d)
+            if k == next_rec:
+                eff_step = eta * (float((1.0 / denom).sum()) / d)
 
         if project:
             x = domain.project(x)

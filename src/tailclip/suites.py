@@ -13,15 +13,7 @@ import numpy as np
 
 from .clip import ProbeResult, bias_variance_grid
 from .errors import ConfigurationError
-from .noise import (
-    NoiseHistogram,
-    NoiseSpec,
-    TailIndexEstimate,
-    iter_blocks,
-    norm_histogram,
-    tail_index,
-    variance_growth_curve,
-)
+from .noise import NoiseSpec, iter_blocks, tail_index
 from .problems import (
     LowerBoundInstance,
     chain_gradient_raw,
@@ -49,10 +41,9 @@ class SuiteResult:
 
 @dataclass
 class NoiseProbeResult:
-    spec: NoiseSpec
     variance_curve: list[tuple[int, float]]
-    tail: TailIndexEstimate | None
-    histogram: NoiseHistogram
+    tail: float | None
+    histogram: tuple[np.ndarray, np.ndarray]  # (counts, edges)
 
 
 def noise_probe(
@@ -62,22 +53,31 @@ def noise_probe(
     block_size: int = 100,
     bins: int = 50,
 ) -> NoiseProbeResult:
-    """Second moment at n = 1e3, 1e4, ... and n; tail index over about n
-    norms; histogram of min(n, 1e5) norms.  Each part draws afresh."""
+    """One draw of max(n, 2 * block_size) vectors, kept as one squared norm
+    each.  The second moment at c = 1e3, 1e4, ... and n is the mean of the
+    first c; the tail index reads the first max(n - n % block_size,
+    2 * block_size) norms and the histogram the first min(n, 1e5)."""
+    if n < 1:
+        raise ConfigurationError(f"noise probe needs n >= 1 draws, got {n}")
+    sq = np.empty(max(n, 2 * block_size))
+    start = 0
+    for block in iter_blocks(spec, rng, sq.size):
+        np.sum(block * block, axis=1, out=sq[start:start + len(block)])
+        start += len(block)
     checkpoints = []
     c = 1000
     while c < n:
         checkpoints.append(c)
         c *= 10
     checkpoints.append(n)
-    curve = variance_growth_curve(spec, checkpoints, rng)
-    n_tail = max(n - (n % block_size), 2 * block_size)
-    norms = np.sqrt(np.concatenate(
-        [np.sum(block * block, axis=1) for block in iter_blocks(spec, rng, n_tail)]
-    ))
-    tail = None if not np.any(norms > 0) else tail_index(norms, block_size, rng=rng)
-    hist = norm_histogram(spec, min(n, 10**5), rng, bins=bins)
-    return NoiseProbeResult(spec=spec, variance_curve=curve, tail=tail, histogram=hist)
+    curve = [(c, float(np.sum(sq[:c])) / c) for c in checkpoints]
+    norms = np.sqrt(sq, out=sq)
+    tail_norms = norms[:max(n - n % block_size, 2 * block_size)]
+    tail = tail_index(tail_norms, block_size, rng=rng) if np.any(tail_norms > 0) else None
+    hist_norms = norms[:min(n, 10**5)]
+    hi = float(np.quantile(hist_norms, 0.999))
+    counts, edges = np.histogram(hist_norms, bins=bins, range=(0.0, max(hi, 1e-12)))
+    return NoiseProbeResult(variance_curve=curve, tail=tail, histogram=(counts, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +159,12 @@ def lowerbound_suite(
     alphas: list[float],
     n: int,
     rng: np.random.Generator,
-    points: list[float] | None = None,
 ) -> SuiteResult:
     """Check unbiasedness and the unit alpha-moment bound of the two-point
-    adversarial oracle at a grid of (epsilon, alpha, nu) settings."""
-    if points is None:
-        points = [0.0, 0.125, 0.25, 0.375, 0.5]
+    adversarial oracle at a grid of (epsilon, alpha, nu) settings, each at
+    five points x.  Needs n >= 2 draws per point for a standard error."""
+    if n < 2:
+        raise ConfigurationError(f"lowerbound needs n >= 2 draws per point, got {n}")
     verdicts = []
     for eps in epsilons:
         for alpha in alphas:
@@ -175,7 +175,7 @@ def lowerbound_suite(
                 mean_ok = True
                 moment_max = 0.0
                 moment_ok = True
-                for x in points:
+                for x in (0.0, 0.125, 0.25, 0.375, 0.5):
                     draws = lowerbound_oracle(inst, x, rng, size=n)
                     mean = float(np.mean(draws))
                     se = float(np.std(draws, ddof=1) / math.sqrt(n))
@@ -235,7 +235,6 @@ def chain_suite(
     n_points: int,
     rng: np.random.Generator,
     p: float = 0.5,
-    fd_points: int = 100,
     curvature_points: int = 2000,
 ) -> SuiteResult:
     """Numerically verify the chain objective's advertised properties and
@@ -245,6 +244,8 @@ def chain_suite(
         raise ConfigurationError("chain length d must be >= 1")
     if not (0.0 < p <= 1.0):
         raise ConfigurationError("revealing probability p must lie in (0, 1]")
+    if n_points < 1:
+        raise ConfigurationError(f"chain check needs at least 1 point, got {n_points}")
     pts = _chain_test_points(d, n_points, rng)
     grads = chain_gradient_raw(pts)
     grad_inf = np.max(np.abs(grads), axis=1)
@@ -333,13 +334,14 @@ def chain_suite(
         )
     )
 
-    # Analytic gradient against central differences, all shifted points in one call.
+    # Analytic gradient against central differences at 100 points, all
+    # shifted points in one call.
     hfd = 1e-5
-    xs = pts[rng.integers(0, pts.shape[0], size=fd_points)]
+    xs = pts[rng.integers(0, pts.shape[0], size=100)]
     shifts = hfd * np.eye(d)
     shifted = np.concatenate([xs[:, None] + shifts, xs[:, None] - shifts]).reshape(-1, d)
     plus, minus = np.split(chain_value_raw(shifted), 2)
-    fds = ((plus - minus) / (2.0 * hfd)).reshape(fd_points, d)
+    fds = ((plus - minus) / (2.0 * hfd)).reshape(-1, d)
     # np.linalg.norm of each row, as the check of a single point takes it
     max_rel = max((float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8))
                    for fd, g in zip(fds, chain_gradient_raw(xs))), default=0.0)

@@ -411,6 +411,22 @@ class TestRunner:
         assert verdicts[0]["criterion"] == "demo"
         assert verdicts[0]["passed"] is False
 
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_divergent_run_fails_without_a_warning(self, minimal_cfg, tmp_path, alg, d):
+        # Pareto tail 1.05 at constant eta = 50 and no threshold: sgd, momentum_sgd,
+        # gclip and cclip overflow to inf.  filterwarnings = error makes any
+        # RuntimeWarning from the loop or the value call a test failure.
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, [
+            f"problem.dimension={d}", f"optimizer.algorithm={alg}", "optimizer.record=1",
+            "noise.family=pareto", "noise.tail_index=1.05", "schedule.eta=50",
+            "schedule.tau=inf", "experiment.iterations=1000", "checks.slope_expect=-1.0",
+            *(["problem.domain=ball"] if alg == "proj_gclip" else []),
+        ])
+        res = run_experiment(cfg, out_dir=tmp_path / "out", parallel=1)
+        assert [v.passed for v in res.report.verdicts] == [False]
+
     def test_plot_script_emitted(self, minimal_cfg, tmp_path):
         cfg = load_config(minimal_cfg)
         cfg.outputs.plots = True
@@ -714,6 +730,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,name", [
+        (["noise-probe", "--seed", "-1"], "--seed"),
+        (["lowerbound", "--seed", "-1"], "--seed"),
+        (["run", "SMOKE", "--seed", "-1"], "--seed"),
+        (["run", "SMOKE", "-O", "experiment.master_seed=-1"], "master_seed"),
+        (["chain-check", "--points", "0"], "point"),
+        (["lowerbound", "--n", "1"], "n >= 2"),
+        (["lowerbound", "--n", "0"], "n >= 2"),
+        (["noise-probe", "--n", "0"], "n >= 1"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_negative_seed_or_too_few_draws_is_one_error_line(self, minimal_cfg, tmp_path,
+                                                               capsys, argv, name):
+        argv = [str(minimal_cfg) if a == "SMOKE" else a for a in argv]
+        try:
+            code = main([*argv, "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse refuses the flag
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and name in errors[0]
+        assert "Traceback" not in captured.err
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
 
     @pytest.mark.parametrize("taus", ["0,5", "-1,5", "nan"])
     def test_lemma_check_refuses_nonpositive_threshold(self, tmp_path, capsys, taus):

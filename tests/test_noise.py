@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from tailclip.noise import (
     iter_blocks,
     sample_noise_batch,
     tail_index,
-    variance_growth_curve,
 )
+from tailclip.suites import noise_probe
 
 
 def test_zero_family_returns_zeros():
@@ -125,15 +126,13 @@ def test_moment_finiteness_across_checkpoints():
 
 def test_tail_index_gaussian_oracle():
     draws = np.abs(np.random.default_rng(21).standard_normal(10**6))
-    est = tail_index(draws, 100, rng=np.random.default_rng(0))
-    assert 1.85 <= est.alpha_hat <= 2.0
+    assert 1.85 <= tail_index(draws, 100, rng=np.random.default_rng(0)) <= 2.0
 
 
 def test_tail_index_stable_oracle():
     spec = NoiseSpec("stable", dimension=1, tail_index=1.5)
     draws = np.abs(sample_noise_batch(spec, np.random.default_rng(22), 10**6)[:, 0])
-    est = tail_index(draws, 100, rng=np.random.default_rng(0))
-    assert 1.35 <= est.alpha_hat <= 1.65
+    assert 1.35 <= tail_index(draws, 100, rng=np.random.default_rng(0)) <= 1.65
 
 
 def test_tail_index_validation():
@@ -148,32 +147,49 @@ def test_tail_index_validation():
         tail_index(np.ones(100), 1, rng)  # log K = 0
 
 
-def test_variance_growth_zero_family():
-    spec = NoiseSpec("zero", dimension=3)
-    curve = variance_growth_curve(spec, [10, 100], np.random.default_rng(0))
-    assert [v for _, v in curve] == [0.0, 0.0]
+def test_noise_probe_zero_family():
+    res = noise_probe(NoiseSpec("zero", dimension=3), 100, np.random.default_rng(0))
+    assert [v for _, v in res.variance_curve] == [0.0]
+    assert res.tail is None
 
 
-def test_variance_growth_gaussian_stabilizes():
-    spec = NoiseSpec("gaussian", dimension=1, scale=1.0)
-    curve = variance_growth_curve(spec, [10**3, 10**4, 10**5, 10**6], np.random.default_rng(9))
-    assert curve[-1][1] == pytest.approx(1.0, rel=0.05)
+def test_noise_probe_gaussian_curve_stabilizes():
+    spec = NoiseSpec("gaussian", dimension=4, scale=0.5)
+    res = noise_probe(spec, 10**5, np.random.default_rng(9))
+    assert [c for c, _ in res.variance_curve] == [10**3, 10**4, 10**5]
+    assert res.variance_curve[-1][1] == pytest.approx(4 * 0.5**2, rel=0.05)
 
 
-def test_variance_growth_stable_drifts_up():
+def test_noise_probe_stable_curve_drifts_up():
     spec = NoiseSpec("stable", dimension=1, tail_index=1.5)
     ratios = []
     for seed in range(20):
-        curve = variance_growth_curve(
-            spec, [10**3, 10**4, 10**5, 10**6], np.random.default_rng(3000 + seed)
-        )
+        curve = noise_probe(spec, 10**6, np.random.default_rng(3000 + seed)).variance_curve
         ratios.append(curve[-1][1] / curve[0][1])
     assert float(np.median(ratios)) > 2.0
 
 
-def test_variance_growth_checkpoint_validation():
-    spec = NoiseSpec("gaussian", dimension=1)
-    with pytest.raises(ConfigurationError):
-        variance_growth_curve(spec, [100, 100], np.random.default_rng(0))
-    with pytest.raises(ConfigurationError):
-        variance_growth_curve(spec, [0, 10], np.random.default_rng(0))
+def test_noise_probe_refuses_no_draws():
+    with pytest.raises(ConfigurationError, match="n >= 1"):
+        noise_probe(NoiseSpec("gaussian", dimension=1), 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n,block", [(100_050, 100), (150, 100)])
+def test_noise_probe_outputs_read_one_draw(n, block):
+    # max(n, 2 * block) vectors drawn once: the curve, the tail index and the
+    # histogram all equal their values on those rows, and the stream ends
+    # where the tail index's signs end
+    spec = NoiseSpec("pareto", dimension=3, tail_index=1.5)
+    rng = np.random.default_rng(8)
+    twin = copy.deepcopy(rng)
+    res = noise_probe(spec, n, rng, block_size=block, bins=20)
+    rows = sample_noise_batch(spec, twin, max(n, 2 * block))
+    sq = np.sum(rows * rows, axis=1)
+    assert res.variance_curve[-1] == (n, float(np.sum(sq[:n])) / n)
+    norms = np.sqrt(sq)
+    assert res.tail == tail_index(norms[:max(n - n % block, 2 * block)], block, rng=twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    hist = norms[:min(n, 10**5)]
+    counts, edges = np.histogram(hist, bins=20, range=(0.0, float(np.quantile(hist, 0.999))))
+    assert np.array_equal(res.histogram[0], counts)
+    assert np.array_equal(res.histogram[1], edges)
