@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", type=str, help="path to the experiment config file")
     p.add_argument("--override", "-O", action="append", default=[],
                    metavar="SECTION.KEY=VALUE", help="override a config value")
-    p.add_argument("--parallel", type=int, default=None, help="worker processes across seeds")
+    p.add_argument("--parallel", type=at_least(1), default=None, help="worker processes across seeds")
     p.add_argument("--seed", type=at_least(0), default=None, help="override the master seed")
     _add_common(p, seed=False, table=True)
     p.set_defaults(func=cmd_run)

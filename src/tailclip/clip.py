@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import NoiseSpec, iter_blocks
+from .noise import NoiseSpec, iter_blocks, row_sq_sums
 
 
 def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray:
@@ -28,14 +28,6 @@ def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Monte-Carlo probe of the clipped estimator's second moment and bias against
 # the analytic bounds G^a t^(2-a) / G^(2a) t^(-2(a-1)).
-
-
-def _row_sq_sums(a: np.ndarray, out: np.ndarray, rows: int = 1 << 14) -> np.ndarray:
-    """out[i] = np.sum(a[i] * a[i]), as np.sum(a * a, axis=1) gives it, through a
-    temporary of ``rows`` rows instead of one the size of a."""
-    for start in range(0, len(a), rows):
-        np.sum(np.square(a[start:start + rows]), axis=1, out=out[start:start + rows])
-    return out
 
 
 @dataclass
@@ -79,13 +71,13 @@ def bias_variance_grid(
     for block in iter_blocks(noise, rng, n):
         np.add(block, true_grad, out=draws[start:start + len(block)])
         start += len(block)
-    norms = np.sqrt(_row_sq_sums(draws, np.empty(n)))
+    norms = np.sqrt(row_sq_sums(draws, np.empty(n)))
     g_mom = float(np.mean(norms**alpha))
     clipped, sq, results = np.empty_like(draws), np.empty(n), []
     for tau in taus:
         factors = np.ones(n)
         np.divide(tau, norms, out=factors, where=norms > tau)
-        _row_sq_sums(np.multiply(draws, factors[:, None], out=clipped), sq)
+        row_sq_sums(np.multiply(draws, factors[:, None], out=clipped), sq)
         mean_clip = clipped.mean(axis=0)
         # np.var(clipped, axis=0, ddof=1): sum, divide by n, subtract, square, sum
         np.square(np.subtract(clipped, mean_clip, out=clipped), out=clipped)

@@ -94,18 +94,18 @@ def bound_envelope_check(
     """
     vals = np.asarray(trace.metric(metric), dtype=float)
     ks = np.asarray(trace.ks)
+    keep = ks >= k_min
+    ks, vals = ks[keep].tolist(), vals[keep]
+    bounds = np.array([float(bound(k)) for k in ks])  # on Python ints: ** is C pow
     violations: list[int] = []
     max_excess = 0.0
-    for k, val in zip(ks, vals):
-        if k < k_min:
-            continue
-        b = float(bound(int(k)))
-        if not math.isfinite(val) or val > b:
-            violations.append(int(k))
-            if b > 0 and math.isfinite(val):
-                max_excess = max(max_excess, val / b - 1.0)
-            else:
-                max_excess = math.inf
+    for i in np.flatnonzero(~np.isfinite(vals) | (vals > bounds)).tolist():
+        val, b = float(vals[i]), float(bounds[i])
+        violations.append(ks[i])
+        if b > 0 and math.isfinite(val):
+            max_excess = max(max_excess, val / b - 1.0)
+        else:
+            max_excess = math.inf
     return EnvelopeResult(violations=violations, max_excess=max_excess)
 
 

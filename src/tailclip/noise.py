@@ -5,6 +5,7 @@ Provides:
   (gaussian / symmetric Pareto / symmetric alpha-stable / zero),
 - sample_noise_batch: seeded draws,
 - iter_blocks: a long stream of draws in fixed-size blocks,
+- row_sq_sums: squared row norms of a block of draws,
 - tail_index: block-sum log-moment estimate of the tail index.
 """
 
@@ -21,6 +22,15 @@ FAMILIES = ("gaussian", "pareto", "stable", "zero")
 
 # Chunk size for streaming passes over large sample counts.
 _STREAM_CHUNK = 1 << 16
+
+# Coordinates per sub-block in sample_noise_batch and row_sq_sums: their
+# temporaries hold this many float64 each (128 KB, so that the dozen the
+# stable transform builds stay in a core's L2 cache), whatever the block size.
+_SUBBLOCK = 1 << 14
+
+
+def _sub_rows(d: int) -> int:
+    return max(_SUBBLOCK // d, 1)
 
 
 @dataclass
@@ -63,33 +73,44 @@ def pareto_magnitude(u, a: float):
     return (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / a)
 
 
+def _heavy_tailed(spec: NoiseSpec, u2: np.ndarray) -> np.ndarray:
+    """Unscaled pareto or stable draws from a (rows, 2d) block of uniforms."""
+    d = spec.dimension
+    if spec.family == "pareto":
+        signs = np.where(u2[:, d:] < 0.5, -1.0, 1.0)
+        # Symmetrization alone gives mean zero; no additive centering.
+        return signs * pareto_magnitude(u2[:, :d], spec.tail_index)
+    # Symmetric alpha-stable via the Chambers-Mallows-Stuck transform.
+    a = spec.tail_index
+    v = (u2[:, :d] - 0.5) * math.pi
+    w = -np.log1p(-u2[:, d:])  # Exp(1) by inverse CDF
+    with np.errstate(divide="ignore"):
+        return (np.sin(a * v) / np.cos(v) ** (1.0 / a)) * (
+            np.cos((1.0 - a) * v) / w
+        ) ** ((1.0 - a) / a)
+
+
 def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` independent noise vectors, shape (n, spec.dimension).
 
     Every family consumes a fixed number of uniforms (or normals) per
     vector in row order, so identical (spec, seed) give bit-identical
-    streams regardless of how draws are batched.
+    streams regardless of how draws are batched.  Pareto and stable draws
+    are transformed _SUBBLOCK coordinates at a time into the result.
     """
     d = spec.dimension
     if spec.family == "zero":
         return np.zeros((n, d))
     if spec.family == "gaussian":
-        return rng.standard_normal((n, d)) * spec.scale
-    if spec.family == "pareto":
-        u2 = rng.random((n, 2 * d))
-        signs = np.where(u2[:, d:] < 0.5, -1.0, 1.0)
-        # Symmetrization alone gives mean zero; no additive centering.
-        return signs * pareto_magnitude(u2[:, :d], spec.tail_index) * spec.scale
-    # Symmetric alpha-stable via the Chambers-Mallows-Stuck transform.
-    a = spec.tail_index
-    u2 = rng.random((n, 2 * d))
-    v = (u2[:, :d] - 0.5) * math.pi
-    w = -np.log1p(-u2[:, d:])  # Exp(1) by inverse CDF
-    with np.errstate(divide="ignore"):
-        x = (np.sin(a * v) / np.cos(v) ** (1.0 / a)) * (
-            np.cos((1.0 - a) * v) / w
-        ) ** ((1.0 - a) / a)
-    return x * spec.scale
+        out = rng.standard_normal((n, d))
+        out *= spec.scale
+        return out
+    out = np.empty((n, d))
+    rows = _sub_rows(d)
+    for start in range(0, n, rows):
+        u2 = rng.random((min(rows, n - start), 2 * d))
+        np.multiply(_heavy_tailed(spec, u2), spec.scale, out=out[start:start + len(u2)])
+    return out
 
 
 def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = _STREAM_CHUNK):
@@ -97,13 +118,23 @@ def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = 
 
     Only the last block may be shorter.  The rows equal one
     sample_noise_batch(spec, rng, n) call; the block boundaries fix the
-    order of any floating-point sums taken per block.
+    order of any floating-point sums taken per block.  Each block is a new
+    array that the caller owns and may overwrite.
     """
     drawn = 0
     while drawn < n:
         chunk = min(block, n - drawn)
         yield sample_noise_batch(spec, rng, chunk)
         drawn += chunk
+
+
+def row_sq_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = np.sum(a[i] * a[i]), as np.sum(a * a, axis=1) gives it, through
+    temporaries of _SUBBLOCK coordinates instead of one the size of a."""
+    rows = _sub_rows(a.shape[1])
+    for start in range(0, len(a), rows):
+        np.sum(np.square(a[start:start + rows]), axis=1, out=out[start:start + rows])
+    return out
 
 
 def tail_index(

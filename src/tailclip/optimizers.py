@@ -11,7 +11,6 @@ convex objectives.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -398,6 +397,10 @@ def run_seeds(
     if parallel <= 1 or n_seeds == 1:
         results = [_run_indexed(j) for j in jobs]
     else:
+        # Imported here: the pool's modules cost every serial CLI process
+        # about 20 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_run_indexed, jobs))
     results.sort(key=lambda pair: pair[0])

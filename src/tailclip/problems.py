@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .noise import NoiseSpec, iter_blocks
+from .noise import NoiseSpec, iter_blocks, row_sq_sums
 
 # ---------------------------------------------------------------------------
 # Feasible domains
@@ -300,8 +300,10 @@ def _norm_moment_root(
     """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws of xi."""
     total = 0.0
     for block in iter_blocks(noise, rng, n):
-        block = block + shift
-        total += float(np.sum(np.sum(block * block, axis=1) ** (alpha / 2.0)))
+        block += shift
+        sq = row_sq_sums(block, np.empty(len(block)))
+        sq **= alpha / 2.0
+        total += float(np.sum(sq))
     return (total / n) ** (1.0 / alpha)
 
 
@@ -325,5 +327,8 @@ def estimate_B(
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))
     total = np.zeros(problem.dimension)
     for block in iter_blocks(problem.noise, rng, n):
-        total += np.sum(np.abs(block + eg) ** alpha, axis=0)
+        block += eg
+        np.abs(block, out=block)
+        block **= alpha
+        total += np.sum(block, axis=0)
     return (total / n) ** (1.0 / alpha)

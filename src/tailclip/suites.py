@@ -13,7 +13,7 @@ import numpy as np
 
 from .clip import ProbeResult, bias_variance_grid
 from .errors import ConfigurationError
-from .noise import NoiseSpec, iter_blocks, tail_index
+from .noise import NoiseSpec, iter_blocks, row_sq_sums, tail_index
 from .problems import (
     LowerBoundInstance,
     chain_gradient_raw,
@@ -62,7 +62,7 @@ def noise_probe(
     sq = np.empty(max(n, 2 * block_size))
     start = 0
     for block in iter_blocks(spec, rng, sq.size):
-        np.sum(block * block, axis=1, out=sq[start:start + len(block)])
+        row_sq_sums(block, sq[start:start + len(block)])
         start += len(block)
     checkpoints = []
     c = 1000

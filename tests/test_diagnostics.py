@@ -127,6 +127,13 @@ class TestEnvelope:
         res = bound_envelope_check(synthetic_trace(ks, vals), lambda k: 1.0, k_min=10)
         assert res.violations == [100] and res.max_excess == math.inf
 
+    def test_negative_infinity_violates_and_ks_are_ints(self):
+        ks = np.array([1, 10, 100])
+        vals = np.array([-np.inf, 0.5, 2.0])
+        res = bound_envelope_check(synthetic_trace(ks, vals), lambda k: 1.0)
+        assert res.violations == [1, 100] and res.max_excess == math.inf
+        assert all(type(k) is int for k in res.violations)
+
 
 class TestSandwich:
     def test_zero_gradient_ratio_half(self):

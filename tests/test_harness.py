@@ -740,6 +740,8 @@ class TestCli:
         (["lowerbound", "--n", "1"], "n >= 2"),
         (["lowerbound", "--n", "0"], "n >= 2"),
         (["noise-probe", "--n", "0"], "n >= 1"),
+        (["run", "SMOKE", "--parallel", "0"], "--parallel"),
+        (["run", "SMOKE", "--parallel", "-3"], "--parallel"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_negative_seed_or_too_few_draws_is_one_error_line(self, minimal_cfg, tmp_path,
                                                                capsys, argv, name):
@@ -827,13 +829,21 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path / "b")]) == 0
         assert capsys.readouterr().out == whole
 
-    def test_cli_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def _after_cli_import(expr: str) -> str:
+        """``expr`` printed by a fresh interpreter that has imported tailclip.cli."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, tailclip.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "False"
+        code = f"import sys, tailclip.cli; print({expr})"
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self._after_cli_import(
+            "any(m.split('.')[0] == 'scipy' for m in sys.modules)") == "False"
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        assert self._after_cli_import("'concurrent.futures.process' in sys.modules") == "False"
 
 
 REPO = Path(__file__).resolve().parents[1]

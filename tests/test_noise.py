@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,81 @@ from scipy.stats import ks_2samp
 from tailclip.errors import ConfigurationError
 from tailclip.noise import (
     NoiseSpec,
+    _sub_rows,
     pareto_magnitude,
     iter_blocks,
+    row_sq_sums,
     sample_noise_batch,
     tail_index,
 )
+from tailclip.problems import estimate_G, quadratic_problem
 from tailclip.suites import noise_probe
+
+
+def reference_batch(spec, rng, n):
+    """The sampler as one transform over the whole (n, 2d) block of uniforms:
+    the bit-identity reference for the sub-blocked sample_noise_batch."""
+    d = spec.dimension
+    if spec.family == "zero":
+        return np.zeros((n, d))
+    if spec.family == "gaussian":
+        return rng.standard_normal((n, d)) * spec.scale
+    u2 = rng.random((n, 2 * d))
+    if spec.family == "pareto":
+        signs = np.where(u2[:, d:] < 0.5, -1.0, 1.0)
+        return signs * pareto_magnitude(u2[:, :d], spec.tail_index) * spec.scale
+    a = spec.tail_index
+    v = (u2[:, :d] - 0.5) * math.pi
+    w = -np.log1p(-u2[:, d:])
+    with np.errstate(divide="ignore"):
+        x = (np.sin(a * v) / np.cos(v) ** (1.0 / a)) * (
+            np.cos((1.0 - a) * v) / w
+        ) ** ((1.0 - a) / a)
+    return x * spec.scale
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 100])
+@pytest.mark.parametrize("family,tail", [("gaussian", 2.0), ("pareto", 1.5), ("pareto", 2.5),
+                                         ("stable", 1.5), ("stable", 2.0), ("zero", 2.0)])
+def test_sub_blocks_match_the_whole_block_transform(family, tail, d):
+    spec = NoiseSpec(family, dimension=d, scale=1.7, tail_index=tail)
+    rows = _sub_rows(d)
+    for n in (1, rows - 1, rows, rows + 1, 65_536 + 7):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        assert same_bits(sample_noise_batch(spec, rng, n), reference_batch(spec, ref, n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 7, 100, 3000])
+def test_row_sq_sums_equal_the_whole_array_sum(d):
+    spec = NoiseSpec("stable", dimension=d, tail_index=1.3)
+    a = sample_noise_batch(spec, np.random.default_rng(d), 2 * _sub_rows(d) + 3)
+    assert same_bits(row_sq_sums(a, np.empty(len(a))), np.sum(a * a, axis=1))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stable_sampler_and_calibration_peak_near_their_block():
+    # before sub-blocks, a whole-block transform peaked at about 7x the draws
+    spec = NoiseSpec("stable", dimension=100, tail_index=1.55)
+    block_bytes = 20_000 * 100 * 8
+    draws, peak = traced_peak(lambda: sample_noise_batch(spec, np.random.default_rng(0), 20_000))
+    assert draws.nbytes == block_bytes and peak <= block_bytes + 4 * 2**20
+    problem = quadratic_problem(1.0, 100, 1.0, spec)
+    _, peak = traced_peak(lambda: estimate_G(problem, np.zeros(100), 1.5, 20_000,
+                                             np.random.default_rng(0)))
+    assert peak <= block_bytes + 4 * 2**20
 
 
 def test_zero_family_returns_zeros():

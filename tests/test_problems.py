@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tailclip.errors import ConfigurationError, DomainError
-from tailclip.noise import NoiseSpec, sample_noise_batch
+from tailclip.noise import NoiseSpec, iter_blocks, sample_noise_batch
 from tailclip.problems import (
     Ball,
     LowerBoundInstance,
+    estimate_B,
+    estimate_G,
     estimate_sigma,
     lowerbound_oracle,
     nonconvex_problem,
@@ -22,6 +24,39 @@ from tailclip.problems import (
 
 def zero_noise(d):
     return NoiseSpec("zero", dimension=d)
+
+
+def reference_moment_root(noise, shift, alpha, n, rng):
+    """estimate_sigma / estimate_G through whole-block temporaries."""
+    total = 0.0
+    for block in iter_blocks(noise, rng, n):
+        block = block + shift
+        total += float(np.sum(np.sum(block * block, axis=1) ** (alpha / 2.0)))
+    return (total / n) ** (1.0 / alpha)
+
+
+def reference_B(noise, eg, alpha, n, rng):
+    total = np.zeros(noise.dimension)
+    for block in iter_blocks(noise, rng, n):
+        total += np.sum(np.abs(block + eg) ** alpha, axis=0)
+    return (total / n) ** (1.0 / alpha)
+
+
+@pytest.mark.parametrize("d,n", [(10, 70_000), (100, 20_000)])
+@pytest.mark.parametrize("family,tail", [("stable", 1.55), ("pareto", 1.6), ("stable", 2.0)])
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_calibration_bits_equal_the_whole_block_formulas(family, tail, d, n, alpha):
+    noise = NoiseSpec(family, dimension=d, scale=0.8, tail_index=tail)
+    p = quadratic_problem(2.0, d, np.linspace(-1.0, 1.0, d), noise)
+    x0 = np.full(d, 0.3)
+    eg = p.exact_gradient(x0)
+    assert estimate_sigma(noise, alpha, n, np.random.default_rng(1)).hex() == \
+        reference_moment_root(noise, 0.0, alpha, n, np.random.default_rng(1)).hex()
+    assert estimate_G(p, x0, alpha, n, np.random.default_rng(2)).hex() == \
+        reference_moment_root(noise, eg, alpha, n, np.random.default_rng(2)).hex()
+    got = estimate_B(p, x0, alpha, n, np.random.default_rng(3))
+    assert np.array_equal(got.view(np.uint64),
+                          reference_B(noise, eg, alpha, n, np.random.default_rng(3)).view(np.uint64))
 
 
 @pytest.mark.parametrize("d", [1, 10, 100])
