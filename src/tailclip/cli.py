@@ -184,11 +184,14 @@ def cmd_report(args) -> int:
         raise ConfigurationError(
             f"report: metric {args.metric!r} is not a CSV column; expected one of {CSV_METRICS}"
         )
+    if args.kmax is not None and args.kmin >= args.kmax:
+        raise ConfigurationError(f"report: --kmin {args.kmin:g} leaves no k to fit: it must "
+                                 f"lie below --kmax {args.kmax:g}")
     table = read_csv(Path(args.csv))
     mean_trace = average_traces(traces_from_rows(table), stat="mean")
     report = Report(experiment=table["experiment"][0], version=__version__)
     if args.slope_expect is not None:
-        kmax = args.kmax if args.kmax else float(mean_trace.ks[-1])
+        kmax = float(mean_trace.ks[-1]) if args.kmax is None else args.kmax
         report.verdicts.append(slope_verdict("slope", mean_trace, args.metric, (args.kmin, kmax),
                                              args.slope_expect, args.slope_tol))
     out = _out_dir(args)

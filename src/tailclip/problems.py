@@ -37,7 +37,7 @@ class Ball:
         scalar = isinstance(y, float)
         c = float(self.center[0]) if scalar else self.center
         dev = y - c
-        dist = math.sqrt(dev * dev if scalar else float(dev @ dev))
+        dist = math.sqrt(dev * dev if scalar else dev.dot(dev))  # the bits of dev @ dev
         if dist <= self.radius:
             return y
         return c + dev * (self.radius / dist)

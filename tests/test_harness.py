@@ -427,6 +427,24 @@ class TestRunner:
         res = run_experiment(cfg, out_dir=tmp_path / "out", parallel=1)
         assert [v.passed for v in res.report.verdicts] == [False]
 
+    def test_divergent_cli_run_crosses_noise_blocks_without_a_warning(self, minimal_cfg, tmp_path):
+        # at d = 10 the run loop sums its records per 1638-step noise block:
+        # 4000 steps overflow early in the first block and carry inf and NaN
+        # through two block ends
+        argv = [sys.executable, "-W", "error", "-m", "tailclip.cli", "run", str(minimal_cfg),
+                "--out", str(tmp_path), "--parallel", "1"]
+        for override in ("problem.dimension=10", "optimizer.algorithm=sgd", "optimizer.record=1",
+                         "noise.family=pareto", "noise.tail_index=1.05", "schedule.eta=50",
+                         "experiment.iterations=4000", "checks.slope_expect=-1.0"):
+            argv += ["-O", override]
+        src = str(REPO / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        assert "[FAIL] slope" in proc.stdout and "result: FAIL" in proc.stdout
+        assert "inf" in (tmp_path / "smoke.csv").read_text()
+
     def test_plot_script_emitted(self, minimal_cfg, tmp_path):
         cfg = load_config(minimal_cfg)
         cfg.outputs.plots = True
@@ -671,6 +689,19 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "avg_grad_sq" in err
+
+    @pytest.mark.parametrize("kmax", ["0", "100", "50"])
+    def test_report_refuses_kmax_not_above_kmin(self, minimal_cfg, tmp_path, capsys, kmax):
+        # --kmax 0 is a bound like any other, not a request for the full range
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        capsys.readouterr()
+        code = main(["report", "--csv", str(tmp_path / "smoke.csv"), "--slope-expect", "-0.6667",
+                     "--kmin", "100", "--kmax", kmax, "--out", str(tmp_path / "r")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "--kmax" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

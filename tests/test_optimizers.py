@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 from itertools import chain, product
 
@@ -9,7 +10,7 @@ from tailclip.clip import acclip_factors
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, iter_blocks
 from tailclip.optimizers import (
-    _NOISE_BLOCK,
+    _block_rows,
     ALGORITHMS,
     TRACE_METRICS,
     OptimizerConfig,
@@ -122,7 +123,7 @@ def reference_run(problem: StochasticProblem, config: OptimizerConfig, seed) -> 
     scalars = []
 
     exact_gradient = problem.exact_gradient
-    noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K, _NOISE_BLOCK))
+    noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K))
 
     run_sq = 0.0
     run_min = 0.0
@@ -632,3 +633,80 @@ def test_divergent_d1_runs_match_reference_bit_for_bit(alg):
         non_finite += sum(int(np.sum(~np.isfinite(trace.metric(f)))) for f in TRACE_METRICS)
     if alg == "sgd":
         assert non_finite > 0  # the case the test is for
+
+
+# The run loop sums what it accumulates at the end of each noise block of
+# _block_rows(d) steps: 4,096 at d = 1 and 2, 1,638 at d = 10 and 163 at
+# d = 100.  K runs to one step short of a block end, onto it, one past it,
+# and across three block ends.
+
+
+def flush_ks(d: int) -> list[int]:
+    rows = _block_rows(d)
+    return [rows - 1, rows, rows + 1, 3 * rows + 2]
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 100])
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_run_matches_reference_across_block_ends(alg, d):
+    # every K at d = 10 and 100; at d = 1 and 2, where the four take the
+    # reference loop several seconds, each algorithm takes one K in turn
+    i = ALGORITHMS.index(alg)
+    ks = flush_ks(d) if d >= 10 else [flush_ks(d)[i % 4]]
+    for case, K in enumerate(ks, start=i):
+        averaging = case % 2 == 1
+        record = [1, "log", 7][case % 3]
+        kind = ("quadratic", "nonconvex")[case // 2 % 2]
+        noise = NoiseSpec(dimension=d, **GATE_NOISE[("stable", "pareto", "gaussian")[case % 3]])
+        problem, reference = gate_problems(kind, d, noise)
+        variant = {"acclip": dict(acclip_alpha=1.5), "adamlike": dict(beta1=0.0)}.get(alg, {})
+        cfg = OptimizerConfig(alg, gate_schedule(alg, d), K, x0=1.0, averaging=averaging,
+                              project=alg == "proj_gclip" or case % 4 == 0, record=record,
+                              **(variant if case % 2 else {}))
+        assert_same_bits(run(problem, cfg, case), reference_run(reference, cfg, case),
+                         (K, kind, averaging, record))
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_divergent_d10_runs_match_reference_across_block_ends(alg):
+    # no threshold and large steps on the quadratic: the first inf or NaN
+    # lands inside the first block of 1,638 steps, and the block ends after it
+    # must carry inf and NaN through the running sums as += does
+    d = 10
+    rows = _block_rows(d)
+    noise = NoiseSpec("pareto", dimension=d, tail_index=1.05)
+    tau = np.full(d, math.inf) if alg == "cclip" else math.inf
+    first_bad = []
+    for eta, averaging in ((4.0, False), (500.0, True)):
+        problem, reference = gate_problems("quadratic", d, noise)
+        cfg = OptimizerConfig(alg, Schedule(eta, tau), 2 * rows + 5, x0=1.0, averaging=averaging,
+                              project=alg == "proj_gclip", record=1)
+        with np.errstate(all="ignore"):
+            trace = run(problem, cfg, 5)
+            ref = reference_run(reference, cfg, 5)
+        assert_same_bits(trace, ref, (eta, averaging))
+        bad = ~np.isfinite(trace.avg_grad_sq)
+        if bad.any():
+            first_bad.append(int(trace.ks[np.argmax(bad)]))
+    if alg not in ("proj_gclip", "adamlike"):  # the projection and Adam's step stay finite
+        assert first_bad and all(1 < k < rows for k in first_bad), first_bad
+
+
+def test_record_every_step_holds_no_more_than_the_trace():
+    # the records fill preallocated columns block by block, so a run that
+    # records all 20,000 steps peaks at the trace's own arrays plus about a
+    # block of gradients and points
+    d, K = 10, 20_000
+    problem = make_quadratic(d, "stable", 1.55, domain=Ball(center=np.zeros(d), radius=5.0))
+    cfg = OptimizerConfig("proj_gclip", strongly_convex_schedule(1.0, 3.0, 1.5), K, x0=1.5,
+                          averaging=True, record=1)
+    run(problem, replace(cfg, iterations=100), 0)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        trace = run(problem, cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = trace.ks.nbytes + sum(trace.metric(f).nbytes for f in TRACE_METRICS)
+    assert len(trace.ks) == K
+    assert peak <= own + 2 * 2**20, (peak, own)
