@@ -54,15 +54,15 @@ class Schedule:
         if not np.all(np.asarray(self.tau) >= 0):  # NaN included
             raise ConfigurationError("thresholds must be nonnegative")
 
-    def etas(self, K: int) -> np.ndarray:
-        """eta_1..eta_K."""
+    def etas(self, K: int, start: int = 0) -> np.ndarray:
+        """eta_k for k = start+1..K."""
         if self.inverse_time:
-            return self.eta / (np.arange(1, K + 1, dtype=float) + 1.0)
-        return np.full(K, self.eta)
+            return self.eta / (np.arange(start + 1, K + 1, dtype=float) + 1.0)
+        return np.full(K - start, self.eta)
 
-    def tau_scales(self, K: int) -> np.ndarray:
-        """k^tau_exponent for k = 1..K; tau_k is ``tau * tau_scales(K)[k-1]``."""
-        return np.arange(1, K + 1, dtype=float) ** self.tau_exponent
+    def tau_scales(self, K: int, start: int = 0) -> np.ndarray:
+        """k^tau_exponent for k = start+1..K; tau_k is ``tau * tau_scales(K)[k-1]``."""
+        return np.arange(start + 1, K + 1, dtype=float) ** self.tau_exponent
 
 
 def nonconvex_schedule(L: float, sigma: float, alpha: float, K: int, f0: float) -> Schedule:
@@ -353,8 +353,6 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
         raise ConfigurationError("vector thresholds only apply to coordinate-wise clipping")
     # a float, except a per-coordinate threshold vector at d >= 2
     tau = float(np.ravel(sched.tau)[0]) if scalar or not np.ndim(sched.tau) else sched.tau
-    etas = sched.etas(K)
-    tau_scales = sched.tau_scales(K)
 
     m = v = tau_alpha = 0.0 if scalar else np.zeros(d)  # rebound each step, never updated in place
     acc_alpha = config.acclip_alpha
@@ -376,8 +374,8 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
         next_rec = next(pending, 0)
         # at d = 1 the block's rows as floats: the same doubles
         for xi, k, eta, scale in zip(block.ravel().tolist() if scalar else block,
-                                     range(start + 1, stop + 1), etas[start:stop].tolist(),
-                                     tau_scales[start:stop].tolist()):
+                                     range(start + 1, stop + 1), sched.etas(stop, start).tolist(),
+                                     sched.tau_scales(stop, start).tolist()):
             if averaging:
                 keep_x(x)
 

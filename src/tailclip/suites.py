@@ -13,7 +13,7 @@ import numpy as np
 
 from .clip import ProbeResult, bias_variance_grid
 from .errors import ConfigurationError
-from .noise import NoiseSpec, iter_blocks, row_sq_sums, tail_index
+from .noise import NoiseSpec, _sub_rows, iter_blocks, row_sq_sums, tail_index
 from .problems import (
     LowerBoundInstance,
     chain_gradient_raw,
@@ -247,13 +247,21 @@ def chain_suite(
     if n_points < 1:
         raise ConfigurationError(f"chain check needs at least 1 point, got {n_points}")
     pts = _chain_test_points(d, n_points, rng)
-    grads = chain_gradient_raw(pts)
-    grad_inf = np.max(np.abs(grads), axis=1)
+    # Per-point figures, taken over blocks of rows so that the chain's
+    # temporaries stay at the sampler's sub-block size.
+    values, grad_inf, gnorms = np.empty(n_points), np.empty(n_points), np.empty(n_points)
+    excess, rows = np.empty(n_points, dtype=np.int64), _sub_rows(d)
+    for start in range(0, n_points, rows):
+        part = slice(start, start + rows)
+        grads = chain_gradient_raw(pts[part])
+        values[part] = chain_value_raw(pts[part])
+        np.max(np.abs(grads), axis=1, out=grad_inf[part])
+        np.sqrt(row_sq_sums(grads, gnorms[part]), out=gnorms[part])
+        excess[part] = prog(grads, 0.0) - prog(pts[part], 0.5)
     verdicts = []
 
     # 1. value gap from 0 to the best point found.
     f0 = chain_value_raw(np.zeros(d))
-    values = chain_value_raw(pts)
     best = float(np.min(values))
     # 300 gradient steps from the best point and 150 from each of 20 random
     # restarts; the restarts descend together, one row each.
@@ -286,7 +294,6 @@ def chain_suite(
 
     # 3. large gradient while the chain is incomplete.
     unfinished = np.abs(pts[:, -1]) <= 1.0
-    gnorms = np.sqrt(np.sum(grads * grads, axis=1))
     min_unfinished = float(gnorms[unfinished].min()) if np.any(unfinished) else math.inf
     verdicts.append(
         Verdict(
@@ -299,7 +306,6 @@ def chain_suite(
     )
 
     # 4. the gradient reveals at most one new coordinate (excess at the first breach).
-    excess = prog(grads, 0.0) - prog(pts, 0.5)
     offending = excess[excess > 1]
     prog_ok = offending.size == 0
     verdicts.append(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,3 +181,67 @@ def test_zero_chain_reports_first_offending_point(monkeypatch):
     v = {v.criterion: v for v in chain_suite(6, 1500, np.random.default_rng(4)).verdicts}
     assert not v["chain_zero_chain"].passed
     assert v["chain_zero_chain"].observed == f"excess {6 - prog(pts[first], 0.5)}"
+
+
+def whole_array_chain_verdicts(d, n, rng):
+    """chain_suite's (criterion, observed, passed) triples with every per-point
+    figure taken on all n points at once, drawing from ``rng`` as chain_suite does."""
+    pts = _chain_test_points(d, n, rng)
+    grads = chain_gradient_raw(pts)
+    grad_inf = np.max(np.abs(grads), axis=1)
+    values = chain_value_raw(pts)
+    best = float(np.min(values))
+    x_best, restarts = pts[[np.argmin(values)]], rng.uniform(-2.0, 2.0, size=(20, d))
+    for x, steps in ((x_best, 300), (restarts, 150)):
+        for _ in range(steps):
+            x -= 0.05 * chain_gradient_raw(x)
+    best = min(best, float(chain_value_raw(x_best)[0]), float(np.min(chain_value_raw(restarts))))
+    gap = chain_value_raw(np.zeros(d)) - best
+    unfinished = np.abs(pts[:, -1]) <= 1.0
+    gnorms = np.sqrt(np.sum(grads * grads, axis=1))
+    min_unfinished = float(gnorms[unfinished].min()) if np.any(unfinished) else math.inf
+    excess = prog(grads, 0.0) - prog(pts, 0.5)
+    offending = excess[excess > 1]
+    h = 1e-3
+    xs = pts[rng.integers(0, n, size=2000)]
+    dirs = rng.standard_normal((2000, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    max_curv = float(np.max(np.abs(chain_value_raw(xs + h * dirs) - 2.0 * chain_value_raw(xs)
+                                   + chain_value_raw(xs - h * dirs)) / h**2))
+    hfd = 1e-5
+    xs = pts[rng.integers(0, n, size=100)]
+    shifts = hfd * np.eye(d)
+    plus = chain_value_raw((xs[:, None] + shifts).reshape(-1, d))
+    minus = chain_value_raw((xs[:, None] - shifts).reshape(-1, d))
+    fds = ((plus - minus) / (2.0 * hfd)).reshape(-1, d)
+    max_rel = max(float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8))
+                  for fd, g in zip(fds, chain_gradient_raw(xs)))
+    return [
+        ("chain_value_gap", f"{gap:.4g}", gap <= 12.0 * d),
+        ("chain_grad_bound", f"{float(grad_inf.max()):.4g}", bool(grad_inf.max() <= 23.0 + 1e-9)),
+        ("chain_grad_floor", f"{min_unfinished:.6g}", min_unfinished >= 1.0 - 1e-9),
+        ("chain_zero_chain", "ok" if offending.size == 0 else f"excess {offending[0]}",
+         offending.size == 0),
+        ("chain_smoothness", f"{max_curv:.4g}", max_curv <= 152.0 * 1.01),
+        ("chain_gradient_fd", f"max rel err {max_rel:.3g}", max_rel <= 1e-4),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 819, 4001, 12345])
+def test_chain_suite_matches_whole_array_reference(n):
+    # at d = 20 a block is 819 rows: one short block, one exact, several with a remainder
+    got = [(v.criterion, v.observed, v.passed)
+           for v in chain_suite(20, n, np.random.default_rng(n)).verdicts]
+    assert got == whole_array_chain_verdicts(20, n, np.random.default_rng(n))
+
+
+def test_chain_suite_peak_memory_below_three_and_a_half_point_arrays():
+    d, n = 20, 20_000
+    chain_suite(d, 100, np.random.default_rng(1))  # scipy's import, numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        chain_suite(d, n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * d * 8, f"traced peak {peak / (n * d * 8):.2f}x the points array"

@@ -177,6 +177,19 @@ class TestSandwich:
             sandwich_fuzz(10**4, rng, **kwargs)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("n", [1, 16_384, 16_385, 50_000])
+    def test_fuzz_in_blocks_matches_the_whole_array(self, n):
+        # the fuzz draws v, then g, and evaluates them 16,384 pairs at a time
+        got = sandwich_fuzz(n, np.random.default_rng(n), v_max=4.0, g_max=50.0, epsilon=1e-3)
+        rng = np.random.default_rng(n)
+        v = rng.random(n) * 4.0
+        g = (rng.random(n) * 2.0 - 1.0) * 50.0
+        h_adam, h_clip = sandwich_steps(v, g, epsilon=1e-3)
+        ratio = h_adam / h_clip
+        assert (got.n, got.violations, got.min_ratio, got.max_ratio) == (
+            n, int(np.sum((h_adam < 0.25 * h_clip) | (h_adam > 2.0 * h_clip))),
+            float(ratio.min()), float(ratio.max()))
+
     def test_fuzz_respects_provable_band(self):
         res = sandwich_fuzz(10**5, np.random.default_rng(3))
         assert res.violations == 0

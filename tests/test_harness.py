@@ -788,6 +788,13 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
 
+    @pytest.mark.parametrize("alpha", ["0", "-1", "2.5"])
+    def test_lemma_check_refuses_alpha_outside_the_lemma(self, tmp_path, capsys, alpha):
+        assert main(["lemma-check", f"--alpha={alpha}", "--n", "1e4", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not any(tmp_path.iterdir())
+        assert len(captured.err.splitlines()) == 1 and "alpha must lie in (1, 2]" in captured.err
+
     @pytest.mark.parametrize("taus", ["0,5", "-1,5", "nan"])
     def test_lemma_check_refuses_nonpositive_threshold(self, tmp_path, capsys, taus):
         assert main(["lemma-check", f"--taus={taus}", "--n", "1e4", "--out", str(tmp_path)]) == 2

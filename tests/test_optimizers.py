@@ -710,3 +710,23 @@ def test_record_every_step_holds_no_more_than_the_trace():
     own = trace.ks.nbytes + sum(trace.metric(f).nbytes for f in TRACE_METRICS)
     assert len(trace.ks) == K
     assert peak <= own + 2 * 2**20, (peak, own)
+
+
+def test_working_memory_does_not_grow_with_the_step_count():
+    # the schedule is computed one noise block at a time, so past the trace's
+    # own arrays a run's traced peak does not grow from 10,000 to 40,000 steps
+    d = 10
+    problem = make_quadratic(d, "stable", 1.55, domain=Ball(center=np.zeros(d), radius=5.0))
+    cfg = OptimizerConfig("proj_gclip", strongly_convex_schedule(1.0, 3.0, 1.5), 100, x0=1.5,
+                          averaging=True, record=1)
+    run(problem, cfg, 0)  # numpy's one-time allocations
+    extra = []
+    for K in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            trace = run(problem, replace(cfg, iterations=K), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - trace.ks.nbytes - sum(trace.metric(f).nbytes for f in TRACE_METRICS))
+    assert extra[1] <= extra[0] + 2**16, extra
