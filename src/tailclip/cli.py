@@ -22,16 +22,9 @@ from .config import apply_overrides, integer, load_config, number, numbers
 from .diagnostics import sandwich_fuzz
 from .errors import ConfigurationError
 from .noise import NoiseSpec
-from .optimizers import CSV_METRICS, average_traces
 from .report import Report
-from .runner import (
-    TABLE_SUFFIX,
-    read_csv,
-    run_experiment,
-    slope_verdict,
-    traces_from_rows,
-    write_table,
-)
+from .runner import run_experiment, slope_verdict
+from .traces import CSV_METRICS, TABLE_SUFFIX, mean_trace_of_rows, read_csv, write_table
 from .suites import chain_suite, lemma_check, lowerbound_suite, noise_probe
 
 EXIT_OK = 0
@@ -188,8 +181,9 @@ def cmd_report(args) -> int:
         raise ConfigurationError(f"report: --kmin {args.kmin:g} leaves no k to fit: it must "
                                  f"lie below --kmax {args.kmax:g}")
     table = read_csv(Path(args.csv))
-    mean_trace = average_traces(traces_from_rows(table), stat="mean")
+    mean_trace = mean_trace_of_rows(table)
     report = Report(experiment=table["experiment"][0], version=__version__)
+    del table  # the fit's temporaries can take its memory
     if args.slope_expect is not None:
         kmax = float(mean_trace.ks[-1]) if args.kmax is None else args.kmax
         report.verdicts.append(slope_verdict("slope", mean_trace, args.metric, (args.kmin, kmax),

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .noise import NoiseSpec
-from .optimizers import ALGORITHMS, TRACE_METRICS, record_points
+from .optimizers import ALGORITHMS, record_points
+from .traces import TRACE_METRICS
 
 _SCHEDULE_KINDS = ("constant", "nonconvex", "strongly_convex", "cclip")
 _PROBLEM_KINDS = ("quadratic", "nonconvex")

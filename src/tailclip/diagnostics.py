@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
 from .noise import _SUBBLOCK
-from .optimizers import Trace
+from .traces import Trace
 
 
 @dataclass
@@ -52,9 +52,10 @@ def fit_loglog_slope(
         raise InsufficientDataError(
             f"need >= 3 positive points in k range [{kmin}, {kmax}], have {ks.size}"
         )
-    lx, ly = np.log(ks), np.log(vals)
+    lx, ly = np.log(ks, out=ks), np.log(vals, out=vals)  # ks and vals are copies
     gaps = np.diff(lx)
-    w = np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0)  # twice the trapezoid weights
+    w = np.append(gaps, 0.0)  # twice the trapezoid weights: gaps[i] + gaps[i - 1]
+    w[1:] += gaps
     mean_x, mean_y = (w @ lx) / w.sum(), (w @ ly) / w.sum()
     dx, dy = lx - mean_x, ly - mean_y
     slope = (w * dx) @ dy / ((w * dx) @ dx)
@@ -97,7 +98,7 @@ def bound_envelope_check(
     ks = np.asarray(trace.ks)
     keep = ks >= k_min
     ks, vals = ks[keep].tolist(), vals[keep]
-    bounds = np.array([float(bound(k)) for k in ks])  # on Python ints: ** is C pow
+    bounds = np.fromiter(map(bound, ks), float, len(ks))  # on Python ints: ** is C pow
     violations: list[int] = []
     max_excess = 0.0
     for i in np.flatnonzero(~np.isfinite(vals) | (vals > bounds)).tolist():

@@ -11,6 +11,9 @@ convex objectives.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +22,8 @@ from .clip import acclip_factors
 from .errors import ConfigurationError
 from .noise import _sub_rows, iter_blocks
 from .problems import StochasticProblem
+# average_traces is also taken from here: perfbench/traced.py calls optimizers.average_traces
+from .traces import TRACE_METRICS, Trace, average_traces
 
 ALGORITHMS = ("sgd", "momentum_sgd", "gclip", "proj_gclip", "cclip", "acclip", "adamlike")
 
@@ -143,53 +148,6 @@ class OptimizerConfig:
             raise ConfigurationError("iterations must be >= 1")
         if self.algorithm == "proj_gclip":
             self.project = True
-
-
-# Per-record metrics of a Trace, in field order.  The first five are the
-# serialized columns; the running means exist only in memory.
-CSV_METRICS = ("suboptimality", "grad_norm", "min_grad_stat", "clip_frac", "eff_step")
-TRACE_METRICS = CSV_METRICS + ("avg_grad_sq", "avg_min_stat")
-
-
-@dataclass
-class Trace:
-    """Strided per-iteration records of one optimization run.
-
-    ``suboptimality`` is measured at the weighted-average iterate when the
-    run used iterate averaging, else at the current iterate.  The running
-    means ``avg_grad_sq`` and ``avg_min_stat`` accumulate over every step,
-    not just recorded ones.
-    """
-
-    ks: np.ndarray
-    suboptimality: np.ndarray
-    grad_norm: np.ndarray
-    min_grad_stat: np.ndarray
-    clip_frac: np.ndarray
-    eff_step: np.ndarray
-    avg_grad_sq: np.ndarray
-    avg_min_stat: np.ndarray
-    seed: int
-    algorithm: str
-
-    def metric(self, name: str) -> np.ndarray:
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise ConfigurationError(f"unknown trace metric {name!r}") from None
-
-
-def average_traces(traces: list[Trace], stat: str = "mean") -> Trace:
-    """Aggregate traces across seeds in metric space (mean or median)."""
-    if not traces:
-        raise ConfigurationError("no traces to average")
-    ks = traces[0].ks
-    for t in traces[1:]:
-        if not np.array_equal(t.ks, ks):
-            raise ConfigurationError("traces have mismatched record points")
-    agg = np.mean if stat == "mean" else np.median
-    stacked = {f: agg(np.stack([t.metric(f) for t in traces]), axis=0) for f in TRACE_METRICS}
-    return Trace(ks=ks.copy(), seed=-1, algorithm=traces[0].algorithm, **stacked)
 
 
 def record_points(iterations: int, record: str | int) -> np.ndarray:
@@ -451,6 +409,61 @@ def _run_indexed(args):
     return index, replace(trace, seed=index)
 
 
+def _run_to_file(args, directory: str) -> tuple[str, str]:
+    """Run one replica in a worker and save its trace's arrays in
+    ``directory``; the path and the algorithm go back to the parent."""
+    index, trace = _run_indexed(args)
+    path = os.path.join(directory, f"{index}.npz")
+    np.savez(path, ks=trace.ks, **{f: trace.metric(f) for f in TRACE_METRICS})
+    return path, trace.algorithm
+
+
+def _load_trace(path: str, algorithm: str, seed: int) -> Trace:
+    with np.load(path) as arrays:
+        trace = Trace(**{name: arrays[name] for name in arrays.files}, seed=seed,
+                      algorithm=algorithm)
+    os.remove(path)
+    return trace
+
+
+def iter_seeds(
+    problem: StochasticProblem,
+    config: OptimizerConfig,
+    n_seeds: int,
+    master_seed: int = 0,
+    parallel: int | None = None,
+) -> Iterator[Trace]:
+    """Yield the traces of ``n_seeds`` independent replicas in seed order;
+    replica i draws from a stream derived from (master_seed, i), so adding
+    seeds never changes earlier ones.
+
+    With workers, a replica is handed to a worker only once the caller has
+    taken the trace before it, and a worker saves its trace to a temporary
+    file that is read when the caller asks for it.  So the caller's process
+    holds one trace at a time, whatever ``n_seeds`` and however the workers'
+    results arrive.
+    """
+    jobs = [(problem, config, master_seed, i) for i in range(n_seeds)]
+    if parallel is None:
+        parallel = min(os.cpu_count() or 1, n_seeds)
+    if parallel <= 1 or n_seeds == 1:
+        for job in jobs:
+            yield _run_indexed(job)[1]
+        return
+    # Imported here: the pool's modules cost every serial CLI process about
+    # 20 ms of start-up.
+    import tempfile
+    from concurrent.futures import ProcessPoolExecutor
+
+    with tempfile.TemporaryDirectory() as tmp, ProcessPoolExecutor(max_workers=parallel) as pool:
+        running = deque(pool.submit(_run_to_file, job, tmp) for job in jobs[:parallel])
+        for seed in range(n_seeds):
+            done = running.popleft().result()
+            if seed + parallel < n_seeds:
+                running.append(pool.submit(_run_to_file, jobs[seed + parallel], tmp))
+            yield _load_trace(*done, seed)
+
+
 def run_seeds(
     problem: StochasticProblem,
     config: OptimizerConfig,
@@ -458,22 +471,5 @@ def run_seeds(
     master_seed: int = 0,
     parallel: int | None = None,
 ) -> list[Trace]:
-    """Run ``n_seeds`` independent replicas; replica i draws from a stream
-    derived from (master_seed, i), so adding seeds never changes earlier ones."""
-    jobs = [(problem, config, master_seed, i) for i in range(n_seeds)]
-    if parallel is None:
-        import os
-
-        parallel = min(os.cpu_count() or 1, n_seeds)
-    if parallel <= 1 or n_seeds == 1:
-        results = [_run_indexed(j) for j in jobs]
-    else:
-        # Imported here: the pool's modules cost every serial CLI process
-        # about 20 ms of start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_indexed, jobs))
-    results.sort(key=lambda pair: pair[0])
-    return [t for _, t in results]
-
+    """The traces of iter_seeds as a list, seeds ascending."""
+    return list(iter_seeds(problem, config, n_seeds, master_seed, parallel))

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .noise import NoiseSpec, iter_blocks, row_sq_sums
+from .noise import _STREAM_CHUNK, NoiseSpec, _sub_rows, row_sq_sums, sample_noise_batch
 
 # ---------------------------------------------------------------------------
 # Feasible domains
@@ -297,11 +297,21 @@ def prog(x: np.ndarray, beta: float):
 def _norm_moment_root(
     noise: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator
 ) -> float:
-    """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws of xi."""
+    """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws of xi.
+
+    The draws come _sub_rows(d) rows at a time.  Their powered norms fill one
+    vector of _STREAM_CHUNK entries, which is summed whole, so the total adds
+    the sums of the blocks of iter_blocks(noise, rng, n), bit for bit.
+    """
+    rows = _sub_rows(noise.dimension)
+    group = np.empty(min(n, _STREAM_CHUNK))
     total = 0.0
-    for block in iter_blocks(noise, rng, n):
-        block += shift
-        sq = row_sq_sums(block, np.empty(len(block)))
+    for lo in range(0, n, _STREAM_CHUNK):
+        sq = group[:min(_STREAM_CHUNK, n - lo)]
+        for start in range(0, len(sq), rows):
+            block = sample_noise_batch(noise, rng, min(rows, len(sq) - start))
+            block += shift
+            row_sq_sums(block, sq[start:start + len(block)])
         sq **= alpha / 2.0
         total += float(np.sum(sq))
     return (total / n) ** (1.0 / alpha)
@@ -323,12 +333,31 @@ def estimate_G(
 def estimate_B(
     problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-coordinate B_i with B_i^alpha = empirical E|g_i(x0)|^alpha."""
+    """Per-coordinate B_i with B_i^alpha = empirical E|g_i(x0)|^alpha.
+
+    The terms are summed per _STREAM_CHUNK-row group, as the blocks of
+    iter_blocks(noise, rng, n) were.  At d >= 2 np.sum(axis=0) adds row after
+    row, so the draws come _sub_rows(d) rows at a time and each sub-block is
+    summed with the group's running sum carried in as its first row; at
+    d = 1 it sums the (rows, 1) column pairwise, so there a group is drawn
+    whole (512 KB).
+    """
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))
-    total = np.zeros(problem.dimension)
-    for block in iter_blocks(problem.noise, rng, n):
-        block += eg
-        np.abs(block, out=block)
-        block **= alpha
-        total += np.sum(block, axis=0)
+    d = problem.dimension
+    rows = _STREAM_CHUNK if d == 1 else _sub_rows(d)
+    buf = np.empty((min(n, rows) + 1, d))
+    total = np.zeros(d)
+    for lo in range(0, n, _STREAM_CHUNK):
+        hi = min(lo + _STREAM_CHUNK, n)
+        for start in range(lo, hi, rows):
+            block = buf[1:1 + min(rows, hi - start)]
+            np.add(sample_noise_batch(problem.noise, rng, len(block)), eg, out=block)
+            np.abs(block, out=block)
+            block **= alpha
+            if start == lo:
+                group = np.sum(block, axis=0)
+            else:
+                buf[0] = group
+                group = np.sum(buf[:1 + len(block)], axis=0)
+        total += group
     return (total / n) ** (1.0 / alpha)

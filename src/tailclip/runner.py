@@ -1,19 +1,15 @@
 """Experiment orchestration: build, run across seeds, write artifacts.
 
-The CSV schema is fixed and documented:
-``experiment,algorithm,seed,k,suboptimality,grad_norm,min_grad_stat,clip_frac,eff_step``
-with numbers serialized in full round-trip precision.  A JSON-lines
-alternative carries the same fields.  Reports are written as text plus
-machine-readable JSON-lines verdict records.
+A run writes its traces as a trace table (``traces``), plus a text report
+and machine-readable JSON-lines verdict records.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +19,10 @@ from .config import ExperimentConfig, parse_record
 from .diagnostics import bound_envelope_check, fit_loglog_slope, strongly_convex_bound
 from .errors import ConfigurationError
 from .optimizers import (
-    CSV_METRICS,
-    TRACE_METRICS,
     OptimizerConfig,
     Schedule,
-    Trace,
-    average_traces,
     cclip_schedule,
-    run_seeds,
+    iter_seeds,
     nonconvex_schedule,
     strongly_convex_schedule,
 )
@@ -44,15 +36,18 @@ from .problems import (
     quadratic_problem,
 )
 from .report import Report, Verdict
-
-CSV_COLUMNS = ("experiment", "algorithm", "seed", "k") + CSV_METRICS
-CSV_HEADER = ",".join(CSV_COLUMNS)
-TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl"}
-_WRITE_BLOCK = 4096  # rows formatted at a time; bounds the writer's memory
-_READ_BLOCK = 1 << 20  # bytes of lines read at a time; bounds the reader's memory
-# The type of each CSV column in a TraceTable.
-_COLUMN_DTYPES = {"experiment": object, "algorithm": object, "seed": np.int64, "k": np.int64,
-                  **{m: np.float64 for m in CSV_METRICS}}
+from .traces import (  # the trace table functions perfbench/traced.py calls as runner.*
+    CSV_COLUMNS,
+    TABLE_SUFFIX,
+    SeedMean,
+    TableWriter,
+    Trace,
+    read_csv,
+    trace_columns,
+    traces_from_rows,
+    write_csv,
+    write_jsonl,
+)
 
 
 def calibration_stream(master_seed: int) -> np.random.Generator:
@@ -146,134 +141,6 @@ def build_optimizer_config(
 
 
 # ---------------------------------------------------------------------------
-# Trace serialization
-
-
-def _cells(col: np.ndarray, fmt: str) -> list[str]:
-    """The text of a block of a column: floats as ``repr`` (JSON spells the
-    non-finite ones NaN/Infinity), ints as ints, and strings as they are in
-    CSV, JSON-encoded once per distinct value otherwise."""
-    vals = col.tolist()
-    if col.dtype.kind == "f":
-        cells = list(map(float.__repr__, vals))
-        if fmt != "csv":
-            for i in np.flatnonzero(~np.isfinite(col)).tolist():
-                cells[i] = json.dumps(vals[i])
-        return cells
-    if col.dtype.kind in "iu":
-        return list(map(int.__repr__, vals))
-    if fmt == "csv":
-        return vals
-    encoded = {v: json.dumps(v) for v in set(vals)}
-    return [encoded[v] for v in vals]
-
-
-def write_table(path: Path, fmt: str, header, columns: list[np.ndarray]):
-    """Write ``columns`` (arrays of floats, ints or str objects, one per
-    ``header`` name) as CSV, or as the ``json.dumps(row, sort_keys=True)``
-    lines of the rows for any other ``fmt``, _WRITE_BLOCK rows at a time.
-    CSV carries a header line and floats in full round-trip precision."""
-    n = len(columns[0]) if columns else 0
-    if any(len(col) != n for col in columns):
-        raise ConfigurationError(f"{path}: table columns differ in length")
-    # A row is prefixes[0] cell prefixes[1] cell ... end.
-    if fmt == "csv":
-        order, head, end = range(len(header)), ",".join(header) + "\n", "\n"
-        prefixes = [""] + [","] * (len(header) - 1)
-    else:
-        order, head, end = sorted(range(len(header)), key=header.__getitem__), "", "}\n"
-        prefixes = [("{" if i == 0 else ", ") + json.dumps(header[j]) + ": "
-                    for i, j in enumerate(order)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        for lo in range(0, n, _WRITE_BLOCK):
-            parts = []
-            for prefix, j in zip(prefixes, order):
-                parts += [repeat(prefix), _cells(columns[j][lo:lo + _WRITE_BLOCK], fmt)]
-            fh.write("".join(chain.from_iterable(zip(*parts, repeat(end)))))
-
-
-class TraceTable(dict):
-    """Trace columns by CSV column name, typed as _COLUMN_DTYPES says;
-    ``len()`` is the row count."""
-
-    def __len__(self) -> int:
-        return len(self["k"])
-
-
-def trace_table(experiment: str, traces: list[Trace]) -> TraceTable:
-    """The rows of ``traces``, seeds ascending."""
-    ts = sorted(traces, key=lambda t: t.seed)
-    lengths = [len(t.ks) for t in ts]
-    return TraceTable({
-        # not np.full, which drops a str fill value's trailing NULs
-        "experiment": np.repeat(np.array([experiment], dtype=object), sum(lengths)),
-        "algorithm": np.repeat(np.array([t.algorithm for t in ts], dtype=object), lengths),
-        "seed": np.repeat(np.array([t.seed for t in ts], dtype=np.int64), lengths),
-        "k": np.concatenate([np.asarray(t.ks, dtype=np.int64) for t in ts]),
-        **{m: np.concatenate([np.asarray(t.metric(m), dtype=float) for t in ts])
-           for m in CSV_METRICS},
-    })
-
-
-def write_csv(path: Path, experiment: str, traces: list[Trace]):
-    write_table(path, "csv", CSV_COLUMNS, list(trace_table(experiment, traces).values()))
-
-
-def write_jsonl(path: Path, experiment: str, traces: list[Trace]):
-    write_table(path, "json-lines", CSV_COLUMNS, list(trace_table(experiment, traces).values()))
-
-
-def read_csv(path: Path) -> TraceTable:
-    """Read a trace CSV as written by write_csv, about _READ_BLOCK bytes of
-    lines at a time: a block's cells are split once, and each column takes
-    them by stride.  Raises ConfigurationError for a header other than
-    CSV_HEADER, a line without len(CSV_COLUMNS) cells or a cell its column
-    cannot parse."""
-    ncol = len(CSV_COLUMNS)
-    parts: dict[str, list] = {name: [] for name in CSV_COLUMNS}
-    with open(path, "rb") as fh:
-        if fh.readline().rstrip(b"\r\n") != CSV_HEADER.encode():
-            raise ConfigurationError(f"{path}: the header is not {CSV_HEADER}")
-        for lines in iter(lambda: fh.readlines(_READ_BLOCK), []):
-            bad = [i for i, line in enumerate(lines) if line.count(b",") != ncol - 1]
-            if bad:
-                line_no = 2 + sum(map(len, parts["k"])) + bad[0]
-                raise ConfigurationError(f"{path}: line {line_no} does not have {ncol} cells")
-            cells = b",".join(lines).split(b",")  # the last column keeps its newline
-            for j, name in enumerate(CSV_COLUMNS):
-                col = cells[j::ncol]
-                try:
-                    if _COLUMN_DTYPES[name] == object:  # one str per distinct value
-                        col = list(map({c: c.decode() for c in set(col)}.__getitem__, col))
-                    parts[name].append(np.array(col, dtype=_COLUMN_DTYPES[name]))
-                except (ValueError, OverflowError) as exc:
-                    raise ConfigurationError(f"{path}: column {name}: {exc}") from None
-    return TraceTable({name: np.concatenate(parts[name] or [np.empty(0, _COLUMN_DTYPES[name])])
-                       for name in CSV_COLUMNS})
-
-
-def traces_from_rows(table: TraceTable) -> list[Trace]:
-    """Per-seed traces, seeds ascending and each sorted by k.
-
-    The CSV does not carry the running means, so those metrics are zeros.
-    """
-    order = np.lexsort((table["k"], table["seed"]))
-    groups = np.split(order, np.flatnonzero(np.diff(table["seed"][order])) + 1)
-    return [
-        Trace(
-            ks=table["k"][idx],
-            **{m: table[m][idx] for m in CSV_METRICS},
-            **{m: np.zeros(len(idx)) for m in TRACE_METRICS if m not in CSV_METRICS},
-            seed=int(table["seed"][idx[0]]),
-            algorithm=table["algorithm"][idx[0]],
-        )
-        for idx in groups
-        if len(idx)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Declared checks
 
 
@@ -300,70 +167,97 @@ def slope_verdict(
     )
 
 
-def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dict) -> list[Verdict]:
-    c = cfg.checks
-    verdicts: list[Verdict] = []
-    if not c.active():
-        return verdicts
-    mean_trace = average_traces(traces, stat="mean")
-    if c.slope_expect != "":
-        kmax = c.slope_kmax if math.isfinite(c.slope_kmax) else float(cfg.iterations)
-        verdicts.append(slope_verdict(c.slope_id or "slope", mean_trace, c.slope_metric,
-                                      (c.slope_kmin, kmax), float(c.slope_expect), c.slope_tol))
-    if c.envelope:
-        s = cfg.schedule
-        mu = cfg.problem.mu  # validate_config refuses the envelope on a problem without mu
-        G = calibration.get("G", None if isinstance(s.G, str) else float(s.G))
-        if G is None:
-            raise ConfigurationError("[checks] envelope=strongly_convex needs the G constant")
-        bound = strongly_convex_bound(mu, G, s.alpha)
-        res = bound_envelope_check(mean_trace, bound, "suboptimality", k_min=c.envelope_kmin)
-        verdicts.append(
-            Verdict(
-                criterion=c.envelope_id or "envelope",
-                description=f"seed-mean suboptimality under the {c.envelope} bound (k >= {c.envelope_kmin})",
-                observed=f"{len(res.violations)} violations (max excess {res.max_excess:.3g})",
-                threshold="0 violations",
-                passed=res.passed,
-            )
-        )
-    if c.ratio_metric:
-        ratios, non_finite = [], []
-        for t in traces:
-            ks = list(t.ks)
+class CheckFold:
+    """What the declared checks read of a run's traces, taken one trace at a
+    time: the seed-mean trace, and for a ratio check each seed's two values."""
+
+    def __init__(self, checks):
+        self.checks = checks
+        self.mean = SeedMean()
+        self.ratio_at: tuple[int, int] | None = None  # the ratio's (lo, hi) record indices
+        self.ratio_values: list[tuple] = []  # each seed's (value at k_lo, value at k_hi)
+
+    def add(self, trace: Trace) -> None:
+        self.mean.add(trace)  # refuses record points that differ from the first trace's
+        c = self.checks
+        if not c.ratio_metric:
+            return
+        if self.ratio_at is None:
+            ks = trace.ks.tolist()
             try:
-                hi = ks.index(c.ratio_k_hi)
-                lo = ks.index(c.ratio_k_lo)
+                self.ratio_at = ks.index(c.ratio_k_lo), ks.index(c.ratio_k_hi)
             except ValueError:
                 raise ConfigurationError(
                     f"[checks] ratio ks {c.ratio_k_lo},{c.ratio_k_hi} are not recorded points"
                 ) from None
-            vals = t.metric(c.ratio_metric)
-            non_finite += [ks[i] for i in (lo, hi) if not math.isfinite(vals[i])]
-            denom = vals[lo]
-            with np.errstate(invalid="ignore"):  # inf / inf; non_finite fails the check
-                ratios.append(float(vals[hi] / denom) if denom != 0 else math.inf)
-        stat = float(np.median(ratios)) if c.ratio_stat == "median" else float(np.mean(ratios))
-        conditions = []
-        passed = not non_finite
-        if c.ratio_min != "":
-            conditions.append(f"> {float(c.ratio_min)}")
-            passed = passed and stat > float(c.ratio_min)
-        if c.ratio_max != "":
-            conditions.append(f"<= {float(c.ratio_max)}")
-            passed = passed and stat <= float(c.ratio_max)
-        verdicts.append(
-            Verdict(
-                criterion=c.ratio_id or "ratio",
-                description=(
-                    f"seed-{c.ratio_stat} of {c.ratio_metric}[k={c.ratio_k_hi}] / [k={c.ratio_k_lo}]"
-                ),
-                observed=f"non-finite value at k={min(non_finite)}" if non_finite else f"{stat:.4g}",
-                threshold=" and ".join(conditions) or "none",
-                passed=passed,
+        vals = trace.metric(c.ratio_metric)
+        self.ratio_values.append(tuple(vals[i] for i in self.ratio_at))
+
+    def verdicts(self, cfg: ExperimentConfig, calibration: dict) -> list[Verdict]:
+        c = self.checks
+        verdicts: list[Verdict] = []
+        if not c.active():
+            return verdicts
+        mean_trace = self.mean.mean()
+        if c.slope_expect != "":
+            kmax = c.slope_kmax if math.isfinite(c.slope_kmax) else float(cfg.iterations)
+            verdicts.append(slope_verdict(c.slope_id or "slope", mean_trace, c.slope_metric,
+                                          (c.slope_kmin, kmax), float(c.slope_expect), c.slope_tol))
+        if c.envelope:
+            s = cfg.schedule
+            mu = cfg.problem.mu  # validate_config refuses the envelope on a problem without mu
+            G = calibration.get("G", None if isinstance(s.G, str) else float(s.G))
+            if G is None:
+                raise ConfigurationError("[checks] envelope=strongly_convex needs the G constant")
+            bound = strongly_convex_bound(mu, G, s.alpha)
+            res = bound_envelope_check(mean_trace, bound, "suboptimality", k_min=c.envelope_kmin)
+            verdicts.append(
+                Verdict(
+                    criterion=c.envelope_id or "envelope",
+                    description=f"seed-mean suboptimality under the {c.envelope} bound (k >= {c.envelope_kmin})",
+                    observed=f"{len(res.violations)} violations (max excess {res.max_excess:.3g})",
+                    threshold="0 violations",
+                    passed=res.passed,
+                )
             )
-        )
-    return verdicts
+        if c.ratio_metric:
+            ratios, non_finite = [], []
+            for lo, hi in self.ratio_values:
+                non_finite += [k for k, v in zip((c.ratio_k_lo, c.ratio_k_hi), (lo, hi))
+                               if not math.isfinite(v)]
+                with np.errstate(invalid="ignore"):  # inf / inf; non_finite fails the check
+                    ratios.append(float(hi / lo) if lo != 0 else math.inf)
+            stat = float(np.median(ratios)) if c.ratio_stat == "median" else float(np.mean(ratios))
+            conditions = []
+            passed = not non_finite
+            if c.ratio_min != "":
+                conditions.append(f"> {float(c.ratio_min)}")
+                passed = passed and stat > float(c.ratio_min)
+            if c.ratio_max != "":
+                conditions.append(f"<= {float(c.ratio_max)}")
+                passed = passed and stat <= float(c.ratio_max)
+            verdicts.append(
+                Verdict(
+                    criterion=c.ratio_id or "ratio",
+                    description=(
+                        f"seed-{c.ratio_stat} of {c.ratio_metric}[k={c.ratio_k_hi}] / [k={c.ratio_k_lo}]"
+                    ),
+                    observed=f"non-finite value at k={min(non_finite)}" if non_finite else f"{stat:.4g}",
+                    threshold=" and ".join(conditions) or "none",
+                    passed=passed,
+                )
+            )
+        return verdicts
+
+
+def evaluate_checks(cfg: ExperimentConfig, traces: Iterable[Trace], calibration: dict) -> list[Verdict]:
+    """The verdicts of cfg's declared checks on ``traces``, folded one at a time."""
+    if not cfg.checks.active():
+        return []
+    fold = CheckFold(cfg.checks)
+    for trace in traces:
+        fold.add(trace)
+    return fold.verdicts(cfg, calibration)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +267,7 @@ def evaluate_checks(cfg: ExperimentConfig, traces: list[Trace], calibration: dic
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    traces: list[Trace]
+    mean_trace: Trace  # the seed-mean trace; per-seed rows are in paths["data"]
     report: Report
     paths: dict = field(default_factory=dict)
 
@@ -384,6 +278,12 @@ def run_experiment(
     fmt: str = "csv",
     parallel: int | None = None,
 ) -> ExperimentResult:
+    """Run every seed of ``cfg`` and write its data, report and verdicts.
+
+    Each seed's trace is written as its own block of rows and folded into
+    the checks as it arrives, then dropped, so memory does not grow with
+    the seed count.  The data file appears only once every seed is written.
+    """
     t_start = time.perf_counter()
     if fmt not in TABLE_SUFFIX:
         raise ConfigurationError(f"unknown output format {fmt!r}")
@@ -395,12 +295,16 @@ def run_experiment(
     if cfg.problem.kind == "quadratic":
         calibration.setdefault("mu", cfg.problem.mu)
     opt = build_optimizer_config(cfg, schedule, x0, problem.domain is not None)
-    traces = run_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=parallel)
 
     paths = {"data": out / (cfg.name + TABLE_SUFFIX[fmt])}
-    write_table(paths["data"], fmt, CSV_COLUMNS, list(trace_table(cfg.name, traces).values()))
+    fold = CheckFold(cfg.checks)
+    with TableWriter(paths["data"], fmt, CSV_COLUMNS) as writer:
+        for trace in iter_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=parallel):
+            writer.write(trace_columns(cfg.name, trace))
+            fold.add(trace)
+            del trace  # not alive while the next seed runs
 
-    verdicts = evaluate_checks(cfg, traces, calibration)
+    verdicts = fold.verdicts(cfg, calibration)
     report = Report(
         experiment=cfg.name,
         version=__version__,
@@ -418,4 +322,4 @@ def run_experiment(
 
         paths["plot"] = out / f"{cfg.name}.plot.py"
         write_plot_script(paths["plot"], paths["data"].name, cfg.name)
-    return ExperimentResult(config=cfg, traces=traces, report=report, paths=paths)
+    return ExperimentResult(config=cfg, mean_trace=fold.mean.mean(), report=report, paths=paths)

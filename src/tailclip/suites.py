@@ -215,19 +215,37 @@ def lowerbound_suite(
 
 
 def _chain_test_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Mix of diffuse and structured points covering all progress levels."""
+    """Mix of diffuse and structured points covering all progress levels.
+
+    Three groups of rows: uniform on [-3, 3], standard normal, and progress
+    points, uniform on [-0.45, 0.45] except that the first ``level``
+    coordinates are set to an amplitude in [0.6, 2.5] with a random sign.
+    Each group is drawn straight into its rows of one (n, d) array,
+    _sub_rows(d) rows at a time, in the order of one draw per group: the
+    uniforms, the levels, the amplitudes, then the signs.
+    """
     n_wide = n * 2 // 5
     n_norm = n // 5
-    n_prog = n - n_wide - n_norm
-    wide = rng.uniform(-3.0, 3.0, size=(n_wide, d))
-    norm = rng.standard_normal((n_norm, d))
-    progress = rng.uniform(-0.45, 0.45, size=(n_prog, d))
-    levels = rng.integers(0, d + 1, size=n_prog)
-    amps = rng.uniform(0.6, 2.5, size=(n_prog, d))
-    signs = np.where(rng.random((n_prog, d)) < 0.5, -1.0, 1.0)
-    mask = np.arange(d)[None, :] < levels[:, None]
-    progress = np.where(mask, amps * signs, progress)
-    return np.vstack([wide, norm, progress])
+    pts = np.empty((n, d))
+    wide, norm, progress = np.split(pts, [n_wide, n_wide + n_norm])
+    rows = _sub_rows(d)
+
+    def row_blocks(a):
+        return [a[start:start + rows] for start in range(0, len(a), rows)]
+
+    for part in row_blocks(wide):
+        part[...] = rng.uniform(-3.0, 3.0, size=part.shape)
+    rng.standard_normal(out=norm)
+    for part in row_blocks(progress):
+        part[...] = rng.uniform(-0.45, 0.45, size=part.shape)
+    levels = rng.integers(0, d + 1, size=len(progress))
+    blocks = list(zip(row_blocks(progress), row_blocks(levels)))
+    for part, level in blocks:
+        np.copyto(part, rng.uniform(0.6, 2.5, size=part.shape), where=np.arange(d) < level[:, None])
+    for part, level in blocks:  # amplitude * -1.0 is the amplitude negated
+        np.negative(part, out=part,
+                    where=(np.arange(d) < level[:, None]) & (rng.random(part.shape) < 0.5))
+    return pts
 
 
 def chain_suite(

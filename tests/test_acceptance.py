@@ -24,7 +24,6 @@ from tailclip.noise import NoiseSpec
 from tailclip.optimizers import (
     OptimizerConfig,
     Schedule,
-    average_traces,
     cclip_schedule,
     run,
     run_seeds,
@@ -177,7 +176,7 @@ def test_a9_rmsprop_acclip_sandwich():
 def test_a10_nonconvex_decay(config_run):
     # Beyond the config's own A10 check (the seed-mean of per-seed ratios),
     # the ratio of seed-means must fall at least 2x and the slope be negative.
-    mean = average_traces(config_run("nonconvex_decay").traces)
+    mean = config_run("nonconvex_decay").mean_trace
     ks = list(mean.ks)
     ratio = float(mean.avg_min_stat[ks.index(1000)] / mean.avg_min_stat[ks.index(K)])
     fit = fit_loglog_slope(mean, "avg_min_stat", (1000, K))

@@ -11,7 +11,8 @@ from tailclip.diagnostics import (
     strongly_convex_bound,
 )
 from tailclip.errors import ConfigurationError, InsufficientDataError
-from tailclip.optimizers import Trace, record_points
+from tailclip.optimizers import record_points
+from tailclip.traces import Trace
 
 
 def synthetic_trace(ks, values):

@@ -1,4 +1,5 @@
 import configparser
+import copy
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import is_dataclass
 from pathlib import Path
 
@@ -14,18 +16,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tailclip import runner
+from tailclip import optimizers, runner, traces as trace_files
 from tailclip.cli import main
 from tailclip.config import ExperimentConfig, apply_overrides, dump_config, load_config
 from tailclip.errors import ConfigurationError
 from tailclip.noise import FAMILIES
-from tailclip.optimizers import ALGORITHMS, CSV_METRICS, TRACE_METRICS, Trace, record_points
-from tailclip.runner import (
+from tailclip.optimizers import ALGORITHMS, record_points, run, run_seeds, seed_stream
+from tailclip.problems import project
+from tailclip.runner import evaluate_checks, run_experiment
+from tailclip.traces import (
     CSV_COLUMNS,
     CSV_HEADER,
-    evaluate_checks,
+    CSV_METRICS,
+    TRACE_METRICS,
+    Trace,
+    average_traces,
+    mean_trace_of_rows,
     read_csv,
-    run_experiment,
     traces_from_rows,
     write_csv,
     write_table,
@@ -373,7 +380,7 @@ class TestRunner:
         res = run_experiment(cfg, out_dir=tmp_path, parallel=1)
         lines = res.paths["data"].read_text().splitlines()
         assert lines[0] == CSV_HEADER
-        n_rec = len(res.traces[0].ks)
+        n_rec = len(res.mean_trace.ks)
         assert len(lines) == 1 + 2 * n_rec  # header + seeds * recorded rows
 
     def test_same_seed_byte_identical(self, minimal_cfg, tmp_path):
@@ -395,8 +402,12 @@ class TestRunner:
         rows = read_csv(res.paths["data"])
         traces = traces_from_rows(rows)
         assert len(traces) == 2
-        assert np.array_equal(traces[0].ks, res.traces[0].ks)
-        assert np.array_equal(traces[0].suboptimality, res.traces[0].suboptimality)
+        problem, x0 = runner.build_problem(cfg)
+        schedule, _ = runner.build_schedule(cfg, problem, x0)
+        opt = runner.build_optimizer_config(cfg, schedule, x0, problem.domain is not None)
+        seed0 = run(problem, opt, seed_stream(cfg.master_seed, 0))
+        assert np.array_equal(traces[0].ks, seed0.ks)
+        assert np.array_equal(traces[0].suboptimality, seed0.suboptimality)
 
     def test_declared_check_verdicts(self, tmp_path):
         path = tmp_path / "checked.cfg"
@@ -541,7 +552,7 @@ class TestTraceFiles:
     @pytest.mark.parametrize("block", [3, 4096])
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_write_table_golden_bytes(self, tmp_path, monkeypatch, fmt, block):
-        monkeypatch.setattr(runner, "_WRITE_BLOCK", block)
+        monkeypatch.setattr(trace_files, "_WRITE_BLOCK", block)
         floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.7976931348623157e308]
         text = ['na\u00efve "q\u00fcote"', "plain"] * 3 + ["\u4e2d"]
         ints = list(range(-3, 4))
@@ -588,7 +599,7 @@ class TestTraceFiles:
     def test_read_csv_spans_blocks(self, minimal_cfg, tmp_path, monkeypatch):
         res = run_experiment(load_config(minimal_cfg), out_dir=tmp_path, parallel=1)
         whole = read_csv(res.paths["data"])
-        monkeypatch.setattr(runner, "_READ_BLOCK", 50)
+        monkeypatch.setattr(trace_files, "_READ_BLOCK", 50)
         pieces = read_csv(res.paths["data"])
         assert list(whole) == list(pieces) == list(CSV_COLUMNS)
         for name in CSV_COLUMNS:
@@ -856,6 +867,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("mangle", ["repeated rows", "two experiments", "two algorithms"])
+    def test_report_refuses_mismatched_rows(self, minimal_cfg, tmp_path, capsys, mangle):
+        # a CSV concatenated with its own rows, or one whose second seed comes
+        # from another experiment or algorithm, would be averaged as one run
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        path = tmp_path / "smoke.csv"
+        header, *rows = path.read_text().splitlines()
+        if mangle == "repeated rows":
+            rows += rows
+        else:
+            other = "other,gclip,1," if mangle == "two experiments" else "smoke,sgd,1,"
+            rows = [other + r[len("smoke,gclip,1,"):] if r.startswith("smoke,gclip,1,") else r
+                    for r in rows]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        argv = ["report", "--csv", str(path), "--slope-expect", "-1.0", "--slope-tol", "5.0"]
+        assert main([*argv, "--out", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert ("repeat" if mangle == "repeated rows" else "mix") in captured.err
+
     def test_report_reads_csv_without_final_newline(self, minimal_cfg, tmp_path, capsys):
         main(["run", str(minimal_cfg), "--out", str(tmp_path)])
         path = tmp_path / "smoke.csv"
@@ -904,6 +937,141 @@ KEPT_UNSET_KEYS = {
     "optimizer.record": "perfbench/workloads.py overrides it",
     "checks.slope_kmax": "perfbench/traced.py reads it",
 }
+
+
+def seed_traces(cfg: ExperimentConfig) -> list[Trace]:
+    """Every seed's trace of ``cfg``, as run_experiment runs them."""
+    problem, x0 = runner.build_problem(cfg)
+    schedule, _ = runner.build_schedule(cfg, problem, x0)
+    opt = runner.build_optimizer_config(cfg, schedule, x0, problem.domain is not None)
+    return run_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=1)
+
+
+class TestStreamedRun:
+    """run_experiment writes and folds each seed's trace as it arrives."""
+
+    @pytest.mark.parametrize("overrides", [
+        ["experiment.iterations=1", "experiment.seeds=20", "noise.family=stable",
+         "noise.tail_index=1.1"],  # one record: numpy sums the seeds pairwise
+        ["experiment.seeds=1"],
+        ["optimizer.record=7"],
+        ["noise.family=pareto", "noise.tail_index=1.05", "schedule.eta=50", "schedule.tau=inf",
+         "optimizer.algorithm=sgd", "experiment.iterations=1000", "experiment.seeds=3"],
+    ], ids=["K=1,S=20", "S=1", "record=7", "divergent"])
+    def test_mean_trace_equals_average_traces(self, minimal_cfg, tmp_path, overrides):
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, overrides)
+        res = run_experiment(cfg, out_dir=tmp_path, parallel=1)
+        traces = seed_traces(cfg)
+        want = average_traces(traces, stat="mean")
+        if "schedule.eta=50" in overrides:  # a seed's inf and NaN enter the mean
+            assert not np.all(np.isfinite(traces[0].suboptimality))
+            assert not np.all(np.isfinite(want.suboptimality))
+        assert np.array_equal(res.mean_trace.ks, want.ks)
+        for m in TRACE_METRICS:
+            assert np.array_equal(res.mean_trace.metric(m).view(np.uint64),
+                                  want.metric(m).view(np.uint64)), m
+
+    def test_workers_give_the_same_bytes_and_mean(self, minimal_cfg, tmp_path):
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, ["experiment.seeds=5", "checks.slope_expect=-1.0",
+                              "checks.slope_tol=5.0", "checks.slope_kmin=1"])
+        one = run_experiment(cfg, out_dir=tmp_path / "one", parallel=1)
+        two = run_experiment(cfg, out_dir=tmp_path / "two", parallel=2)
+        for key in ("data", "verdicts"):
+            assert one.paths[key].read_bytes() == two.paths[key].read_bytes(), key
+        for m in TRACE_METRICS:
+            assert np.array_equal(one.mean_trace.metric(m), two.mean_trace.metric(m)), m
+
+    def test_failed_run_leaves_no_partial_data_file(self, minimal_cfg, tmp_path, monkeypatch):
+        real = optimizers._run_indexed
+
+        def seed_one_fails(job):
+            if job[3] == 1:
+                raise RuntimeError("seed 1 failed")
+            return real(job)
+
+        monkeypatch.setattr(optimizers, "_run_indexed", seed_one_fails)
+        with pytest.raises(RuntimeError, match="seed 1"):
+            run_experiment(load_config(minimal_cfg), out_dir=tmp_path / "out", parallel=1)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_bench_call_shapes(self, minimal_cfg, tmp_path):
+        # perfbench/traced.py makes these calls in these shapes: one run_seeds
+        # list reused by write_csv, evaluate_checks and average_traces, then
+        # write_jsonl, read_csv with len(), traces_from_rows and project
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, ["problem.domain=ball", "optimizer.algorithm=proj_gclip",
+                              "checks.slope_expect=-1.0", "checks.slope_tol=5.0",
+                              "checks.slope_kmin=1"])
+        problem, x0 = runner.build_problem(cfg)
+        schedule, calibration = runner.build_schedule(cfg, problem, x0)
+        opt = runner.build_optimizer_config(cfg, schedule, x0, problem.domain is not None)
+        traces = optimizers.run_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=1)
+        assert isinstance(traces, list) and [t.seed for t in traces] == [0, 1]
+        runner.write_csv(tmp_path / "smoke.csv", cfg.name, traces)
+        verdicts = runner.evaluate_checks(cfg, traces, calibration)
+        mean = optimizers.average_traces(traces, stat="mean")
+        runner.write_jsonl(tmp_path / "smoke.jsonl", cfg.name, traces)
+
+        csv_run = run_experiment(cfg, out_dir=tmp_path / "csv", parallel=1)
+        jsonl_run = run_experiment(cfg, out_dir=tmp_path / "jsonl", fmt="json-lines", parallel=1)
+        assert (tmp_path / "smoke.csv").read_bytes() == csv_run.paths["data"].read_bytes()
+        assert (tmp_path / "smoke.jsonl").read_bytes() == jsonl_run.paths["data"].read_bytes()
+        assert [v.line() for v in verdicts] == [v.line() for v in csv_run.report.verdicts]
+        for m in TRACE_METRICS:
+            assert np.array_equal(mean.metric(m), csv_run.mean_trace.metric(m)), m
+
+        rows = runner.read_csv(tmp_path / "smoke.csv")
+        assert len(rows) == sum(len(t.ks) for t in traces)
+        for got, want in zip(runner.traces_from_rows(rows), traces, strict=True):
+            assert (got.seed, got.algorithm) == (want.seed, want.algorithm)
+            assert np.array_equal(got.ks, want.ks)
+            for m in CSV_METRICS:
+                assert np.array_equal(got.metric(m), want.metric(m)), m
+
+        dom = problem.domain
+        far = dom.center + 3.0 * dom.radius * np.eye(problem.dimension)[0]
+        assert np.array_equal(project(dom, dom.center), dom.center)
+        assert np.linalg.norm(project(dom, far) - dom.center) == pytest.approx(dom.radius)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_and_report_memory_do_not_grow_with_seeds(tmp_path):
+    # At d = 10, K = 2e4 and every step recorded, a seed's trace is 1.3 MB.
+    # run_experiment holds one trace and the seed-sum, whatever the seed
+    # count; holding every trace and a table of their rows added 2.5 MB per seed.
+    cfg = load_config(REPO / "configs" / "strongly_convex_alpha15.cfg")
+    apply_overrides(cfg, ["schedule.G=13.5", "experiment.iterations=20000", "optimizer.record=1"])
+    small = copy_config(cfg, ["experiment.iterations=1000", "experiment.seeds=2"])
+    run_experiment(small, out_dir=tmp_path / "warm", parallel=1)  # one-time allocations
+    peaks = {}
+    for seeds in (2, 8):
+        seeded = copy_config(cfg, [f"experiment.seeds={seeds}"])
+        peaks[seeds] = traced_peak(
+            lambda: run_experiment(seeded, out_dir=tmp_path / str(seeds), parallel=1))
+    assert abs(peaks[8] - peaks[2]) <= 2**20, peaks
+    # report reads the 8-seed table once and averages slices of its columns
+    path = tmp_path / "8" / f"{cfg.name}.csv"
+    table = read_csv(path)
+    column_bytes = sum(col.nbytes for col in table.values())
+    del table
+    peak = traced_peak(lambda: mean_trace_of_rows(read_csv(path)))
+    assert peak <= 1.3 * column_bytes, peak / column_bytes
+
+
+def copy_config(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
+    out = copy.deepcopy(cfg)
+    apply_overrides(out, overrides)
+    return out
 
 
 class TestBundledConfigs:

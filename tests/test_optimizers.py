@@ -12,12 +12,10 @@ from tailclip.noise import NoiseSpec, iter_blocks
 from tailclip.optimizers import (
     _block_rows,
     ALGORITHMS,
-    TRACE_METRICS,
     OptimizerConfig,
     Schedule,
-    Trace,
-    average_traces,
     cclip_schedule,
+    iter_seeds,
     record_points,
     run,
     run_seeds,
@@ -31,6 +29,7 @@ from tailclip.problems import (
     project,
     quadratic_problem,
 )
+from tailclip.traces import TRACE_METRICS, SeedMean, Trace, average_traces
 from test_clip import ACClipParams, ACClipState, acclip_step, cclip, gclip
 
 
@@ -508,6 +507,73 @@ class TestSeedFanOut:
         assert np.allclose(mean.suboptimality, stacked.mean(axis=0))
         med = average_traces(traces, stat="median")
         assert np.allclose(med.suboptimality, np.median(stacked, axis=0))
+
+
+def folded_mean(traces, metrics=TRACE_METRICS) -> Trace:
+    mean = SeedMean(metrics)
+    for t in traces:
+        mean.add(t)
+    return mean.mean()
+
+
+class TestSeedMean:
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    @pytest.mark.parametrize("S", [1, 2, 3, 9, 20])
+    def test_equals_average_traces_bit_for_bit(self, S, K):
+        rng = np.random.default_rng(100 * S + K)
+        ks = np.arange(1, K + 1)
+        traces = [Trace(ks=ks, **{f: rng.standard_cauchy(K) for f in TRACE_METRICS},
+                        seed=i, algorithm="gclip") for i in range(S)]
+        for t in traces:
+            t.eff_step[:] = -0.0  # numpy's sum starts from +0.0, so the mean is +0.0
+        traces[0].clip_frac[0] = math.inf
+        traces[-1].clip_frac[-1] = -math.inf  # inf - inf: NaN when S > 1
+        traces[S // 2].grad_norm[0] = math.nan
+        with np.errstate(invalid="ignore"):  # inf - inf, both ways
+            want = average_traces(traces, stat="mean")
+            assert_same_bits(folded_mean(traces), want, (S, K))
+        assert want.eff_step.view(np.uint64)[0] == 0
+
+    def test_one_record_is_averaged_pairwise(self):
+        # numpy sums an (S, 1) stack pairwise, so for one-record traces a
+        # sequential fold differs from it in the last bit for these values
+        values = np.random.default_rng(0).standard_cauchy(20)
+        sequential = 0.0
+        for v in values:
+            sequential += v
+        assert sequential / 20 != np.mean(values)
+        traces = [Trace(ks=np.array([1]), **{f: np.array([v]) for f in TRACE_METRICS},
+                        seed=i, algorithm="sgd") for i, v in enumerate(values)]
+        assert_same_bits(folded_mean(traces), average_traces(traces), "K = 1")
+
+    def test_left_out_metrics_are_zeros(self):
+        p = make_quadratic(2, "gaussian")
+        traces = run_seeds(p, OptimizerConfig("sgd", Schedule(0.05), 50, x0=1.0), 3, parallel=1)
+        mean = folded_mean(traces, metrics=("suboptimality",))
+        assert np.array_equal(mean.suboptimality, average_traces(traces).suboptimality)
+        assert not np.any(mean.grad_norm) and not np.any(mean.avg_grad_sq)
+
+    def test_refuses_mismatched_records_empty_folds_and_adds_after_the_mean(self):
+        p = make_quadratic(2, "gaussian")
+        cfg = OptimizerConfig("sgd", Schedule(0.05), 50, x0=1.0)
+        mean = SeedMean()
+        with pytest.raises(ConfigurationError, match="no traces"):
+            mean.mean()
+        mean.add(run(p, cfg, 0))
+        with pytest.raises(ConfigurationError, match="mismatched"):
+            mean.add(run(p, replace(cfg, record=7), 1))
+        mean.mean()
+        with pytest.raises(ConfigurationError, match="already"):
+            mean.add(run(p, cfg, 1))
+
+    def test_workers_hand_back_seeds_in_order(self):
+        p = make_quadratic(2, "stable", 1.5)
+        cfg = OptimizerConfig("gclip", Schedule(0.05, 2.0), 200, x0=1.0)
+        serial = run_seeds(p, cfg, 5, master_seed=4, parallel=1)
+        pooled = list(iter_seeds(p, cfg, 5, master_seed=4, parallel=2))
+        assert [t.seed for t in pooled] == [0, 1, 2, 3, 4]
+        for a, b in zip(serial, pooled, strict=True):
+            assert_same_bits(b, a, a.seed)
 
 
 def test_nonconvex_problem_decreases_under_sgd():

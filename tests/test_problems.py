@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,8 +43,9 @@ def reference_B(noise, eg, alpha, n, rng):
     return (total / n) ** (1.0 / alpha)
 
 
-@pytest.mark.parametrize("d,n", [(10, 70_000), (100, 20_000)])
-@pytest.mark.parametrize("family,tail", [("stable", 1.55), ("pareto", 1.6), ("stable", 2.0)])
+@pytest.mark.parametrize("d,n", [(1, 140_000), (10, 70_000), (100, 20_000)])
+@pytest.mark.parametrize("family,tail", [("stable", 1.55), ("pareto", 1.6), ("stable", 2.0),
+                                         ("gaussian", 2.0)])
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_calibration_bits_equal_the_whole_block_formulas(family, tail, d, n, alpha):
     noise = NoiseSpec(family, dimension=d, scale=0.8, tail_index=tail)
@@ -57,6 +59,21 @@ def test_calibration_bits_equal_the_whole_block_formulas(family, tail, d, n, alp
     got = estimate_B(p, x0, alpha, n, np.random.default_rng(3))
     assert np.array_equal(got.view(np.uint64),
                           reference_B(noise, eg, alpha, n, np.random.default_rng(3)).view(np.uint64))
+
+@pytest.mark.parametrize("estimate", [estimate_G, estimate_B])
+def test_calibration_peak_stays_near_a_sub_block(estimate):
+    # at d = 100 the draws come 163 rows (128 KB) at a time; one 65,536-row
+    # block of them would take 52 MB
+    noise = NoiseSpec("stable", dimension=100, tail_index=1.55)
+    p = quadratic_problem(1.0, 100, 1.0, noise)
+    estimate(p, np.zeros(100), 1.5, 1000, np.random.default_rng(0))  # one-time allocations
+    tracemalloc.start()
+    try:
+        estimate(p, np.zeros(100), 1.5, 100_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("d", [1, 10, 100])
