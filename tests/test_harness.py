@@ -889,6 +889,19 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert ("repeat" if mangle == "repeated rows" else "mix") in captured.err
 
+    def test_report_reads_rows_in_any_order(self, minimal_cfg, tmp_path, capsys):
+        # rows out of (seed, k) order are grouped by index arrays, not slices
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        path = tmp_path / "smoke.csv"
+        argv = ["report", "--csv", str(path), "--slope-expect", "-1.0", "--slope-tol", "5.0"]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        ordered = capsys.readouterr().out
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == ordered
+
     def test_report_reads_csv_without_final_newline(self, minimal_cfg, tmp_path, capsys):
         main(["run", str(minimal_cfg), "--out", str(tmp_path)])
         path = tmp_path / "smoke.csv"
