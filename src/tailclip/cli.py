@@ -24,7 +24,7 @@ from .errors import ConfigurationError
 from .noise import NoiseSpec
 from .report import Report
 from .runner import run_experiment, slope_verdict
-from .traces import CSV_METRICS, TABLE_SUFFIX, mean_trace_of_rows, read_csv, write_table
+from .traces import CSV_METRICS, TABLE_SUFFIX, average_traces, read_csv, row_traces, write_table
 from .suites import chain_suite, lemma_check, lowerbound_suite, noise_probe
 
 EXIT_OK = 0
@@ -181,7 +181,7 @@ def cmd_report(args) -> int:
         raise ConfigurationError(f"report: --kmin {args.kmin:g} leaves no k to fit: it must "
                                  f"lie below --kmax {args.kmax:g}")
     table = read_csv(Path(args.csv))
-    mean_trace = mean_trace_of_rows(table)
+    mean_trace = average_traces(row_traces(table))
     report = Report(experiment=table["experiment"][0], version=__version__)
     del table  # the fit's temporaries can take its memory
     if args.slope_expect is not None:

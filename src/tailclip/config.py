@@ -334,10 +334,12 @@ def validate_config(cfg: ExperimentConfig):
             "[checks] envelope = strongly_convex needs the G constant: set [schedule] "
             "kind = strongly_convex or a numeric G"
         )
-    if c.slope_expect != "" and c.slope_kmin >= min(c.slope_kmax, cfg.iterations):
+    fitted = int(((recorded >= c.slope_kmin) & (recorded <= c.slope_kmax)).sum())
+    if c.slope_expect != "" and fitted < 3:
         raise ConfigurationError(
-            f"[checks] slope_kmin = {c.slope_kmin} leaves no k to fit: it must lie below "
-            f"min(slope_kmax, iterations) = {min(c.slope_kmax, cfg.iterations)}"
+            f"[checks] slope_kmin = {c.slope_kmin} and slope_kmax = {c.slope_kmax} hold {fitted} "
+            f"of the points that [optimizer] record = {o.record} records in {cfg.iterations} "
+            "iterations; the slope fit needs at least 3"
         )
     if c.ratio_metric:
         if c.ratio_k_hi <= 0 or c.ratio_k_lo <= 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError
 from .noise import _SUBBLOCK
 from .traces import Trace
 
@@ -49,20 +49,22 @@ def fit_loglog_slope(
     keep = (ks >= kmin) & (ks <= kmax) & (vals > 0.0)
     ks, vals = ks[keep], vals[keep]
     if ks.size < 3:
-        raise InsufficientDataError(
-            f"need >= 3 positive points in k range [{kmin}, {kmax}], have {ks.size}"
+        raise ConfigurationError(
+            f"the slope fit needs >= 3 positive points in k range [{kmin:g}, {kmax:g}], "
+            f"has {ks.size}"
         )
+    # Four arrays of the fitted length, reused once spent: the plain formulas' bits.
     lx, ly = np.log(ks, out=ks), np.log(vals, out=vals)  # ks and vals are copies
-    gaps = np.diff(lx)
-    w = np.append(gaps, 0.0)  # twice the trapezoid weights: gaps[i] + gaps[i - 1]
-    w[1:] += gaps
+    w = np.append(np.diff(lx), 0.0)
+    w[1:] += w[:-1]  # twice the trapezoid weights, gaps[i] + gaps[i - 1]: numpy buffers the overlap
     mean_x, mean_y = (w @ lx) / w.sum(), (w @ ly) / w.sum()
-    dx, dy = lx - mean_x, ly - mean_y
-    slope = (w * dx) @ dy / ((w * dx) @ dx)
+    dx, dy = np.subtract(lx, mean_x, out=lx), np.subtract(ly, mean_y, out=ly)
+    wdx = w * dx
+    slope = wdx @ dy / (wdx @ dx)
     intercept = mean_y - slope * mean_x
-    resid = dy - slope * dx
-    ss_res = float((w * resid) @ resid)
-    ss_tot = float((w * dy) @ dy)
+    resid = np.subtract(dy, np.multiply(slope, dx, out=dx), out=wdx)  # dy - slope * dx
+    ss_res = float(np.multiply(w, resid, out=dx) @ resid)
+    ss_tot = float(np.multiply(w, dy, out=dx) @ dy)
     r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else (1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
     return SlopeFit(
         slope=float(slope),
@@ -97,13 +99,14 @@ def bound_envelope_check(
     vals = np.asarray(trace.metric(metric), dtype=float)
     ks = np.asarray(trace.ks)
     keep = ks >= k_min
-    ks, vals = ks[keep].tolist(), vals[keep]
-    bounds = np.fromiter(map(bound, ks), float, len(ks))  # on Python ints: ** is C pow
+    ks, vals = ks[keep], vals[keep]
+    # bound takes Python ints one at a time: its ** is then C pow, not numpy's power
+    bounds = np.fromiter(map(bound, map(int, ks)), float, len(ks))
     violations: list[int] = []
     max_excess = 0.0
     for i in np.flatnonzero(~np.isfinite(vals) | (vals > bounds)).tolist():
         val, b = float(vals[i]), float(bounds[i])
-        violations.append(ks[i])
+        violations.append(int(ks[i]))
         if b > 0 and math.isfinite(val):
             max_excess = max(max_excess, val / b - 1.0)
         else:

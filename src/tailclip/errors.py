@@ -5,9 +5,5 @@ class ConfigurationError(ValueError):
     """A parameter, spec, or config file is invalid or inconsistent."""
 
 
-class InsufficientDataError(ValueError):
-    """An estimator was given too few samples to produce a result."""
-
-
 class DomainError(ValueError):
     """A query point lies outside the feasible domain of a problem."""

@@ -9,7 +9,7 @@ alternative carries the same fields.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -52,60 +52,45 @@ class Trace:
             raise ConfigurationError(f"unknown trace metric {name!r}") from None
 
 
-def average_traces(traces: list[Trace], stat: str = "mean") -> Trace:
-    """Aggregate traces across seeds in metric space (mean or median)."""
-    if not traces:
-        raise ConfigurationError("no traces to average")
-    ks = traces[0].ks
-    for t in traces[1:]:
-        if not np.array_equal(t.ks, ks):
-            raise ConfigurationError("traces have mismatched record points")
-    agg = np.mean if stat == "mean" else np.median
-    stacked = {f: agg(np.stack([t.metric(f) for t in traces]), axis=0) for f in TRACE_METRICS}
-    return Trace(ks=ks.copy(), seed=-1, algorithm=traces[0].algorithm, **stacked)
+def average_traces(traces: Iterable[Trace], stat: str = "mean") -> Trace:
+    """The seed mean of ``traces``, folded one at a time by SeedMean."""
+    if stat != "mean":
+        raise ConfigurationError(f"unknown seed statistic {stat!r}: only the mean is taken")
+    mean = SeedMean()
+    for trace in traces:
+        mean.add(trace)
+    return mean.mean()
 
 
 class SeedMean:
-    """average_traces(traces, stat="mean") of traces added one at a time,
-    bit for bit, holding one running sum per metric instead of the traces.
+    """The seed mean of traces added one at a time: per metric, their sum
+    in the order added, from +0.0, divided by their count.  At K >= 2
+    records that is np.mean of the (S, K) stack bit for bit (numpy adds its
+    rows in order; at K = 1 it sums the column pairwise).  ``mean`` divides
+    the sums in place, so it ends the fold."""
 
-    np.mean of an (S, K) stack starts from zeros and, at K >= 2, adds row
-    after row, as ``+=`` does; with one record it sums the (S, 1) column
-    pairwise, so there the values are kept and averaged at the end.
-    ``mean`` divides the sums in place, so it ends the fold.  Metrics left
-    out of ``metrics`` are not read, and their mean is zeros.
-    """
-
-    def __init__(self, metrics: tuple[str, ...] = TRACE_METRICS):
-        self.metrics = metrics
+    def __init__(self):
         self.count = 0
         self.ks = self.algorithm = self.result = None
-        self.sums: dict[str, np.ndarray | list] = {}
+        self.sums: dict[str, np.ndarray] = {}
 
     def add(self, trace: Trace) -> None:
         if self.result is not None:
             raise ConfigurationError("the seed-mean is already taken")
         if self.ks is None:
             self.ks, self.algorithm = trace.ks.copy(), trace.algorithm
-            self.sums = {f: [] if len(self.ks) == 1 else np.zeros(len(self.ks))
-                         for f in self.metrics}
+            self.sums = {f: np.zeros(len(self.ks)) for f in TRACE_METRICS}
         elif not np.array_equal(trace.ks, self.ks):
             raise ConfigurationError("traces have mismatched record points")
         for f, total in self.sums.items():
-            if isinstance(total, list):
-                total.append(np.array(trace.metric(f)))
-            else:
-                total += trace.metric(f)
+            total += trace.metric(f)
         self.count += 1
 
     def mean(self) -> Trace:
         if not self.count:
             raise ConfigurationError("no traces to average")
         if self.result is None:
-            means = {f: np.zeros(len(self.ks)) for f in TRACE_METRICS}
-            means.update({f: np.mean(np.stack(total), axis=0) if isinstance(total, list)
-                          else np.divide(total, self.count, out=total)
-                          for f, total in self.sums.items()})
+            means = {f: np.divide(total, self.count, out=total) for f, total in self.sums.items()}
             self.sums = {}
             self.result = Trace(ks=self.ks, seed=-1, algorithm=self.algorithm, **means)
         return self.result
@@ -119,9 +104,14 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 TABLE_SUFFIX = {"csv": ".csv", "json-lines": ".jsonl"}
 _WRITE_BLOCK = 1024  # rows formatted at a time; bounds the writer's memory
 _READ_BLOCK = 1 << 18  # bytes of lines read at a time; bounds the reader's memory
-# The type of each CSV column in a TraceTable.
-_COLUMN_DTYPES = {"experiment": object, "algorithm": object, "seed": np.int64, "k": np.int64,
-                  **{m: np.float64 for m in CSV_METRICS}}
+# The type of each CSV column in a TraceTable but the experiment and
+# algorithm names: a table holds one run, so it stores each name once.
+_COLUMN_DTYPES = {"seed": np.int64, "k": np.int64, **{m: np.float64 for m in CSV_METRICS}}
+
+
+def _repeated(value, dtype, n: int) -> np.ndarray:
+    """A read-only column of ``n`` rows of ``value``, stored once."""
+    return np.broadcast_to(np.array([value], dtype=dtype), (n,))  # object keeps a str's NULs
 
 
 def _cells(col: np.ndarray, fmt: str) -> list[str]:
@@ -198,8 +188,8 @@ def write_table(path: Path, fmt: str, header, columns: list[np.ndarray]):
 
 
 class TraceTable(dict):
-    """Trace columns by CSV column name, typed as _COLUMN_DTYPES says;
-    ``len()`` is the row count."""
+    """The rows of one run by CSV column name: the names as _repeated
+    columns, the rest typed as _COLUMN_DTYPES says; ``len()`` counts rows."""
 
     def __len__(self) -> int:
         return len(self["k"])
@@ -207,14 +197,10 @@ class TraceTable(dict):
 
 def trace_columns(experiment: str, trace: Trace) -> list[np.ndarray]:
     """The CSV_COLUMNS of one trace's rows; the columns that hold one value
-    are read-only views of it."""
+    are _repeated views of it."""
     n = len(trace.ks)
-
-    def same(value, dtype):  # an object array keeps a str's trailing NULs
-        return np.broadcast_to(np.array([value], dtype=dtype), (n,))
-
-    return [same(experiment, object), same(trace.algorithm, object), same(trace.seed, np.int64),
-            np.asarray(trace.ks, dtype=np.int64),
+    return [_repeated(experiment, object, n), _repeated(trace.algorithm, object, n),
+            _repeated(trace.seed, np.int64, n), np.asarray(trace.ks, dtype=np.int64),
             *(np.asarray(trace.metric(m), dtype=float) for m in CSV_METRICS)]
 
 
@@ -241,8 +227,8 @@ def read_csv(path: Path) -> TraceTable:
     at its full length.  The second reads about _READ_BLOCK bytes of lines
     at a time: a block's cells are split once, and each column takes them
     by stride into its rows.  Raises ConfigurationError for a header other
-    than CSV_HEADER, a line without len(CSV_COLUMNS) cells or a cell its
-    column cannot parse.
+    than CSV_HEADER, a line without len(CSV_COLUMNS) cells, a cell its
+    column cannot parse, or rows that mix experiments or algorithms.
     """
     ncol = len(CSV_COLUMNS)
     with open(path, "rb") as fh:
@@ -253,7 +239,8 @@ def read_csv(path: Path) -> TraceTable:
             n, last = n + chunk.count(b"\n"), chunk[-1:]
         n += last != b"\n"  # a last line without its newline
         fh.seek(body)
-        table = TraceTable({name: np.empty(n, _COLUMN_DTYPES[name]) for name in CSV_COLUMNS})
+        columns = {name: np.empty(n, dtype) for name, dtype in _COLUMN_DTYPES.items()}
+        names: dict[str, str] = {}  # the run's experiment and algorithm
         done = 0
         for lines in iter(lambda: fh.readlines(_READ_BLOCK), []):
             bad = [i for i, line in enumerate(lines) if line.count(b",") != ncol - 1]
@@ -266,15 +253,20 @@ def read_csv(path: Path) -> TraceTable:
             for j, name in enumerate(CSV_COLUMNS):
                 col = cells[j::ncol]
                 try:
-                    if _COLUMN_DTYPES[name] == object:  # one str per distinct value
-                        col = list(map({c: c.decode() for c in set(col)}.__getitem__, col))
-                    table[name][rows] = np.array(col, dtype=_COLUMN_DTYPES[name])
+                    if name in columns:
+                        columns[name][rows] = np.array(col, dtype=columns[name].dtype)
+                        continue
+                    values = {names.setdefault(name, col[0].decode()), *map(bytes.decode, set(col))}
                 except (ValueError, OverflowError) as exc:
                     raise ConfigurationError(f"{path}: column {name}: {exc}") from None
+                if len(values) > 1:
+                    raise ConfigurationError(
+                        f"{path}: the rows mix {name}s {', '.join(sorted(values))}")
             done += len(lines)
     if done != n:
         raise ConfigurationError(f"{path}: the file changed while it was read")
-    return table
+    return TraceTable({name: columns.get(name, _repeated(names.get(name, ""), object, n))
+                       for name in CSV_COLUMNS})
 
 
 def _seed_rows(table: TraceTable) -> list:
@@ -299,8 +291,9 @@ def _seed_rows(table: TraceTable) -> list:
     return groups
 
 
-def _row_traces(table: TraceTable) -> Iterator[Trace]:
-    """The traces of traces_from_rows, one at a time."""
+def row_traces(table: TraceTable) -> Iterator[Trace]:
+    """The traces of traces_from_rows, one at a time: slices of the table's
+    columns when its rows come seed by seed, each by k."""
     for idx in _seed_rows(table):
         n = len(table["k"][idx])
         yield Trace(
@@ -308,7 +301,7 @@ def _row_traces(table: TraceTable) -> Iterator[Trace]:
             **{m: table[m][idx] for m in CSV_METRICS},
             **{m: np.zeros(n) for m in TRACE_METRICS if m not in CSV_METRICS},
             seed=int(table["seed"][idx][0]),
-            algorithm=table["algorithm"][idx][0],
+            algorithm=table["algorithm"][0],
         )
 
 
@@ -318,18 +311,4 @@ def traces_from_rows(table: TraceTable) -> list[Trace]:
     The CSV does not carry the running means, so those metrics are zeros.
     Raises ConfigurationError for a repeated (seed, k) row.
     """
-    return list(_row_traces(table))
-
-
-def mean_trace_of_rows(table: TraceTable) -> Trace:
-    """average_traces(traces_from_rows(table)), taken one seed's rows at a
-    time.  Raises ConfigurationError for rows of more than one experiment
-    or algorithm, a repeated (seed, k) row or seeds recorded at different ks."""
-    for name in ("experiment", "algorithm"):
-        values = set(table[name])
-        if len(values) > 1:
-            raise ConfigurationError(f"the rows mix {name}s {', '.join(sorted(values))}")
-    mean = SeedMean(CSV_METRICS)  # the running means are zeros
-    for trace in _row_traces(table):
-        mean.add(trace)
-    return mean.mean()
+    return list(row_traces(table))

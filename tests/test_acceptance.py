@@ -126,7 +126,7 @@ def test_a6_cclip_beats_gclip_at_high_dimension():
         ("cclip", "cclip", cclip_schedule(1.0, B, alpha)),
     ):
         cfg = OptimizerConfig(alg, sched, K, x0=x0, averaging=True, record=K)
-        traces = run_seeds(problem, cfg, seeds, 5, parallel=1)
+        traces = run_seeds(problem, cfg, seeds, 5)
         finals[name] = np.array([t.suboptimality[-1] for t in traces])
     wins = int(np.sum(finals["cclip"] < finals["gclip"]))
     pval = binomtest(wins, seeds, 0.5, alternative="greater").pvalue

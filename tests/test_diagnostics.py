@@ -10,7 +10,7 @@ from tailclip.diagnostics import (
     sandwich_steps,
     strongly_convex_bound,
 )
-from tailclip.errors import ConfigurationError, InsufficientDataError
+from tailclip.errors import ConfigurationError
 from tailclip.optimizers import record_points
 from tailclip.traces import Trace
 
@@ -66,7 +66,7 @@ class TestSlopeFit:
         tr = synthetic_trace(ks, 2.0 * ks**-0.5)
         fit = fit_loglog_slope(tr, "suboptimality", (10, 10000))
         assert fit.n_points == 4
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ConfigurationError, match="needs >= 3 positive points"):
             fit_loglog_slope(tr, "suboptimality", (2000, 10000))
         with pytest.raises(ConfigurationError):
             fit_loglog_slope(tr, "suboptimality", (100, 100))
@@ -92,7 +92,38 @@ class TestSlopeFit:
             assert scaled.intercept == pytest.approx(base.intercept + math.log(c), abs=1e-9)
 
 
+    @pytest.mark.parametrize("record", ["log", 1, 7])
+    def test_equals_the_plain_formulas_bit_for_bit(self, record):
+        # the fit reuses its buffers; the values must be those of the
+        # formulas written out, one new array per step
+        ks = record_points(5000, record)
+        vals = np.exp(np.random.default_rng(3).standard_normal(ks.size)) * ks**-0.7
+        vals[::11] = 0.0
+        fit = fit_loglog_slope(synthetic_trace(ks, vals), "suboptimality", (3.0, 4000.0))
+        keep = (ks >= 3.0) & (ks <= 4000.0) & (vals > 0.0)
+        lx, ly = np.log(ks[keep].astype(float)), np.log(vals[keep])
+        gaps = np.diff(lx)
+        w = np.append(gaps, 0.0)
+        w[1:] += gaps
+        mean_x, mean_y = (w @ lx) / w.sum(), (w @ ly) / w.sum()
+        dx, dy = lx - mean_x, ly - mean_y
+        slope = (w * dx) @ dy / ((w * dx) @ dx)
+        resid = dy - slope * dx
+        r2 = 1.0 - float((w * resid) @ resid) / float((w * dy) @ dy)
+        assert (fit.slope, fit.intercept, fit.r_squared) == (slope, mean_y - slope * mean_x, r2)
+        assert fit.n_points == int(keep.sum())
+
+
 class TestEnvelope:
+    def test_bound_takes_python_ints(self):
+        # on a Python int, the bound's ** is the C library's pow; on a numpy
+        # int it would be numpy's power, which can differ in the last bit
+        seen = []
+        res = bound_envelope_check(synthetic_trace(np.arange(1, 6), np.zeros(5)),
+                                   lambda k: seen.append(type(k)) or 1.0, k_min=2)
+        assert res.passed and seen == [int] * 4
+
+
     def test_zero_metric_never_violates(self):
         ks = np.array([1, 10, 100])
         res = bound_envelope_check(synthetic_trace(ks, np.zeros(3)), lambda k: 1.0)

@@ -31,8 +31,8 @@ from tailclip.traces import (
     TRACE_METRICS,
     Trace,
     average_traces,
-    mean_trace_of_rows,
     read_csv,
+    row_traces,
     traces_from_rows,
     write_csv,
     write_table,
@@ -123,7 +123,7 @@ def config_settings(draw):
         **{f"checks.{key}": draw(st.text("abcXYZ019_-. %;#", max_size=12))
            for key in TEXT_KEYS[1:]},
         "checks.slope_expect": draw(st.just("") | st.floats(-2.0, 0.0)),
-        "checks.slope_kmin": draw(st.floats(1.0, 999.0)),
+        "checks.slope_kmin": draw(st.floats(1.0, 500.0)),  # 3 recorded points up to 1,000
         "checks.slope_tol": draw(finite),
         "outputs.plots": draw(st.booleans()),
     }
@@ -298,6 +298,9 @@ class TestConfig:
              "nonconvex"),
             (["problem.kind=nonconvex", "checks.envelope=strongly_convex", "schedule.G=2.0"],
              "nonconvex"),
+            (["checks.slope_expect=-0.5", "checks.slope_kmin=70"], "slope_kmin"),  # 87, 100
+            (["checks.slope_expect=-0.5", "optimizer.record=50", "checks.slope_kmin=2"],
+             "slope_kmax"),  # 50, 100
         ],
     )
     def test_bad_combination_rejected_before_run(self, minimal_cfg, overrides, named):
@@ -315,7 +318,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [
         ["checks.envelope=strongly_convex", "schedule.G=2.0"],
-        ["checks.slope_expect=-0.5", "checks.slope_kmin=99"],
+        ["checks.slope_expect=-0.5", "checks.slope_kmin=69"],  # 69, 87, 100: the fewest
         ["checks.slope_expect=-0.5", "checks.slope_kmin=10", "checks.slope_kmax=20"],
     ])
     def test_checkable_combination_accepted(self, minimal_cfg, overrides):
@@ -572,6 +575,7 @@ class TestTraceFiles:
     def test_csv_round_trip_is_exact(self, data):
         seeds = data.draw(st.lists(st.integers(0, 2**40), min_size=2, max_size=4, unique=True))
         assume(seeds != sorted(seeds))
+        algorithm = data.draw(st.sampled_from(ALGORITHMS))  # a table holds one run
         traces = []
         for seed in seeds:
             ks = sorted(data.draw(st.lists(st.integers(1, 10**12), min_size=1, max_size=12,
@@ -581,7 +585,7 @@ class TestTraceFiles:
                        for m in CSV_METRICS}
             zeros = {m: np.zeros(len(ks)) for m in ("avg_grad_sq", "avg_min_stat")}
             traces.append(Trace(ks=np.array(ks), **metrics, **zeros, seed=seed,
-                                algorithm=data.draw(st.sampled_from(ALGORITHMS))))
+                                algorithm=algorithm))
         name = data.draw(names)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
@@ -604,6 +608,29 @@ class TestTraceFiles:
         assert list(whole) == list(pieces) == list(CSV_COLUMNS)
         for name in CSV_COLUMNS:
             assert np.array_equal(whole[name], pieces[name]), name
+        for name, value in (("experiment", "smoke"), ("algorithm", "gclip")):  # stored once
+            assert pieces[name].strides == (0,) and set(pieces[name]) == {value}, name
+
+    @pytest.mark.parametrize("read_block", [50, 1 << 18])
+    @pytest.mark.parametrize("column", ["experiment", "algorithm"])
+    def test_read_csv_refuses_rows_of_two_runs(self, tmp_path, monkeypatch, column, read_block):
+        # a table holds one run, so it stores each name once; rows of another
+        # experiment or algorithm are refused, in the first block or a later one
+        monkeypatch.setattr(trace_files, "_READ_BLOCK", read_block)
+        ks = np.arange(1, 11)
+        traces = [Trace(ks=ks, **{m: np.full(10, 0.5) for m in TRACE_METRICS}, seed=i,
+                        algorithm="gclip") for i in range(2)]
+        if column == "algorithm":
+            traces[1].algorithm = "cclip"
+            write_csv(tmp_path / "t.csv", "first", traces)
+        else:
+            write_csv(tmp_path / "a.csv", "first", traces[:1])
+            write_csv(tmp_path / "b.csv", "second", traces[1:])
+            second = (tmp_path / "b.csv").read_bytes().split(b"\n", 1)[1]
+            (tmp_path / "t.csv").write_bytes((tmp_path / "a.csv").read_bytes() + second)
+        mixed = "cclip, gclip" if column == "algorithm" else "first, second"
+        with pytest.raises(ConfigurationError, match=f"the rows mix {column}s {mixed}$"):
+            read_csv(tmp_path / "t.csv")
 
 
 class TestCli:
@@ -713,6 +740,30 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert "--kmax" in captured.err
+
+    def test_report_refuses_a_range_too_short_to_fit(self, minimal_cfg, tmp_path, capsys):
+        # [88, 100] holds one of the recorded points (87 and 100 are the last two)
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        capsys.readouterr()
+        code = main(["report", "--csv", str(tmp_path / "smoke.csv"), "--slope-expect", "-0.6667",
+                     "--kmin", "88", "--out", str(tmp_path / "r")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "r").exists()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "3 positive points" in captured.err
+
+    def test_run_refuses_a_slope_range_too_short_to_fit_before_drawing(self, tmp_path, capsys):
+        # the Gaussian config records 1,972 and 2,000 last: [1990, 2000] holds one point
+        out = tmp_path / "out"
+        code = main(["run", str(REPO / "configs" / "strongly_convex_gaussian.cfg"),
+                     "-O", "experiment.iterations=2000", "-O", "checks.slope_kmin=1990",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "slope_kmin = 1990.0 and slope_kmax = inf hold 1 of the points" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -965,7 +1016,7 @@ class TestStreamedRun:
 
     @pytest.mark.parametrize("overrides", [
         ["experiment.iterations=1", "experiment.seeds=20", "noise.family=stable",
-         "noise.tail_index=1.1"],  # one record: numpy sums the seeds pairwise
+         "noise.tail_index=1.1"],  # one record
         ["experiment.seeds=1"],
         ["optimizer.record=7"],
         ["noise.family=pareto", "noise.tail_index=1.05", "schedule.eta=50", "schedule.tau=inf",
@@ -1072,12 +1123,13 @@ def test_run_and_report_memory_do_not_grow_with_seeds(tmp_path):
         peaks[seeds] = traced_peak(
             lambda: run_experiment(seeded, out_dir=tmp_path / str(seeds), parallel=1))
     assert abs(peaks[8] - peaks[2]) <= 2**20, peaks
-    # report reads the 8-seed table once and averages slices of its columns
+    # report reads the 8-seed table once and averages slices of its columns;
+    # the experiment and algorithm columns hold one stored value each
     path = tmp_path / "8" / f"{cfg.name}.csv"
     table = read_csv(path)
-    column_bytes = sum(col.nbytes for col in table.values())
+    column_bytes = sum(table[name].nbytes for name in CSV_COLUMNS[2:])
     del table
-    peak = traced_peak(lambda: mean_trace_of_rows(read_csv(path)))
+    peak = traced_peak(lambda: average_traces(row_traces(read_csv(path))))
     assert peak <= 1.3 * column_bytes, peak / column_bytes
 
 

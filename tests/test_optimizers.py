@@ -505,12 +505,12 @@ class TestSeedFanOut:
         mean = average_traces(traces)
         stacked = np.stack([t.suboptimality for t in traces])
         assert np.allclose(mean.suboptimality, stacked.mean(axis=0))
-        med = average_traces(traces, stat="median")
-        assert np.allclose(med.suboptimality, np.median(stacked, axis=0))
+        with pytest.raises(ConfigurationError, match="median"):
+            average_traces(traces, stat="median")
 
 
-def folded_mean(traces, metrics=TRACE_METRICS) -> Trace:
-    mean = SeedMean(metrics)
+def folded_mean(traces) -> Trace:
+    mean = SeedMean()
     for t in traces:
         mean.add(t)
     return mean.mean()
@@ -520,38 +520,35 @@ class TestSeedMean:
     @pytest.mark.parametrize("K", [1, 2, 5])
     @pytest.mark.parametrize("S", [1, 2, 3, 9, 20])
     def test_equals_average_traces_bit_for_bit(self, S, K):
+        # the reference is np.mean of the (S, K) stack at K >= 2, and the sum
+        # in seed order from +0.0 divided by S at K = 1, where numpy would
+        # sum the (S, 1) column pairwise
         rng = np.random.default_rng(100 * S + K)
         ks = np.arange(1, K + 1)
         traces = [Trace(ks=ks, **{f: rng.standard_cauchy(K) for f in TRACE_METRICS},
                         seed=i, algorithm="gclip") for i in range(S)]
         for t in traces:
-            t.eff_step[:] = -0.0  # numpy's sum starts from +0.0, so the mean is +0.0
+            t.eff_step[:] = -0.0  # the sum starts from +0.0, so the mean is +0.0
         traces[0].clip_frac[0] = math.inf
         traces[-1].clip_frac[-1] = -math.inf  # inf - inf: NaN when S > 1
         traces[S // 2].grad_norm[0] = math.nan
+        want = {}
         with np.errstate(invalid="ignore"):  # inf - inf, both ways
-            want = average_traces(traces, stat="mean")
-            assert_same_bits(folded_mean(traces), want, (S, K))
-        assert want.eff_step.view(np.uint64)[0] == 0
-
-    def test_one_record_is_averaged_pairwise(self):
-        # numpy sums an (S, 1) stack pairwise, so for one-record traces a
-        # sequential fold differs from it in the last bit for these values
-        values = np.random.default_rng(0).standard_cauchy(20)
-        sequential = 0.0
-        for v in values:
-            sequential += v
-        assert sequential / 20 != np.mean(values)
-        traces = [Trace(ks=np.array([1]), **{f: np.array([v]) for f in TRACE_METRICS},
-                        seed=i, algorithm="sgd") for i, v in enumerate(values)]
-        assert_same_bits(folded_mean(traces), average_traces(traces), "K = 1")
-
-    def test_left_out_metrics_are_zeros(self):
-        p = make_quadratic(2, "gaussian")
-        traces = run_seeds(p, OptimizerConfig("sgd", Schedule(0.05), 50, x0=1.0), 3, parallel=1)
-        mean = folded_mean(traces, metrics=("suboptimality",))
-        assert np.array_equal(mean.suboptimality, average_traces(traces).suboptimality)
-        assert not np.any(mean.grad_norm) and not np.any(mean.avg_grad_sq)
+            for f in TRACE_METRICS:
+                stack = np.stack([t.metric(f) for t in traces])
+                if K == 1:
+                    total = 0.0
+                    for value in stack[:, 0].tolist():
+                        total += value
+                    want[f] = np.array([total / S])
+                else:
+                    want[f] = np.mean(stack, axis=0)
+            got = folded_mean(traces)
+            assert_same_bits(average_traces(traces), got, (S, K))
+        assert np.array_equal(got.ks, ks) and (got.seed, got.algorithm) == (-1, "gclip")
+        for f in TRACE_METRICS:
+            assert np.array_equal(got.metric(f).view(np.uint64), want[f].view(np.uint64)), (S, K, f)
+        assert got.eff_step.view(np.uint64)[0] == 0
 
     def test_refuses_mismatched_records_empty_folds_and_adds_after_the_mean(self):
         p = make_quadratic(2, "gaussian")
