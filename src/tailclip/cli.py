@@ -188,12 +188,7 @@ def cmd_report(args) -> int:
         kmax = float(mean_trace.ks[-1]) if args.kmax is None else args.kmax
         report.verdicts.append(slope_verdict("slope", mean_trace, args.metric, (args.kmin, kmax),
                                              args.slope_expect, args.slope_tol))
-    out = _out_dir(args)
-    path = out / (Path(args.csv).stem + ".report.txt")
-    path.write_text(report.render_text(), encoding="utf-8")
-    (out / (Path(args.csv).stem + ".verdicts.jsonl")).write_text(
-        report.verdict_jsonl(), encoding="utf-8"
-    )
+    report.write(_out_dir(args), Path(args.csv).stem)
     print(report.render_text(), end="")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -403,19 +403,18 @@ def seed_stream(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed), int(index)])
 
 
-def _run_indexed(args):
+def _run_indexed(args) -> Trace:
     problem, config, master_seed, index = args
-    trace = run(problem, config, seed_stream(master_seed, index))
-    return index, replace(trace, seed=index)
+    return replace(run(problem, config, seed_stream(master_seed, index)), seed=index)
 
 
-def _run_to_file(args, directory: str) -> tuple[str, str]:
+def _run_to_file(args, directory: str) -> str:
     """Run one replica in a worker and save its trace's arrays in
-    ``directory``; the path and the algorithm go back to the parent."""
-    index, trace = _run_indexed(args)
-    path = os.path.join(directory, f"{index}.npz")
+    ``directory``; the file's path goes back to the parent."""
+    trace = _run_indexed(args)
+    path = os.path.join(directory, f"{trace.seed}.npz")
     np.savez(path, ks=trace.ks, **{f: trace.metric(f) for f in TRACE_METRICS})
-    return path, trace.algorithm
+    return path
 
 
 def _load_trace(path: str, algorithm: str, seed: int) -> Trace:
@@ -437,18 +436,18 @@ def iter_seeds(
     replica i draws from a stream derived from (master_seed, i), so adding
     seeds never changes earlier ones.
 
-    With workers, a replica is handed to a worker only once the caller has
-    taken the trace before it, and a worker saves its trace to a temporary
-    file that is read when the caller asks for it.  So the caller's process
-    holds one trace at a time, whatever ``n_seeds`` and however the workers'
-    results arrive.
+    With workers, a free worker takes the next seed not yet started and
+    saves its trace to a temporary file, read when the caller asks for it:
+    the caller holds one trace at a time, and the traces not yet taken wait
+    on disk.  If a seed raises or the caller stops early, the seeds not yet
+    started are cancelled and the temporary files removed.
     """
     jobs = [(problem, config, master_seed, i) for i in range(n_seeds)]
     if parallel is None:
         parallel = min(os.cpu_count() or 1, n_seeds)
     if parallel <= 1 or n_seeds == 1:
         for job in jobs:
-            yield _run_indexed(job)[1]
+            yield _run_indexed(job)
         return
     # Imported here: the pool's modules cost every serial CLI process about
     # 20 ms of start-up.
@@ -456,12 +455,11 @@ def iter_seeds(
     from concurrent.futures import ProcessPoolExecutor
 
     with tempfile.TemporaryDirectory() as tmp, ProcessPoolExecutor(max_workers=parallel) as pool:
-        running = deque(pool.submit(_run_to_file, job, tmp) for job in jobs[:parallel])
-        for seed in range(n_seeds):
-            done = running.popleft().result()
-            if seed + parallel < n_seeds:
-                running.append(pool.submit(_run_to_file, jobs[seed + parallel], tmp))
-            yield _load_trace(*done, seed)
+        try:
+            for seed, path in enumerate(pool.map(_run_to_file, jobs, repeat(tmp))):
+                yield _load_trace(path, config.algorithm, seed)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_seeds(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,14 +53,6 @@ def project(domain: Ball, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Constants:
-    """Problem constants; fields are None when unknown/not applicable."""
-
-    L: float | None = None
-    mu: float | None = None
-
-
-@dataclass
 class StochasticProblem:
     """An objective with exact gradient, additive gradient noise and metadata.
 
@@ -68,14 +60,16 @@ class StochasticProblem:
     ``noise``; optimizers pre-generate the draws in blocks.  At d = 1
     ``exact_gradient`` also takes a float and returns one.  ``value`` takes
     one point or a stack of points (one per row).  Both problems have
-    minimum value 0, so ``value`` is the suboptimality.
+    minimum value 0, so ``value`` is the suboptimality.  ``L`` and ``mu``
+    are the smoothness and strong convexity constants, None if unknown.
     """
 
     dimension: int
     value: Callable[[np.ndarray], float | np.ndarray]
     exact_gradient: Callable[[np.ndarray | float], np.ndarray | float]
     noise: NoiseSpec
-    constants: Constants = field(default_factory=Constants)
+    L: float | None = None
+    mu: float | None = None
     domain: Ball | None = None
 
 
@@ -107,8 +101,9 @@ def quadratic_problem(
         dimension=dimension,
         value=value,
         exact_gradient=grad,
-        constants=Constants(L=mu, mu=mu),
         noise=noise,
+        L=mu,
+        mu=mu,
     )
 
 
@@ -138,8 +133,8 @@ def nonconvex_problem(dimension: int, noise: NoiseSpec) -> StochasticProblem:
         dimension=dimension,
         value=_ratio_value,
         exact_gradient=_ratio_grad,
-        constants=Constants(L=2.0),
         noise=noise,
+        L=2.0,
     )
 
 

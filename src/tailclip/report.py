@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 @dataclass
@@ -68,3 +69,10 @@ class Report:
                 )
             )
         return "\n".join(rows) + ("\n" if rows else "")
+
+    def write(self, out: Path, stem: str) -> dict[str, Path]:
+        """Save ``<stem>.report.txt`` and ``<stem>.verdicts.jsonl`` in ``out``; their paths."""
+        paths = {"report": out / f"{stem}.report.txt", "verdicts": out / f"{stem}.verdicts.jsonl"}
+        paths["report"].write_text(self.render_text(), encoding="utf-8")
+        paths["verdicts"].write_text(self.verdict_jsonl(), encoding="utf-8")
+        return paths

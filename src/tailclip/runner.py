@@ -56,26 +56,18 @@ def calibration_stream(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(918273,)))
 
 
-def _broadcast(values: list[float], d: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 1:
-        return np.full(d, float(arr[0]))
-    return arr.copy()
-
-
 def build_problem(cfg: ExperimentConfig) -> tuple[StochasticProblem, np.ndarray]:
     p = cfg.problem
     d = p.dimension
     noise = cfg.noise.build(d)
-    x_star = _broadcast(p.x_star, d)
-    x0 = _broadcast(p.x0, d)
+    x0 = np.broadcast_to(p.x0, d).astype(float)
     if p.kind == "quadratic":
-        problem = quadratic_problem(p.mu, d, x_star, noise)
+        problem = quadratic_problem(p.mu, d, p.x_star, noise)
     else:
         problem = nonconvex_problem(d, noise)
     if p.domain == "ball":
         if p.radius == "auto":
-            radius = 2.0 * float(np.linalg.norm(x0 - x_star))
+            radius = 2.0 * float(np.linalg.norm(x0 - p.x_star))
             if radius <= 0:
                 radius = 1.0
         else:
@@ -100,11 +92,11 @@ def build_schedule(
             sigma = float(s.sigma)
         f0 = problem.value(x0) if s.f0 == "auto" else float(s.f0)
         calibration["f0"] = f0
-        sched = nonconvex_schedule(problem.constants.L, sigma, s.alpha, cfg.iterations, f0)
+        sched = nonconvex_schedule(problem.L, sigma, s.alpha, cfg.iterations, f0)
         calibration["eta"] = sched.eta
         calibration["tau"] = float(sched.tau)
         return sched, calibration
-    mu = problem.constants.mu  # validate_config refuses these kinds on a problem without mu
+    mu = problem.mu  # validate_config refuses these kinds on a problem without mu
     if s.kind == "strongly_convex":
         if s.G == "auto":
             G = estimate_G(problem, x0, s.alpha, s.calibration_draws, rng)
@@ -150,13 +142,19 @@ def slope_verdict(
 ) -> Verdict:
     """PASS when the log-log slope of the seed-mean metric is within tol of
     expect.  A non-finite seed-mean value inside k_range is a FAIL that names
-    its k: the fit would drop it and could pass on the points left."""
+    its k: the fit would drop it and could pass on the points left.  So is a
+    range of three or more recorded points with fewer than three positive."""
     description = f"log-log slope of seed-mean {metric}"
     threshold = f"{expect:.4f} +- {tol}"
     ks, vals = mean_trace.ks, mean_trace.metric(metric)
-    bad = ks[(ks >= k_range[0]) & (ks <= k_range[1]) & ~np.isfinite(vals)]
+    in_range = (ks >= k_range[0]) & (ks <= k_range[1])
+    bad = ks[in_range & ~np.isfinite(vals)]
     if bad.size:
         return Verdict(criterion, description, f"non-finite value at k={bad[0]}", threshold, False)
+    n_in, n_pos = np.count_nonzero(in_range), np.count_nonzero(in_range & (vals > 0.0))
+    if n_pos < 3 <= n_in:  # below 3 recorded points, fit_loglog_slope refuses the range
+        return Verdict(criterion, description, f"{n_pos} of {n_in} points positive; the fit needs 3",
+                       threshold, False)
     fit = fit_loglog_slope(mean_trace, metric, k_range)
     return Verdict(
         criterion=criterion,
@@ -266,7 +264,6 @@ def evaluate_checks(cfg: ExperimentConfig, traces: Iterable[Trace], calibration:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     mean_trace: Trace  # the seed-mean trace; per-seed rows are in paths["data"]
     report: Report
     paths: dict = field(default_factory=dict)
@@ -313,13 +310,10 @@ def run_experiment(
         verdicts=verdicts,
         calibration={k: float(v) for k, v in calibration.items()},
     )
-    paths["report"] = out / f"{cfg.name}.report.txt"
-    paths["report"].write_text(report.render_text(), encoding="utf-8")
-    paths["verdicts"] = out / f"{cfg.name}.verdicts.jsonl"
-    paths["verdicts"].write_text(report.verdict_jsonl(), encoding="utf-8")
+    paths.update(report.write(out, cfg.name))
     if cfg.outputs.plots and fmt == "csv":
         from .plots import write_plot_script
 
         paths["plot"] = out / f"{cfg.name}.plot.py"
         write_plot_script(paths["plot"], paths["data"].name, cfg.name)
-    return ExperimentResult(config=cfg, mean_trace=fold.mean.mean(), report=report, paths=paths)
+    return ExperimentResult(mean_trace=fold.mean.mean(), report=report, paths=paths)

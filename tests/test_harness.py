@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from dataclasses import is_dataclass
 from pathlib import Path
@@ -1059,6 +1060,91 @@ class TestStreamedRun:
         with pytest.raises(RuntimeError, match="seed 1"):
             run_experiment(load_config(minimal_cfg), out_dir=tmp_path / "out", parallel=1)
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_seeds_that_finish_out_of_order_come_back_in_seed_order(
+            self, minimal_cfg, tmp_path, monkeypatch):
+        # the workers fork after the patch, so they run seed 0 last to finish
+        real, done = optimizers._run_indexed, tmp_path / "done"
+        done.mkdir()
+
+        def seed_zero_is_slow(job):
+            if job[3] == 0:
+                time.sleep(0.5)
+            trace = real(job)
+            (done / str(job[3])).write_text(repr(time.monotonic()))
+            return trace
+
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, ["experiment.seeds=5", "checks.slope_expect=-1.0",
+                              "checks.slope_tol=5.0", "checks.slope_kmin=1"])
+        one = run_experiment(cfg, out_dir=tmp_path / "one", parallel=1)
+        monkeypatch.setattr(optimizers, "_run_indexed", seed_zero_is_slow)
+        two = run_experiment(cfg, out_dir=tmp_path / "two", parallel=2)
+        finished = {int(p.name): float(p.read_text()) for p in done.iterdir()}
+        assert sorted(finished) == [0, 1, 2, 3, 4]
+        assert finished[0] > max(finished[i] for i in (1, 2, 3, 4))
+        for key in ("data", "verdicts"):
+            assert two.paths[key].read_bytes() == one.paths[key].read_bytes(), key
+
+    @pytest.mark.parametrize("stop", ["seed raises", "writer raises", "reader closes"])
+    def test_an_early_stop_cancels_the_seeds_not_started(
+            self, minimal_cfg, tmp_path, monkeypatch, stop):
+        # 20 seeds on 2 workers: the seeds not yet started are cancelled, and
+        # no data file, .part file or temporary trace file is left
+        real, started, tmp = optimizers._run_indexed, tmp_path / "started", tmp_path / "tmp"
+        started.mkdir()
+        tmp.mkdir()
+
+        def slow_seeds(job):
+            (started / str(job[3])).touch()
+            if stop == "seed raises" and job[3] == 1:
+                raise RuntimeError("seed 1 failed")
+            time.sleep(0.05)
+            return real(job)
+
+        def refuse_rows(writer, columns):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setattr(optimizers, "_run_indexed", slow_seeds)
+        cfg = load_config(minimal_cfg)
+        apply_overrides(cfg, ["experiment.seeds=20"])
+        out = tmp_path / "out"
+        if stop == "reader closes":
+            problem, x0 = runner.build_problem(cfg)
+            schedule, _ = runner.build_schedule(cfg, problem, x0)
+            opt = runner.build_optimizer_config(cfg, schedule, x0, problem.domain is not None)
+            seeds = optimizers.iter_seeds(problem, opt, cfg.seeds, cfg.master_seed, parallel=2)
+            assert next(seeds).seed == 0
+            seeds.close()
+        else:
+            if stop == "writer raises":  # on the first trace the reader takes
+                monkeypatch.setattr(trace_files.TableWriter, "write", refuse_rows)
+            with pytest.raises((RuntimeError, OSError), match="seed 1|disk full"):
+                run_experiment(cfg, out_dir=out, parallel=2)
+            assert list(out.iterdir()) == []
+        assert 0 < len(list(started.iterdir())) < cfg.seeds
+        assert list(tmp.iterdir()) == []
+
+    def test_a_slope_range_without_three_positive_points_fails(self, tmp_path, capsys):
+        # the seed-mean clip_frac of this run is positive at one record in [1, 2000]
+        smoke = str(REPO / "configs" / "smoke.cfg")
+        code = main(["run", smoke, "-O", "checks.slope_expect=-0.5", "-O",
+                     "checks.slope_metric=clip_frac", "-O", "schedule.tau=inf",
+                     "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[FAIL] slope: log-log slope of seed-mean clip_frac (observed 1 of " in out
+        assert "points positive; the fit needs 3" in out
+        assert (tmp_path / "smoke.report.txt").read_text() in out
+        verdicts = [json.loads(l) for l in (tmp_path / "smoke.verdicts.jsonl").read_text().splitlines()]
+        assert [v["passed"] for v in verdicts] == [False]
+        code = main(["report", "--csv", str(tmp_path / "smoke.csv"), "--metric", "clip_frac",
+                     "--slope-expect", "-0.5", "--out", str(tmp_path / "r")])
+        out = capsys.readouterr().out
+        assert code == 1 and "[FAIL] slope:" in out and "points positive; the fit needs 3" in out
+        assert (tmp_path / "r" / "smoke.report.txt").read_text() == out
+        assert (tmp_path / "r" / "smoke.verdicts.jsonl").read_text().count("\n") == 1
 
     def test_bench_call_shapes(self, minimal_cfg, tmp_path):
         # perfbench/traced.py makes these calls in these shapes: one run_seeds

@@ -106,7 +106,7 @@ class TestQuadratic:
         p = quadratic_problem(2.0, 3, x_star, zero_noise(3))
         assert p.value(x_star) == 0.0
         assert np.all(p.exact_gradient(x_star) == 0.0)
-        assert p.constants.L == p.constants.mu == 2.0
+        assert p.L == p.mu == 2.0
 
     def test_zero_noise_oracle_is_exact(self):
         p = quadratic_problem(1.0, 2, 0.0, zero_noise(2))
@@ -161,6 +161,7 @@ class TestNonconvex:
         p = nonconvex_problem(4, zero_noise(4))
         assert p.value(np.zeros(4)) == 0.0
         assert np.all(p.exact_gradient(np.zeros(4)) == 0.0)
+        assert p.L == 2.0 and p.mu is None
 
     def test_hand_value(self):
         p = nonconvex_problem(1, zero_noise(1))
