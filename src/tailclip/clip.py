@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import NoiseSpec, _sub_rows, iter_blocks, row_sq_sums
+from .noise import NoiseSpec, column_sum, row_sq_sums, sample_noise_batch
 
 
 def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray:
@@ -68,25 +68,28 @@ def bias_variance_grid(
             raise ConfigurationError(f"clip thresholds must be positive, got {t!r}")
     true_grad = np.asarray(true_grad, dtype=float)
     d = noise.dimension
-    draws, start = np.empty((n, d)), 0
-    for block in iter_blocks(noise, rng, n):
-        np.add(block, true_grad, out=draws[start:start + len(block)])
-        start += len(block)
-    del block  # the last block would otherwise live as long as the draws
+    draws = sample_noise_batch(noise, rng, n)
+    draws += true_grad
     norms = np.sqrt(row_sq_sums(draws, np.empty(n)))
     g_mom = float(np.mean(norms**alpha))
-    # The clipped rows are built a block at a time, never all at once.  At
-    # d >= 2 np.sum(axis=0) adds row after row, so a block's sum with the
-    # running total carried in as its first row is the whole array's sum; at
-    # d = 1 it sums an (n, 1) column pairwise, so there one block is the column.
-    rows = n if d == 1 else min(_sub_rows(d), n)
-    buf, factors, sq, results = np.empty((rows + 1, d)), np.empty(n), np.empty(n), []
+    # The clipped rows c = draws * factors[:, None] are built a block at a
+    # time, never all at once.
+    factors, sq, results = np.empty(n), np.empty(n), []
+
+    def clipped(part, out):  # also keeps the clipped rows' squared norms
+        np.multiply(draws[part], factors[part, None], out=out)
+        row_sq_sums(out, sq[part])
+
+    def centred(part, out):  # (c - mean)**2
+        np.multiply(draws[part], factors[part, None], out=out)
+        np.square(np.subtract(out, mean_clip, out=out), out=out)
+
     for tau in taus:
         factors.fill(1.0)
         np.divide(tau, norms, out=factors, where=norms > tau)
-        mean_clip = _clipped_column_sum(draws, factors, buf, sq=sq) / n
+        mean_clip = column_sum(n, d, clipped) / n
         # np.var(clipped, axis=0, ddof=1): sum, divide by n, subtract, square, sum
-        var = _clipped_column_sum(draws, factors, buf, mean=mean_clip) / (n - 1)
+        var = column_sum(n, d, centred) / (n - 1)
         results.append(ProbeResult(
             tau=tau,
             second_moment=float(np.mean(sq)),
@@ -99,24 +102,3 @@ def bias_variance_grid(
         ))
     return results
 
-
-def _clipped_column_sum(draws, factors, buf, sq=None, mean=None) -> np.ndarray:
-    """np.sum(c, axis=0) of the clipped rows c = draws * factors[:, None],
-    or of (c - mean)**2 when ``mean`` is given, through len(buf) - 1 rows of
-    c at a time in buf[1:]; buf[0] carries the running sum.  ``sq`` receives
-    the clipped rows' squared norms."""
-    n, rows, total = len(draws), len(buf) - 1, None
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = buf[1:1 + stop - start]
-        np.multiply(draws[start:stop], factors[start:stop, None], out=block)
-        if sq is not None:
-            row_sq_sums(block, sq[start:stop])
-        if mean is not None:
-            np.square(np.subtract(block, mean, out=block), out=block)
-        if total is None:
-            total = np.sum(block, axis=0)
-        else:
-            buf[0] = total
-            total = np.sum(buf[:1 + stop - start], axis=0)
-    return total

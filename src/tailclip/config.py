@@ -175,6 +175,9 @@ _ID_FORBIDDEN = "\r\n;#"
 # Constants that "auto" estimates or derives, and settings that an empty value leaves unset.
 _AUTO_KEYS = {"G", "sigma", "f0", "radius", "B"}
 _UNSET_KEYS = {"slope_expect", "ratio_min", "ratio_max"}
+# The [schedule] settings that only one kind reads; an envelope check also reads G.
+_SCHEDULE_READER = {"eta": "constant", "tau": "constant", "sigma": "nonconvex",
+                    "f0": "nonconvex", "G": "strongly_convex", "B": "cclip"}
 
 
 def _coerce(section: str, key: str, raw: str, target):
@@ -292,7 +295,7 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigurationError(f"[schedule] kind must be one of {_SCHEDULE_KINDS}")
     if s.kind in ("nonconvex", "strongly_convex", "cclip") and not (1.0 < s.alpha <= 2.0):
         raise ConfigurationError("[schedule] alpha must lie in (1, 2]")
-    o = cfg.optimizer
+    o, c = cfg.optimizer, cfg.checks
     if o.algorithm not in ALGORITHMS:
         raise ConfigurationError(f"[optimizer] algorithm must be one of {ALGORITHMS}")
     if o.algorithm == "proj_gclip" and p.domain == "none":
@@ -309,7 +312,6 @@ def validate_config(cfg: ExperimentConfig):
         recorded = record_points(cfg.iterations, record)
     except ConfigurationError as exc:
         raise ConfigurationError(f"[optimizer] record: {exc}") from None
-    c = cfg.checks
     for key in ("slope_id", "envelope_id", "ratio_id"):
         if any(ch in getattr(c, key) for ch in _ID_FORBIDDEN):
             raise ConfigurationError(
@@ -350,6 +352,14 @@ def validate_config(cfg: ExperimentConfig):
                     f"[checks] {key} = {getattr(c, key)} is not a point that [optimizer] "
                     f"record = {o.record} records in {cfg.iterations} iterations"
                 )
+    for key, kind in _SCHEDULE_READER.items():  # a setting that the kind never reads
+        value = getattr(s, key)
+        if kind == s.kind or value == getattr(ScheduleSection, key) or key == "G" and c.envelope:
+            continue
+        raise ConfigurationError(
+            f"[schedule] {key} = {_fmt(value)}: kind = {s.kind} never reads it, only "
+            f"kind = {kind}" + " or an envelope check" * (key == "G")
+        )
 
 
 def _check_finite(cfg: ExperimentConfig):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import _SUBBLOCK
+from .noise import row_blocks
 from .traces import Trace
 
 
@@ -184,10 +184,9 @@ def sandwich_fuzz(
     _refuse_bad_sandwich(v_max, g_max, a, beta2, epsilon)
     v = rng.random(n) * v_max
     g = (rng.random(n) * 2.0 - 1.0) * g_max
-    # _SUBBLOCK pairs at a time: the count, min and max do not depend on the order
+    # a sub-block of pairs at a time: the count, min and max do not depend on the order
     bad, min_ratio, max_ratio = 0, math.inf, -math.inf
-    for start in range(0, n, _SUBBLOCK):
-        part = slice(start, start + _SUBBLOCK)
+    for part in row_blocks(n):
         h_adam, h_clip = sandwich_steps(v[part], g[part], a, beta2, epsilon)
         ratio = h_adam / h_clip
         bad += int(np.count_nonzero((h_adam < 0.25 * h_clip) | (h_adam > 2.0 * h_clip)))

@@ -5,13 +5,16 @@ Provides:
   (gaussian / symmetric Pareto / symmetric alpha-stable / zero),
 - sample_noise_batch: seeded draws,
 - iter_blocks: a long stream of draws in fixed-size blocks,
+- row_blocks / column_sum: the row slices and numpy's column sum of a blockwise pass,
 - row_sq_sums: squared row norms of a block of draws,
+- norm_moment_root / coordinate_moment_roots: the calibration moments,
 - tail_index: block-sum log-moment estimate of the tail index.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +23,22 @@ from .errors import ConfigurationError
 
 FAMILIES = ("gaussian", "pareto", "stable", "zero")
 
-# Chunk size for streaming passes over large sample counts.
+# Rows per block of iter_blocks, and so per group of the moment sums.
 _STREAM_CHUNK = 1 << 16
 
-# Coordinates per sub-block in sample_noise_batch and row_sq_sums: their
-# temporaries hold this many float64 each (128 KB, so that the dozen the
-# stable transform builds stay in a core's L2 cache), whatever the block size.
+# Coordinates per sub-block of a blockwise pass: its temporaries hold this
+# many float64 each (128 KB, so that the dozen the stable transform builds
+# stay in a core's L2 cache), whatever the block size.
 _SUBBLOCK = 1 << 14
 
 
-def _sub_rows(d: int) -> int:
-    return max(_SUBBLOCK // d, 1)
+def row_blocks(n: int, d: int = 1, coords: int = _SUBBLOCK) -> Iterator[slice]:
+    """The row slices of a blockwise pass over n rows of width d, in order:
+    max(coords // d, 1) rows each, a sub-block by default; only the last may
+    be shorter."""
+    rows = max(coords // d, 1)
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
 @dataclass
@@ -96,7 +104,7 @@ def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.
     Every family consumes a fixed number of uniforms (or normals) per
     vector in row order, so identical (spec, seed) give bit-identical
     streams regardless of how draws are batched.  Pareto and stable draws
-    are transformed _SUBBLOCK coordinates at a time into the result.
+    are transformed a sub-block of row_blocks(n, d) at a time into the result.
     """
     d = spec.dimension
     if spec.family == "zero":
@@ -106,10 +114,9 @@ def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.
         out *= spec.scale
         return out
     out = np.empty((n, d))
-    rows = _sub_rows(d)
-    for start in range(0, n, rows):
-        u2 = rng.random((min(rows, n - start), 2 * d))
-        np.multiply(_heavy_tailed(spec, u2), spec.scale, out=out[start:start + len(u2)])
+    for part in row_blocks(n, d):
+        u2 = rng.random((part.stop - part.start, 2 * d))
+        np.multiply(_heavy_tailed(spec, u2), spec.scale, out=out[part])
     return out
 
 
@@ -121,20 +128,78 @@ def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = 
     order of any floating-point sums taken per block.  Each block is a new
     array that the caller owns and may overwrite.
     """
-    drawn = 0
-    while drawn < n:
-        chunk = min(block, n - drawn)
-        yield sample_noise_batch(spec, rng, chunk)
-        drawn += chunk
+    for part in row_blocks(n, coords=block):
+        yield sample_noise_batch(spec, rng, part.stop - part.start)
+
+
+def column_sum(n: int, d: int, fill: Callable[[slice, np.ndarray], object]) -> np.ndarray:
+    """np.sum(a, axis=0) of an (n, d) array a, n >= 1, bit for bit, built a
+    block at a time: fill(part, out) writes a[part] into out.
+
+    At d >= 2 numpy adds row after row, so each sub-block is summed with the
+    running total carried in as its first row, -0.0 before the first (-0.0 +
+    x is x for every x).  At d = 1 it sums an (n, 1) column pairwise, so there
+    the one block is the whole column.
+    """
+    if d == 1:
+        out = np.empty((n, 1))
+        fill(slice(0, n), out)
+        return np.sum(out, axis=0)
+    buf = np.empty((min(max(_SUBBLOCK // d, 1), n) + 1, d))
+    buf[0] = -0.0
+    for part in row_blocks(n, d):
+        block = buf[1:1 + part.stop - part.start]
+        fill(part, block)
+        buf[0] = np.sum(buf[:1 + len(block)], axis=0)
+    return buf[0].copy()
 
 
 def row_sq_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i] = np.sum(a[i] * a[i]), as np.sum(a * a, axis=1) gives it, through
-    temporaries of _SUBBLOCK coordinates instead of one the size of a."""
-    rows = _sub_rows(a.shape[1])
-    for start in range(0, len(a), rows):
-        np.sum(np.square(a[start:start + rows]), axis=1, out=out[start:start + rows])
+    temporaries of a sub-block instead of one the size of a."""
+    for part in row_blocks(len(a), a.shape[1]):
+        np.sum(np.square(a[part]), axis=1, out=out[part])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Empirical moments of shifted draws, for the calibrated schedule constants.
+# Each sums its terms per iter_blocks(spec, rng, n) block, bit for bit, while
+# drawing a sub-block at a time.
+
+
+def norm_moment_root(
+    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator
+) -> float:
+    """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws xi of spec.
+    The powered norms of a block fill one vector, which is summed whole."""
+    terms = np.empty(min(n, _STREAM_CHUNK))
+    total = 0.0
+    for group in row_blocks(n, coords=_STREAM_CHUNK):
+        sq = terms[:group.stop - group.start]
+        for part in row_blocks(len(sq), spec.dimension):
+            block = sample_noise_batch(spec, rng, part.stop - part.start)
+            block += shift
+            row_sq_sums(block, sq[part])
+        sq **= alpha / 2.0
+        total += float(np.sum(sq))
+    return (total / n) ** (1.0 / alpha)
+
+
+def coordinate_moment_roots(
+    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per coordinate i, (empirical E|shift_i + xi_i|^alpha)^(1/alpha) over
+    n draws xi of spec; each block's column sum is a column_sum."""
+    def fill(part, out):
+        np.add(sample_noise_batch(spec, rng, len(out)), shift, out=out)
+        np.abs(out, out=out)
+        out **= alpha
+
+    total = np.zeros(spec.dimension)
+    for group in row_blocks(n, coords=_STREAM_CHUNK):
+        total += column_sum(group.stop - group.start, spec.dimension, fill)
+    return (total / n) ** (1.0 / alpha)
 
 
 def tail_index(

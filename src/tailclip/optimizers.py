@@ -20,17 +20,12 @@ import numpy as np
 
 from .clip import acclip_factors
 from .errors import ConfigurationError
-from .noise import _sub_rows, iter_blocks
+from .noise import row_blocks, sample_noise_batch
 from .problems import StochasticProblem
 # average_traces is also taken from here: perfbench/traced.py calls optimizers.average_traces
 from .traces import TRACE_METRICS, Trace, average_traces
 
 ALGORITHMS = ("sgd", "momentum_sgd", "gclip", "proj_gclip", "cclip", "acclip", "adamlike")
-
-# At most this many rows per noise block in the run loop.  At d = 1 each row
-# keeps Python floats in the per-block lists, and the step measured 8 % slower
-# at 16,384 rows (the sampler's sub-block) than at 4,096.
-_MAX_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +178,12 @@ def record_points(iterations: int, record: str | int) -> np.ndarray:
 # The run loop
 
 
-def _block_rows(d: int) -> int:
-    """Steps per noise block: the sampler's sub-block, at most _MAX_BLOCK_ROWS."""
-    return min(_sub_rows(d), _MAX_BLOCK_ROWS)
+def _noise_blocks(K: int, d: int) -> Iterator[slice]:
+    """The run loop's noise blocks of steps: the sampler's sub-blocks of rows
+    at least 4 wide, so at most 4,096 rows.  At d = 1 each row keeps Python
+    floats in the per-block lists, and the step measured 8 % slower at 16,384
+    rows (the sub-block) than at 4,096."""
+    return row_blocks(K, max(d, 4))
 
 
 def _running_sums(carry, terms: np.ndarray) -> np.ndarray:
@@ -280,8 +278,8 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     trace carries them, and the checks fail on them.
 
     The loop body only updates the state: the noise add, the step, the
-    projection and the gradient.  It draws the noise in blocks of
-    ``_block_rows(d)`` rows, and ``_Bookkeeping`` computes what the loop
+    projection and the gradient.  It draws the noise in the blocks of
+    ``_noise_blocks(K, d)``, and ``_Bookkeeping`` computes what the loop
     only accumulates in one array pass per block.
 
     At d = 1 the state is held as Python floats, and the problem's
@@ -326,8 +324,9 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     exact_gradient = problem.exact_gradient
     eg = exact_gradient(x)
 
-    for block in iter_blocks(problem.noise, rng, K, _block_rows(d)):
-        start, stop = book.done, book.done + len(block)
+    for steps in _noise_blocks(K, d):
+        start, stop = steps.start, steps.stop
+        block = sample_noise_batch(problem.noise, rng, stop - start)
         pending = iter(book.block_records(len(block)))
         next_rec = next(pending, 0)
         # at d = 1 the block's rows as floats: the same doubles

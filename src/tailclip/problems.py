@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .noise import _STREAM_CHUNK, NoiseSpec, _sub_rows, row_sq_sums, sample_noise_batch
+from .noise import NoiseSpec, coordinate_moment_roots, norm_moment_root
 
 # ---------------------------------------------------------------------------
 # Feasible domains
@@ -289,32 +289,9 @@ def prog(x: np.ndarray, beta: float):
 # Empirical calibration of the moment constants used by the prescribed schedules.
 
 
-def _norm_moment_root(
-    noise: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator
-) -> float:
-    """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws of xi.
-
-    The draws come _sub_rows(d) rows at a time.  Their powered norms fill one
-    vector of _STREAM_CHUNK entries, which is summed whole, so the total adds
-    the sums of the blocks of iter_blocks(noise, rng, n), bit for bit.
-    """
-    rows = _sub_rows(noise.dimension)
-    group = np.empty(min(n, _STREAM_CHUNK))
-    total = 0.0
-    for lo in range(0, n, _STREAM_CHUNK):
-        sq = group[:min(_STREAM_CHUNK, n - lo)]
-        for start in range(0, len(sq), rows):
-            block = sample_noise_batch(noise, rng, min(rows, len(sq) - start))
-            block += shift
-            row_sq_sums(block, sq[start:start + len(block)])
-        sq **= alpha / 2.0
-        total += float(np.sum(sq))
-    return (total / n) ** (1.0 / alpha)
-
-
 def estimate_sigma(noise: NoiseSpec, alpha: float, n: int, rng: np.random.Generator) -> float:
     """sigma with sigma^alpha = empirical E||xi||^alpha over n draws."""
-    return _norm_moment_root(noise, 0.0, alpha, n, rng)
+    return norm_moment_root(noise, 0.0, alpha, n, rng)
 
 
 def estimate_G(
@@ -322,37 +299,12 @@ def estimate_G(
 ) -> float:
     """G with G^alpha = empirical E||g(x0)||^alpha over n oracle draws."""
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))
-    return _norm_moment_root(problem.noise, eg, alpha, n, rng)
+    return norm_moment_root(problem.noise, eg, alpha, n, rng)
 
 
 def estimate_B(
     problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-coordinate B_i with B_i^alpha = empirical E|g_i(x0)|^alpha.
-
-    The terms are summed per _STREAM_CHUNK-row group, as the blocks of
-    iter_blocks(noise, rng, n) were.  At d >= 2 np.sum(axis=0) adds row after
-    row, so the draws come _sub_rows(d) rows at a time and each sub-block is
-    summed with the group's running sum carried in as its first row; at
-    d = 1 it sums the (rows, 1) column pairwise, so there a group is drawn
-    whole (512 KB).
-    """
+    """Per-coordinate B_i with B_i^alpha = empirical E|g_i(x0)|^alpha."""
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))
-    d = problem.dimension
-    rows = _STREAM_CHUNK if d == 1 else _sub_rows(d)
-    buf = np.empty((min(n, rows) + 1, d))
-    total = np.zeros(d)
-    for lo in range(0, n, _STREAM_CHUNK):
-        hi = min(lo + _STREAM_CHUNK, n)
-        for start in range(lo, hi, rows):
-            block = buf[1:1 + min(rows, hi - start)]
-            np.add(sample_noise_batch(problem.noise, rng, len(block)), eg, out=block)
-            np.abs(block, out=block)
-            block **= alpha
-            if start == lo:
-                group = np.sum(block, axis=0)
-            else:
-                buf[0] = group
-                group = np.sum(buf[:1 + len(block)], axis=0)
-        total += group
-    return (total / n) ** (1.0 / alpha)
+    return coordinate_moment_roots(problem.noise, eg, alpha, n, rng)

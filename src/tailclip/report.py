@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -53,21 +53,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def verdict_jsonl(self) -> str:
-        rows = []
-        for v in self.verdicts:
-            rows.append(
-                json.dumps(
-                    {
-                        "experiment": self.experiment,
-                        "criterion": v.criterion,
-                        "description": v.description,
-                        "observed": v.observed,
-                        "threshold": v.threshold,
-                        "passed": v.passed,
-                    },
-                    sort_keys=True,
-                )
-            )
+        rows = [json.dumps({"experiment": self.experiment, **asdict(v)}, sort_keys=True)
+                for v in self.verdicts]
         return "\n".join(rows) + ("\n" if rows else "")
 
     def write(self, out: Path, stem: str) -> dict[str, Path]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .clip import ProbeResult, bias_variance_grid
 from .errors import ConfigurationError
-from .noise import NoiseSpec, _sub_rows, iter_blocks, row_sq_sums, tail_index
+from .noise import NoiseSpec, row_blocks, row_sq_sums, sample_noise_batch, tail_index
 from .problems import (
     LowerBoundInstance,
     chain_gradient_raw,
@@ -60,10 +60,8 @@ def noise_probe(
     if n < 1:
         raise ConfigurationError(f"noise probe needs n >= 1 draws, got {n}")
     sq = np.empty(max(n, 2 * block_size))
-    start = 0
-    for block in iter_blocks(spec, rng, sq.size):
-        row_sq_sums(block, sq[start:start + len(block)])
-        start += len(block)
+    for part in row_blocks(sq.size, spec.dimension):
+        row_sq_sums(sample_noise_batch(spec, rng, part.stop - part.start), sq[part])
     checkpoints = []
     c = 1000
     while c < n:
@@ -220,26 +218,22 @@ def _chain_test_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     Three groups of rows: uniform on [-3, 3], standard normal, and progress
     points, uniform on [-0.45, 0.45] except that the first ``level``
     coordinates are set to an amplitude in [0.6, 2.5] with a random sign.
-    Each group is drawn straight into its rows of one (n, d) array,
-    _sub_rows(d) rows at a time, in the order of one draw per group: the
-    uniforms, the levels, the amplitudes, then the signs.
+    Each group is drawn straight into its rows of one (n, d) array, a
+    sub-block of row_blocks at a time, in the order of one draw per group:
+    the uniforms, the levels, the amplitudes, then the signs.
     """
     n_wide = n * 2 // 5
     n_norm = n // 5
     pts = np.empty((n, d))
     wide, norm, progress = np.split(pts, [n_wide, n_wide + n_norm])
-    rows = _sub_rows(d)
-
-    def row_blocks(a):
-        return [a[start:start + rows] for start in range(0, len(a), rows)]
-
-    for part in row_blocks(wide):
-        part[...] = rng.uniform(-3.0, 3.0, size=part.shape)
+    for part in row_blocks(len(wide), d):
+        wide[part] = rng.uniform(-3.0, 3.0, size=wide[part].shape)
     rng.standard_normal(out=norm)
-    for part in row_blocks(progress):
-        part[...] = rng.uniform(-0.45, 0.45, size=part.shape)
+    parts = list(row_blocks(len(progress), d))
+    for part in parts:
+        progress[part] = rng.uniform(-0.45, 0.45, size=progress[part].shape)
     levels = rng.integers(0, d + 1, size=len(progress))
-    blocks = list(zip(row_blocks(progress), row_blocks(levels)))
+    blocks = [(progress[part], levels[part]) for part in parts]
     for part, level in blocks:
         np.copyto(part, rng.uniform(0.6, 2.5, size=part.shape), where=np.arange(d) < level[:, None])
     for part, level in blocks:  # amplitude * -1.0 is the amplitude negated
@@ -268,9 +262,8 @@ def chain_suite(
     # Per-point figures, taken over blocks of rows so that the chain's
     # temporaries stay at the sampler's sub-block size.
     values, grad_inf, gnorms = np.empty(n_points), np.empty(n_points), np.empty(n_points)
-    excess, rows = np.empty(n_points, dtype=np.int64), _sub_rows(d)
-    for start in range(0, n_points, rows):
-        part = slice(start, start + rows)
+    excess = np.empty(n_points, dtype=np.int64)
+    for part in row_blocks(n_points, d):
         grads = chain_gradient_raw(pts[part])
         values[part] = chain_value_raw(pts[part])
         np.max(np.abs(grads), axis=1, out=grad_inf[part])

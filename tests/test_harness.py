@@ -128,6 +128,10 @@ def config_settings(draw):
         "checks.slope_tol": draw(finite),
         "outputs.plots": draw(st.booleans()),
     }
+    for key, reader in (("eta", "constant"), ("tau", "constant"), ("G", "strongly_convex"),
+                        ("B", "cclip")):
+        if kind != reader:  # validate_config refuses a setting that the kind never reads
+            del out[f"schedule.{key}"]
     return [f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
             for key, value in out.items()]
 
@@ -353,7 +357,9 @@ class TestConfig:
     @pytest.mark.parametrize("B,ok", [("0.5", True), ("0.5, 1.0", True), ("0.5, 1.0, 2.0", False)])
     def test_schedule_B_length_is_one_or_dimension(self, minimal_cfg, B, ok):
         cfg = load_config(minimal_cfg)  # dimension 2
-        overrides = ["schedule.kind=cclip", "optimizer.algorithm=cclip", f"schedule.B={B}"]
+        # tau back at its default: kind = cclip never reads it
+        overrides = ["schedule.kind=cclip", "optimizer.algorithm=cclip", "schedule.tau=inf",
+                     f"schedule.B={B}"]
         if ok:
             apply_overrides(cfg, overrides)
             return
@@ -890,6 +896,37 @@ class TestCli:
         assert main(argv) == 2
         assert not (tmp_path / "out").exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("config,overrides,named,kind", [
+        ("smoke", ["schedule.tau=0.001"], "tau", "strongly_convex"),
+        ("smoke", ["schedule.eta=0.2"], "eta", "strongly_convex"),
+        ("smoke", ["schedule.sigma=3"], "sigma", "strongly_convex"),
+        ("smoke", ["schedule.f0=2"], "f0", "strongly_convex"),
+        ("smoke", ["schedule.B=5"], "B", "strongly_convex"),
+        ("sgd_divergence", ["schedule.G=3"], "G", "constant"),
+        ("sgd_divergence", ["schedule.B=1"], "B", "constant"),
+        ("nonconvex_decay", ["schedule.G=3"], "G", "nonconvex"),
+        ("nonconvex_decay", ["schedule.tau=2"], "tau", "nonconvex"),
+        ("smoke", ["schedule.kind=cclip", "optimizer.algorithm=cclip", "schedule.G=3"], "G", "cclip"),
+        ("smoke", ["schedule.kind=cclip", "optimizer.algorithm=cclip", "schedule.f0=1"], "f0", "cclip"),
+    ])
+    def test_setting_the_schedule_kind_never_reads_exits_two(self, tmp_path, capsys, config,
+                                                             overrides, named, kind):
+        argv = ["run", str(REPO / "configs" / f"{config}.cfg"), "--out", str(tmp_path / "out")]
+        for o in overrides:
+            argv += ["-O", o]
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"[schedule] {named} = " in err[0] and f"kind = {kind} never" in err[0]
+
+    @pytest.mark.parametrize("overrides", [
+        ["schedule.eta=0.1", "schedule.tau=inf", "schedule.sigma=auto", "schedule.B=auto"],
+        ["checks.envelope=strongly_convex", "checks.envelope_kmin=10", "schedule.G=2.0",
+         "schedule.kind=constant", "optimizer.algorithm=gclip", "problem.domain=none"],
+    ])
+    def test_schedule_defaults_and_an_envelope_G_are_accepted(self, overrides):
+        apply_overrides(load_config(REPO / "configs" / "smoke.cfg"), overrides)
 
     @pytest.mark.parametrize("mangle", ["header", "short row", "long row", "short and long rows",
                                         "text metric", "fractional k", "empty cell"])

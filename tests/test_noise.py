@@ -9,9 +9,10 @@ from scipy.stats import ks_2samp
 from tailclip.errors import ConfigurationError
 from tailclip.noise import (
     NoiseSpec,
-    _sub_rows,
+    column_sum,
     pareto_magnitude,
     iter_blocks,
+    row_blocks,
     row_sq_sums,
     sample_noise_batch,
     tail_index,
@@ -46,12 +47,54 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def sub_rows(d):
+    """Rows per sub-block at width d: the first slice of a long pass."""
+    return next(row_blocks(10**9, d)).stop
+
+
+@pytest.mark.parametrize("d,coords", [(1, 1 << 14), (3, 1 << 14), (100, 1 << 14), (20_000, 1 << 14),
+                                      (1, 5), (7, 5), (1, 1 << 16)])
+def test_row_blocks_cover_the_rows_once_in_order(d, coords):
+    rows = max(coords // d, 1)
+    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 2):
+        parts = list(row_blocks(n, d, coords))
+        assert np.array_equal(np.concatenate([np.arange(n)[p] for p in parts] + [[]]), np.arange(n))
+        assert all(p.stop - p.start == rows for p in parts[:-1])
+        assert all(0 < p.stop - p.start <= rows and p.step is None for p in parts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 100])
+def test_column_sum_equals_the_whole_array_sum(d):
+    rows = sub_rows(d)
+    for n in (1, rows - 1, rows, rows + 1, 3 * rows + 2):
+        a = sample_noise_batch(NoiseSpec("stable", dimension=d, tail_index=1.2),
+                               np.random.default_rng(n), n)
+        a[n // 2] = np.inf
+        a[n // 3, 0] = -0.0
+        if n > 2:
+            a[-1] = np.nan
+            a[1, -1] = -np.inf
+        filled = []
+
+        def fill(part, out):
+            filled.append(part)
+            np.copyto(out, a[part])
+
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            assert same_bits(column_sum(n, d, fill), np.sum(a, axis=0))
+        assert filled == ([slice(0, n)] if d == 1 else list(row_blocks(n, d)))
+    # the carried first row starts at -0.0, which leaves a column of -0.0 at -0.0
+    zeros = np.full((3 * rows + 2, d), -0.0)
+    assert same_bits(column_sum(len(zeros), d, lambda part, out: np.copyto(out, zeros[part])),
+                     np.sum(zeros, axis=0))
+
+
 @pytest.mark.parametrize("d", [1, 3, 10, 100])
 @pytest.mark.parametrize("family,tail", [("gaussian", 2.0), ("pareto", 1.5), ("pareto", 2.5),
                                          ("stable", 1.5), ("stable", 2.0), ("zero", 2.0)])
 def test_sub_blocks_match_the_whole_block_transform(family, tail, d):
     spec = NoiseSpec(family, dimension=d, scale=1.7, tail_index=tail)
-    rows = _sub_rows(d)
+    rows = sub_rows(d)
     for n in (1, rows - 1, rows, rows + 1, 65_536 + 7):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         assert same_bits(sample_noise_batch(spec, rng, n), reference_batch(spec, ref, n))
@@ -61,7 +104,7 @@ def test_sub_blocks_match_the_whole_block_transform(family, tail, d):
 @pytest.mark.parametrize("d", [1, 7, 100, 3000])
 def test_row_sq_sums_equal_the_whole_array_sum(d):
     spec = NoiseSpec("stable", dimension=d, tail_index=1.3)
-    a = sample_noise_batch(spec, np.random.default_rng(d), 2 * _sub_rows(d) + 3)
+    a = sample_noise_batch(spec, np.random.default_rng(d), 2 * sub_rows(d) + 3)
     assert same_bits(row_sq_sums(a, np.empty(len(a))), np.sum(a * a, axis=1))
 
 

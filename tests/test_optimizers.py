@@ -10,7 +10,7 @@ from tailclip.clip import acclip_factors
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, iter_blocks
 from tailclip.optimizers import (
-    _block_rows,
+    _noise_blocks,
     ALGORITHMS,
     OptimizerConfig,
     Schedule,
@@ -699,13 +699,22 @@ def test_divergent_d1_runs_match_reference_bit_for_bit(alg):
 
 
 # The run loop sums what it accumulates at the end of each noise block of
-# _block_rows(d) steps: 4,096 at d = 1 and 2, 1,638 at d = 10 and 163 at
+# block_rows(d) steps: 4,096 at d = 1 and 2, 1,638 at d = 10 and 163 at
 # d = 100.  K runs to one step short of a block end, onto it, one past it,
 # and across three block ends.
 
 
+def block_rows(d: int) -> int:
+    return next(_noise_blocks(10**9, d)).stop
+
+
+def test_noise_blocks_are_sub_blocks_of_at_most_4096_rows():
+    assert [block_rows(d) for d in (1, 2, 4, 5, 10, 100, 20_000)] == \
+        [4096, 4096, 4096, 3276, 1638, 163, 1]
+
+
 def flush_ks(d: int) -> list[int]:
-    rows = _block_rows(d)
+    rows = block_rows(d)
     return [rows - 1, rows, rows + 1, 3 * rows + 2]
 
 
@@ -736,7 +745,7 @@ def test_divergent_d10_runs_match_reference_across_block_ends(alg):
     # lands inside the first block of 1,638 steps, and the block ends after it
     # must carry inf and NaN through the running sums as += does
     d = 10
-    rows = _block_rows(d)
+    rows = block_rows(d)
     noise = NoiseSpec("pareto", dimension=d, tail_index=1.05)
     tau = np.full(d, math.inf) if alg == "cclip" else math.inf
     first_bad = []
