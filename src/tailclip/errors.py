@@ -4,6 +4,3 @@
 class ConfigurationError(ValueError):
     """A parameter, spec, or config file is invalid or inconsistent."""
 
-
-class DomainError(ValueError):
-    """A query point lies outside the feasible domain of a problem."""

@@ -1,8 +1,8 @@
 """Stochastic test problems and feasible-domain projection.
 
 Provides strongly convex quadratics, a smooth bounded nonconvex objective,
-the two-point adversarial gradient oracle on [0, 1/2] used for the
-strongly-convex lower bound, the chain hard instance, and Euclidean
+the constants of the two-point adversarial gradient oracle on [0, 1/2]
+behind the strongly-convex lower bound, the chain hard instance, and Euclidean
 projection onto a ball.
 """
 
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .noise import NoiseSpec, coordinate_moment_roots, norm_moment_root
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,9 @@ def nonconvex_problem(dimension: int, noise: NoiseSpec) -> StochasticProblem:
 
 # ---------------------------------------------------------------------------
 # Strongly-convex lower-bound oracle: minimize (x-b)^2/2 over [0, 1/2] with a
-# two-point stochastic gradient whose alpha-moment stays below 1.
+# two-point stochastic gradient, x - 1/(2 gamma) with probability p and x
+# otherwise.  Since p/(2 gamma) = b it is unbiased, and its alpha-moment stays
+# below 1.
 
 
 @dataclass
@@ -169,26 +171,6 @@ class LowerBoundInstance:
     @property
     def p(self) -> float:
         return self.gamma**self.alpha - 2.0 * self.nu * self.gamma * self.epsilon
-
-    def exact_gradient(self, x: float) -> float:
-        return x - self.b
-
-
-def lowerbound_oracle(
-    inst: LowerBoundInstance,
-    x: float,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """``size`` stochastic gradients: x - 1/(2*gamma) with prob. p, else x.
-
-    Unbiased for the gradient of (x-b)^2/2 and E|g|^alpha <= 1 on [0, 1/2].
-    """
-    if not (0.0 <= x <= 0.5):
-        raise DomainError(f"x={x} outside the feasible interval [0, 1/2]")
-    spike = x - 1.0 / (2.0 * inst.gamma)
-    hits = rng.random(size) < inst.p
-    return np.where(hits, spike, x)
 
 
 # ---------------------------------------------------------------------------

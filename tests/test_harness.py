@@ -839,6 +839,8 @@ class TestCli:
         (["chain-check", "--points", "0"], "point"),
         (["lowerbound", "--n", "1"], "n >= 2"),
         (["lowerbound", "--n", "0"], "n >= 2"),
+        (["lowerbound", "--n", "1e19"], "at most 2**63 - 1"),
+        (["lowerbound", "--epsilons", "0.125,0.3"], "epsilon must lie in (0, 1/8]"),
         (["noise-probe", "--n", "0"], "n >= 1"),
         (["run", "SMOKE", "--parallel", "0"], "--parallel"),
         (["run", "SMOKE", "--parallel", "-3"], "--parallel"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tailclip.errors import ConfigurationError, DomainError
+from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, iter_blocks, sample_noise_batch
 from tailclip.problems import (
     Ball,
@@ -15,12 +15,12 @@ from tailclip.problems import (
     estimate_B,
     estimate_G,
     estimate_sigma,
-    lowerbound_oracle,
     nonconvex_problem,
     prog,
     project,
     quadratic_problem,
 )
+from tailclip.suites import _LOWERBOUND_XS, _oracle_stats, lowerbound_suite
 
 
 def zero_noise(d):
@@ -223,16 +223,54 @@ class TestLowerBound:
 
     def test_monte_carlo_mean_and_moment(self):
         inst = LowerBoundInstance(epsilon=0.125, alpha=1.5, nu=0)
-        draws = lowerbound_oracle(inst, 0.3, np.random.default_rng(17), size=10**6)
-        se = np.std(draws, ddof=1) / 1000.0
-        assert abs(float(np.mean(draws)) - inst.exact_gradient(0.3)) <= 4 * se
-        mom = np.abs(draws) ** inst.alpha
-        assert float(np.mean(mom)) <= 1.0 + 3 * float(np.std(mom, ddof=1)) / 1000.0
+        n = 10**6
+        hits = np.random.default_rng(17).binomial(n, inst.p, size=_LOWERBOUND_XS.size)
+        dev, se, moment, moment_se = _oracle_stats(inst, hits, n)
+        assert np.all(dev <= 4 * se)
+        assert np.all(moment <= 1.0 + 3 * moment_se)
 
-    def test_domain_error(self):
-        inst = LowerBoundInstance(epsilon=0.125, alpha=1.5, nu=0)
-        with pytest.raises(DomainError):
-            lowerbound_oracle(inst, 0.6, np.random.default_rng(0), 10)
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_hit_counts_replay_the_draws(self, n):
+        # Replays the suite's counts as explicit draws, the spike first, and
+        # takes every statistic of the draws with numpy; at n = 2 and 3 some
+        # verdicts fail, so the pass flags are compared too.
+        res = lowerbound_suite([0.125, 0.0625], [1.5, 2.0], n, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        observed = []
+        for eps in (0.125, 0.0625):
+            for alpha in (1.5, 2.0):
+                for nu in (0, 1):
+                    inst = LowerBoundInstance(epsilon=eps, alpha=alpha, nu=nu)
+                    spike = 1.0 / (2.0 * inst.gamma)
+                    hits = np.array([rng.binomial(n, inst.p) for _ in _LOWERBOUND_XS])
+                    stats = []
+                    for x, h in zip(_LOWERBOUND_XS, hits):
+                        draws = np.where(np.arange(n) < h, x - spike, x)
+                        mom = np.abs(draws) ** alpha
+                        stats.append((abs(np.mean(draws) - (x - inst.b)),
+                                      np.std(draws, ddof=1) / math.sqrt(n),
+                                      np.mean(mom), np.std(mom, ddof=1) / math.sqrt(n)))
+                    dev, se, moment, moment_se = np.array(stats).T
+                    observed += [
+                        (f"max(|dev|-4se) = {np.max(dev - 4.0 * se):.3g}",
+                         bool(np.all(dev <= 4.0 * se))),
+                        (f"max(E|g|^a - 3se) = {np.max(moment - 3.0 * moment_se):.4g}",
+                         bool(np.all(moment <= 1.0 + 3.0 * moment_se))),
+                    ]
+                    top = np.maximum(np.abs(_LOWERBOUND_XS - spike), _LOWERBOUND_XS) ** alpha
+                    closed = _oracle_stats(inst, hits, n)
+                    for got, want, scale in zip(closed, (dev, se, moment, moment_se),
+                                                (spike, spike, top, top)):
+                        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert [(v.observed, v.passed) for v in res.verdicts] == observed
+
+    @pytest.mark.parametrize("epsilons,n", [([0.125, 0.3], 10**6), ([0.125], 10**19)])
+    def test_refused_before_any_draw(self, epsilons, n):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError):
+            lowerbound_suite(epsilons, [1.5, 2.0], n, rng)
+        assert rng.bit_generator.state == state
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
