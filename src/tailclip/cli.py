@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import select
 import sys
 import traceback
 from pathlib import Path
@@ -270,11 +272,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe or socket whose reading end has closed."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, as when captured
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone raises here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        if not _stdout_reader_gone():
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        # stdout's reader closed early (`| head`): the flush at exit would raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

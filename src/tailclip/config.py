@@ -175,9 +175,12 @@ _ID_FORBIDDEN = "\r\n;#"
 # Constants that "auto" estimates or derives, and settings that an empty value leaves unset.
 _AUTO_KEYS = {"G", "sigma", "f0", "radius", "B"}
 _UNSET_KEYS = {"slope_expect", "ratio_min", "ratio_max"}
-# The [schedule] settings that only one kind reads; an envelope check also reads G.
-_SCHEDULE_READER = {"eta": "constant", "tau": "constant", "sigma": "nonconvex",
-                    "f0": "nonconvex", "G": "strongly_convex", "B": "cclip"}
+# The [schedule] settings that only some kinds read; an envelope check also
+# reads G and alpha.
+_CALIBRATED = ("nonconvex", "strongly_convex", "cclip")
+_SCHEDULE_READERS = {"eta": ("constant",), "tau": ("constant",), "sigma": ("nonconvex",),
+                     "f0": ("nonconvex",), "G": ("strongly_convex",), "B": ("cclip",),
+                     "alpha": _CALIBRATED, "calibration_draws": _CALIBRATED}
 
 
 def _coerce(section: str, key: str, raw: str, target):
@@ -293,9 +296,9 @@ def validate_config(cfg: ExperimentConfig):
     s = cfg.schedule
     if s.kind not in _SCHEDULE_KINDS:
         raise ConfigurationError(f"[schedule] kind must be one of {_SCHEDULE_KINDS}")
-    if s.kind in ("nonconvex", "strongly_convex", "cclip") and not (1.0 < s.alpha <= 2.0):
-        raise ConfigurationError("[schedule] alpha must lie in (1, 2]")
     o, c = cfg.optimizer, cfg.checks
+    if (s.kind in _CALIBRATED or c.envelope) and not (1.0 < s.alpha <= 2.0):
+        raise ConfigurationError("[schedule] alpha must lie in (1, 2]")
     if o.algorithm not in ALGORITHMS:
         raise ConfigurationError(f"[optimizer] algorithm must be one of {ALGORITHMS}")
     if o.algorithm == "proj_gclip" and p.domain == "none":
@@ -352,13 +355,14 @@ def validate_config(cfg: ExperimentConfig):
                     f"[checks] {key} = {getattr(c, key)} is not a point that [optimizer] "
                     f"record = {o.record} records in {cfg.iterations} iterations"
                 )
-    for key, kind in _SCHEDULE_READER.items():  # a setting that the kind never reads
+    for key, kinds in _SCHEDULE_READERS.items():  # a setting that the kind never reads
         value = getattr(s, key)
-        if kind == s.kind or value == getattr(ScheduleSection, key) or key == "G" and c.envelope:
+        envelope = key in ("G", "alpha")
+        if s.kind in kinds or value == getattr(ScheduleSection, key) or envelope and c.envelope:
             continue
         raise ConfigurationError(
             f"[schedule] {key} = {_fmt(value)}: kind = {s.kind} never reads it, only "
-            f"kind = {kind}" + " or an envelope check" * (key == "G")
+            f"kind = {'/'.join(kinds)}" + " or an envelope check" * envelope
         )
 
 

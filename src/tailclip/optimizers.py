@@ -280,7 +280,9 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     The loop body only updates the state: the noise add, the step, the
     projection and the gradient.  It draws the noise in the blocks of
     ``_noise_blocks(K, d)``, and ``_Bookkeeping`` computes what the loop
-    only accumulates in one array pass per block.
+    only accumulates in one array pass per block.  It never updates ``x``
+    in place: the state is rebound each step, which lets the problem hand
+    back ``x`` itself as its gradient (the quadratic with mu = 1, x* = 0).
 
     At d = 1 the state is held as Python floats, and the problem's
     ``exact_gradient`` and ``Ball.project`` take and return floats: one
@@ -291,6 +293,25 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     float calls the C library's pow, which can differ in the last bit, even
     at p = 2.  Squared norms on the per-step path are ``x.dot(x)``, which
     gives the bits of ``x @ x`` in about half the time.
+
+    At d >= 2 the ball projection is written into the loop, and ``gclip``
+    and ``proj_gclip`` screen it: ``reach`` bounds ||x - center||, and a
+    step of length eff_step * ||g|| moves it by at most that much, so while
+    reach + step <= radius - slack the projection is a no-op and its
+    subtraction and dot are skipped.  Otherwise, and at the first step of
+    every noise block, the exact distance is taken as ``Ball.project``
+    takes it, and ``reach`` becomes it, or the radius when the step
+    projects.  A NaN or inf step or bound fails the comparison and takes
+    the exact path.  slack = 1e-9 (radius + ||center||) covers the
+    rounding that the bound does not see.  While screened, ||x|| is at most
+    radius + ||center||, and one step's rounding adds at most (d/2 + 5)
+    ulps of that to ||x - center|| beyond reach: the computed step length
+    can be short by (d/2 + 2) ulps (the dot product of d squares, the root
+    and the product), and the update's product and difference and the
+    bound's sum round once each.  A noise block holds at most 4,096 and at
+    most 16,384 / d steps, so the bound drifts by at most 28,672 ulps,
+    3.2e-12 (radius + ||center||), before the next block's first step
+    takes the exact distance again.
     """
     alg = config.algorithm
     K = config.iterations
@@ -321,11 +342,17 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     keep_eg, keep_x, keep_point = book.grads.append, book.starts.append, book.points.append
     keep_clip_frac, keep_eff_step = book.clip_fracs.append, book.eff_steps.append
 
+    if project and not scalar:
+        center, radius = domain.center, domain.radius
+        near = radius - 1e-9 * (radius + math.sqrt(center.dot(center)))
+    step = math.inf  # the step's length, which only gclip and proj_gclip know
+
     exact_gradient = problem.exact_gradient
     eg = exact_gradient(x)
 
     for steps in _noise_blocks(K, d):
         start, stop = steps.start, steps.stop
+        reach = math.inf  # the block's first step takes the exact distance
         block = sample_noise_batch(problem.noise, rng, stop - start)
         pending = iter(book.block_records(len(block)))
         next_rec = next(pending, 0)
@@ -349,9 +376,10 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
                 tau_k = tau * scale
                 norm = math.sqrt(g * g if scalar else g.dot(g))
                 c = 1.0 if (norm == 0.0 or norm <= tau_k) else tau_k / norm
-                x = x - (eta * c) * g
-                clip_frac = 1.0 if c < 1.0 else 0.0
                 eff_step = eta * c
+                x = x - eff_step * g
+                clip_frac = 1.0 if c < 1.0 else 0.0
+                step = eff_step * norm
             elif alg == "cclip":
                 tau_k = tau * scale
                 # min/max keep g's sign, zero and NaN as np.clip does; thresholds are never NaN
@@ -379,7 +407,16 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
                     eff_step = eta * (float((1.0 / denom).sum()) / d)
 
             if project:
-                x = domain.project(x)
+                if scalar:
+                    x = domain.project(x)
+                else:
+                    reach += step
+                    if not reach <= near:
+                        dev = x - center
+                        reach = math.sqrt(dev.dot(dev))
+                        if not reach <= radius:  # NaN and inf project, as in Ball.project
+                            x = center + dev * (radius / reach)
+                            reach = radius
 
             eg = exact_gradient(x)
             keep_eg(eg)

@@ -82,10 +82,20 @@ def _quad_grad(mu: float, x_star: np.ndarray | float, x: np.ndarray | float):
     return mu * (x - x_star)
 
 
+def _same_grad(x: np.ndarray | float):
+    return x
+
+
 def quadratic_problem(
     mu: float, dimension: int, x_star: np.ndarray | float, noise: NoiseSpec
 ) -> StochasticProblem:
-    """(mu/2)||x - x*||^2 with additive gradient noise; L = mu."""
+    """(mu/2)||x - x*||^2 with additive gradient noise; L = mu.
+
+    At mu = 1 with every x* entry +0.0 the gradient mu (x - x*) is x itself,
+    bit for bit: x - (+0.0) is x for every x (not with -0.0: -0.0 - -0.0 is
+    +0.0), and 1.0 y is y.  It hands back x, so a caller must not update the
+    gradient in place.
+    """
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
     xs = np.broadcast_to(np.asarray(x_star, dtype=float), (dimension,)).copy()
@@ -96,7 +106,8 @@ def quadratic_problem(
             f"noise dimension {noise.dimension} does not match problem dimension {dimension}"
         )
     value = functools.partial(_quad_value, mu, xs)
-    grad = functools.partial(_quad_grad, mu, xs)
+    at_zero = not (np.any(xs) or np.any(np.signbit(xs)))  # every entry +0.0
+    grad = _same_grad if mu == 1.0 and at_zero else functools.partial(_quad_grad, mu, xs)
     return StochasticProblem(
         dimension=dimension,
         value=value,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tailclip import optimizers, runner, traces as trace_files
+from tailclip import cli, optimizers, runner, traces as trace_files
 from tailclip.cli import main
 from tailclip.config import ExperimentConfig, apply_overrides, dump_config, load_config
 from tailclip.errors import ConfigurationError
@@ -74,6 +74,11 @@ def minimal_cfg(tmp_path):
     return path
 
 
+# A constant schedule whose alpha only the envelope check reads.
+ENVELOPE_UNDER_CONSTANT = ["schedule.kind=constant", "optimizer.algorithm=gclip",
+                           "problem.domain=none", "checks.envelope=strongly_convex",
+                           "schedule.G=2.0"]
+
 # The settings that take free text, in the order validate_config checks them.
 TEXT_KEYS = ("name", "slope_id", "envelope_id", "ratio_id")
 
@@ -128,9 +133,11 @@ def config_settings(draw):
         "checks.slope_tol": draw(finite),
         "outputs.plots": draw(st.booleans()),
     }
-    for key, reader in (("eta", "constant"), ("tau", "constant"), ("G", "strongly_convex"),
-                        ("B", "cclip")):
-        if kind != reader:  # validate_config refuses a setting that the kind never reads
+    calibrated = ("nonconvex", "strongly_convex", "cclip")
+    for key, readers in (("eta", ["constant"]), ("tau", ["constant"]), ("G", ["strongly_convex"]),
+                         ("B", ["cclip"]), ("alpha", calibrated),
+                         ("calibration_draws", calibrated)):
+        if kind not in readers:  # validate_config refuses a setting that the kind never reads
             del out[f"schedule.{key}"]
     return [f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
             for key, value in out.items()]
@@ -306,6 +313,8 @@ class TestConfig:
             (["checks.slope_expect=-0.5", "checks.slope_kmin=70"], "slope_kmin"),  # 87, 100
             (["checks.slope_expect=-0.5", "optimizer.record=50", "checks.slope_kmin=2"],
              "slope_kmax"),  # 50, 100
+            (ENVELOPE_UNDER_CONSTANT + ["schedule.alpha=5"], r"alpha must lie in \(1, 2\]"),
+            (ENVELOPE_UNDER_CONSTANT + ["schedule.alpha=0.5"], r"alpha must lie in \(1, 2\]"),
         ],
     )
     def test_bad_combination_rejected_before_run(self, minimal_cfg, overrides, named):
@@ -911,6 +920,10 @@ class TestCli:
         ("nonconvex_decay", ["schedule.tau=2"], "tau", "nonconvex"),
         ("smoke", ["schedule.kind=cclip", "optimizer.algorithm=cclip", "schedule.G=3"], "G", "cclip"),
         ("smoke", ["schedule.kind=cclip", "optimizer.algorithm=cclip", "schedule.f0=1"], "f0", "cclip"),
+        ("sgd_divergence", ["schedule.calibration_draws=7"], "calibration_draws", "constant"),
+        ("sgd_divergence", ["schedule.alpha=1.9"], "alpha", "constant"),
+        ("smoke", ["schedule.kind=constant", "optimizer.algorithm=gclip", "problem.domain=none"],
+         "calibration_draws", "constant"),
     ])
     def test_setting_the_schedule_kind_never_reads_exits_two(self, tmp_path, capsys, config,
                                                              overrides, named, kind):
@@ -925,7 +938,8 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         ["schedule.eta=0.1", "schedule.tau=inf", "schedule.sigma=auto", "schedule.B=auto"],
         ["checks.envelope=strongly_convex", "checks.envelope_kmin=10", "schedule.G=2.0",
-         "schedule.kind=constant", "optimizer.algorithm=gclip", "problem.domain=none"],
+         "schedule.kind=constant", "optimizer.algorithm=gclip", "problem.domain=none",
+         "schedule.calibration_draws=100000", "schedule.alpha=1.8"],
     ])
     def test_schedule_defaults_and_an_envelope_G_are_accepted(self, overrides):
         apply_overrides(load_config(REPO / "configs" / "smoke.cfg"), overrides)
@@ -1012,6 +1026,31 @@ class TestCli:
         code = f"import sys, tailclip.cli; print({expr})"
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True).stdout.strip()
+
+    def test_closed_stdout_exits_two_without_a_traceback(self):
+        # the reader of stdout is gone before the verdicts are written, as
+        # when `tailclip lowerbound | head -3` stops reading
+        src = str(REPO / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "tailclip.cli", "lowerbound", "--n", "1e4"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
+
+    def test_broken_pipe_off_stdout_is_one_error_line(self, monkeypatch, capsys):
+        # a pipe other than stdout breaks: stdout still takes its output
+        def cmd(args):
+            print("written")
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "cmd_lowerbound", cmd)
+        assert main(["lowerbound"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "written\n"
+        assert captured.err == "error: [Errno 32] Broken pipe\n"
 
     def test_cli_import_leaves_scipy_unloaded(self):
         assert self._after_cli_import(

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import types
 from dataclasses import dataclass, replace
 from itertools import chain, product
 
 import numpy as np
 import pytest
 
+from tailclip import optimizers
 from tailclip.clip import acclip_factors
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, iter_blocks
@@ -609,12 +611,12 @@ class ArrayBall:
         return self.center + dev * (self.radius / dist)
 
 
-def gate_problems(kind: str, d: int, noise: NoiseSpec):
+def gate_problems(kind: str, d: int, noise: NoiseSpec, mu=0.7, x_star=0.2, radius=1.5):
     """The library's problem, with a ball around x0 = 1, and the same problem
     with value, gradient and projection written on arrays only."""
-    mu, x_star = 0.7, np.full(d, 0.2)
     if kind == "quadratic":
-        problem = quadratic_problem(mu, d, 0.2, noise)
+        problem = quadratic_problem(mu, d, x_star, noise)
+        x_star = np.full(d, x_star)
 
         def value(x):
             dev = x - x_star
@@ -630,9 +632,30 @@ def gate_problems(kind: str, d: int, noise: NoiseSpec):
 
         def gradient(x):
             return 2.0 * x / (1.0 + x * x) ** 2
-    problem.domain = Ball(center=np.ones(d), radius=1.5)
-    reference = StochasticProblem(d, value, gradient, noise, domain=ArrayBall(np.ones(d), 1.5))
+    problem.domain = Ball(center=np.ones(d), radius=radius)
+    reference = StochasticProblem(d, value, gradient, noise, domain=ArrayBall(np.ones(d), radius))
     return problem, reference
+
+
+# (mu, x*) for each form of the quadratic's gradient: x itself and
+# mu (x - x*), and x* = -0.0, which keeps the latter
+GRADIENT_FORMS = [(1.0, 0.0), (0.7, 0.2), (1.0, -0.0)]
+
+
+def optimum_distance(d: int, x_star: float) -> float:
+    """||x* - x0|| with x0 = 1, computed as the run loop computes a distance."""
+    dev = np.full(d, x_star) - 1.0
+    return math.sqrt(dev.dot(dev))
+
+
+def gradient_form_cases(alg: str, d: int):
+    """gate_problems arguments for every gradient form; gclip and proj_gclip
+    also take a ball that holds the optimum (the screening skips most
+    projections), one that excludes it (the projection binds) and one with
+    the optimum exactly on its sphere."""
+    scales = (2.0, 0.5, 1.0) if alg in ("gclip", "proj_gclip") else (2.0,)
+    for (mu, x_star), scale in product(GRADIENT_FORMS, scales):
+        yield dict(mu=mu, x_star=x_star, radius=scale * optimum_distance(d, x_star))
 
 
 def gate_schedule(alg: str, d: int) -> Schedule:
@@ -676,6 +699,15 @@ def test_run_matches_reference_bit_for_bit(alg, d):
             assert_same_bits(run(problem, cfg, cases), reference_run(reference, cfg, cases),
                              (family, kind, averaging, proj, variant, record))
             cases += 1
+    noise = NoiseSpec(dimension=d, **GATE_NOISE["stable"])
+    for form in gradient_form_cases(alg, d):
+        problem, reference = gate_problems("quadratic", d, noise, **form)
+        variant = variants[cases % len(variants)]
+        cfg = OptimizerConfig(alg, gate_schedule(alg, d), GATE_K, x0=1.0, averaging=cases % 2 == 0,
+                              project=True, **variant)
+        assert_same_bits(run(problem, cfg, cases), reference_run(reference, cfg, cases),
+                         (form, variant))
+        cases += 1
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -737,6 +769,17 @@ def test_run_matches_reference_across_block_ends(alg, d):
                               **(variant if case % 2 else {}))
         assert_same_bits(run(problem, cfg, case), reference_run(reference, cfg, case),
                          (K, kind, averaging, record))
+    # the gradient forms and balls, projected, across a block end: all of
+    # them at d = 100, every third in turn below, so that each algorithm
+    # takes one form, and gclip and proj_gclip one ball with every form
+    K = flush_ks(d)[2]
+    noise = NoiseSpec(dimension=d, **GATE_NOISE["stable"])
+    forms = list(gradient_form_cases(alg, d))
+    for case, form in enumerate(forms if d == 100 else forms[i % 3::3]):
+        problem, reference = gate_problems("quadratic", d, noise, **form)
+        cfg = OptimizerConfig(alg, gate_schedule(alg, d), K, x0=1.0, averaging=case % 2 == 1,
+                              project=True, record=[1, "log", 7][case % 3])
+        assert_same_bits(run(problem, cfg, case), reference_run(reference, cfg, case), (K, form))
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -762,6 +805,43 @@ def test_divergent_d10_runs_match_reference_across_block_ends(alg):
             first_bad.append(int(trace.ks[np.argmax(bad)]))
     if alg not in ("proj_gclip", "adamlike"):  # the projection and Adam's step stay finite
         assert first_bad and all(1 < k < rows for k in first_bad), first_bad
+    # projected runs on noise near the top of the float range.  Without a
+    # threshold the draws overflow to inf: inf steps and distances, then the
+    # NaN that inf * 0 leaves in the projected point, take the exact branch.
+    # With one, a finite gradient whose squared norm overflows clips to a
+    # zero step of length 0 * inf = NaN, which must not end the screening.
+    finite_tau = np.ones(d) if alg == "cclip" else 1.0
+    for scale, threshold, x_star in ((1e306, tau, 0.0), (1e153, finite_tau, 0.2)):
+        noise = NoiseSpec("pareto", dimension=d, tail_index=1.05, scale=scale)
+        problem, reference = gate_problems("quadratic", d, noise, mu=1.0, x_star=x_star)
+        cfg = OptimizerConfig(alg, Schedule(4.0, threshold), 2 * rows + 5, x0=1.0, project=True,
+                              record=1)
+        with np.errstate(all="ignore"):
+            trace = run(problem, cfg, 5)
+            ref = reference_run(reference, cfg, 5)
+        assert_same_bits(trace, ref, (scale, threshold, x_star))
+        if threshold is tau:
+            assert np.isnan(trace.suboptimality[-1])
+
+
+def test_screened_projection_takes_few_exact_distances(monkeypatch):
+    # the bundled A1 instance's shape: x* = 0 inside a ball of twice its
+    # distance around x0, where the bound reach + step rules out almost
+    # every projection.  The loop takes one math.sqrt per step for the
+    # gradient norm, one for the centre's norm, and one per exact distance.
+    d, K = 10, 20_000
+    problem = make_quadratic(d, "stable", 1.55, domain=Ball(center=np.ones(d),
+                                                             radius=2.0 * math.sqrt(d)))
+    cfg = OptimizerConfig("proj_gclip", strongly_convex_schedule(1.0, 13.6, 1.5), K, x0=1.0,
+                          averaging=True)
+    roots = []
+    counting = types.SimpleNamespace(**vars(math))
+    counting.sqrt = lambda v: roots.append(v) or math.sqrt(v)
+    monkeypatch.setattr(optimizers, "math", counting)
+    run(problem, cfg, 0)
+    exact = len(roots) - K - 1
+    blocks = -(-K // block_rows(d))
+    assert blocks <= exact < K // 100, exact
 
 
 def test_record_every_step_holds_no_more_than_the_trace():

@@ -114,6 +114,18 @@ class TestQuadratic:
         g = p.exact_gradient(x) + sample_noise_batch(p.noise, np.random.default_rng(0), 1)[0]
         assert np.array_equal(g, p.exact_gradient(x))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("mu,x_star", [(1.0, 0.0), (0.7, 0.2), (1.0, -0.0)])
+    def test_gradient_forms_keep_the_bits_of_mu_times_x_minus_x_star(self, d, mu, x_star):
+        # at mu = 1, x* = +0.0 the gradient is x itself; x* = -0.0 keeps
+        # mu (x - x*), since -0.0 - -0.0 is +0.0
+        p = quadratic_problem(mu, d, x_star, zero_noise(d))
+        for v in (-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324, -0.3):
+            x = np.full(d, v)
+            want = mu * (x - np.full(d, x_star))
+            got = p.exact_gradient(x) if d > 1 else np.array([p.exact_gradient(v)])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), v
+
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
             quadratic_problem(1.0, 3, 0.0, zero_noise(2))
