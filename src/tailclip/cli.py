@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ERROR
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:  # after BrokenPipeError, an OSError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:

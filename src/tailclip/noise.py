@@ -4,7 +4,6 @@ Provides:
 - NoiseSpec: declarative description of a mean-zero noise distribution
   (gaussian / symmetric Pareto / symmetric alpha-stable / zero),
 - sample_noise_batch: seeded draws,
-- iter_blocks: a long stream of draws in fixed-size blocks,
 - row_blocks / column_sum: the row slices and numpy's column sum of a blockwise pass,
 - row_sq_sums: squared row norms of a block of draws,
 - norm_moment_root / coordinate_moment_roots: the calibration moments,
@@ -23,7 +22,7 @@ from .errors import ConfigurationError
 
 FAMILIES = ("gaussian", "pareto", "stable", "zero")
 
-# Rows per block of iter_blocks, and so per group of the moment sums.
+# Rows per group of the moment sums.
 _STREAM_CHUNK = 1 << 16
 
 # Coordinates per sub-block of a blockwise pass: its temporaries hold this
@@ -120,18 +119,6 @@ def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.
     return out
 
 
-def iter_blocks(spec: NoiseSpec, rng: np.random.Generator, n: int, block: int = _STREAM_CHUNK):
-    """Yield ``n`` draws as consecutive sample_noise_batch blocks of ``block`` rows.
-
-    Only the last block may be shorter.  The rows equal one
-    sample_noise_batch(spec, rng, n) call; the block boundaries fix the
-    order of any floating-point sums taken per block.  Each block is a new
-    array that the caller owns and may overwrite.
-    """
-    for part in row_blocks(n, coords=block):
-        yield sample_noise_batch(spec, rng, part.stop - part.start)
-
-
 def column_sum(n: int, d: int, fill: Callable[[slice, np.ndarray], object]) -> np.ndarray:
     """np.sum(a, axis=0) of an (n, d) array a, n >= 1, bit for bit, built a
     block at a time: fill(part, out) writes a[part] into out.
@@ -164,8 +151,8 @@ def row_sq_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Empirical moments of shifted draws, for the calibrated schedule constants.
-# Each sums its terms per iter_blocks(spec, rng, n) block, bit for bit, while
-# drawing a sub-block at a time.
+# Each sums its terms per group of row_blocks(n, coords=_STREAM_CHUNK) rows,
+# bit for bit, while drawing a sub-block at a time.
 
 
 def norm_moment_root(

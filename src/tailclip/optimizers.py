@@ -11,6 +11,7 @@ convex objectives.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -180,9 +181,9 @@ def record_points(iterations: int, record: str | int) -> np.ndarray:
 
 def _noise_blocks(K: int, d: int) -> Iterator[slice]:
     """The run loop's noise blocks of steps: the sampler's sub-blocks of rows
-    at least 4 wide, so at most 4,096 rows.  At d = 1 each row keeps Python
-    floats in the per-block lists, and the step measured 8 % slower at 16,384
-    rows (the sub-block) than at 4,096."""
+    at least 4 wide, so at most 4,096 rows.  At d = 1 each row keeps a Python
+    float in the block's list of iterates, and the step measured 8 % slower
+    at 16,384 rows (the sub-block) than at 4,096."""
     return row_blocks(K, max(d, 4))
 
 
@@ -198,22 +199,24 @@ def _running_sums(carry, terms: np.ndarray) -> np.ndarray:
 class _Bookkeeping:
     """What the run loop only accumulates, taken one noise block at a time.
 
-    Each step k appends its gradient eg to ``grads`` and, when averaging,
-    the point x_{k-1} it starts from to ``starts``; each record step appends
-    its clip fraction and effective step, and, when not averaging, its point.
-    ``block_end`` then does in one array pass what the loop would do with
-    ``+=`` at every step: gsq = eg @ eg, run_sq += gsq, run_min += (gsq if
-    gsq < 1 else its root), w_sum += k * x_{k-1} and w_total += k, with the
+    Each step k appends its iterate x_k to ``xs``, which starts each block
+    with the x_{k-1} the block's first step starts from; each record step
+    appends its clip fraction and effective step.  ``block_end`` then takes
+    the block's (n + 1, d) stack X of iterates and does in one array pass
+    what the loop would do with ``+=`` at every step: gsq = eg @ eg for the
+    gradients eg of X[1:], run_sq += gsq, run_min += (gsq if gsq < 1 else
+    its root), w_sum += k * x_{k-1} over X[:-1] and w_total += k, with the
     same IEEE operations in the same order, and fills the block's records.
     """
 
-    def __init__(self, rec: np.ndarray, d: int, averaging: bool, value):
-        self.rec, self.d, self.averaging, self.value = rec, d, averaging, value
-        self.grads, self.starts, self.points, self.clip_fracs, self.eff_steps = [], [], [], [], []
+    def __init__(self, rec: np.ndarray, problem: StochasticProblem, averaging: bool, x0):
+        self.rec, self.d, self.averaging = rec, problem.dimension, averaging
+        self.value, self.gradient = problem.value, problem.exact_gradient
+        self.xs, self.clip_fracs, self.eff_steps = [x0], [], []
         self.done = 0  # steps taken
         self.filled = 0  # records filled
         self.run_sq = self.run_min = self.w_total = 0.0
-        self.w_sum = np.zeros(d)
+        self.w_sum = np.zeros(self.d)
         self.columns = [np.empty(len(rec)) for _ in range(6)]
 
     def block_records(self, n: int) -> list[int]:
@@ -221,17 +224,17 @@ class _Bookkeeping:
         return self.rec[self.filled:np.searchsorted(self.rec, self.done + n, "right")].tolist()
 
     def block_end(self) -> None:
-        n, d, first = len(self.grads), self.d, self.done + 1
-        E = np.array(self.grads)
-        self.grads.clear()
-        gsq = E * E if d == 1 else np.vecdot(E, E)
+        X = np.reshape(self.xs, (-1, self.d))  # the list holds floats at d = 1
+        del self.xs[:-1]  # the next block starts from this one's last iterate
+        n, first = len(X) - 1, self.done + 1
+        E = self.gradient(X[1:])
+        gsq = np.vecdot(E, E)
         sq = _running_sums(self.run_sq, gsq)
         mins = _running_sums(self.run_min, np.where(gsq < 1.0, gsq, np.sqrt(gsq)))
         self.run_sq, self.run_min = sq[-1], mins[-1]
         if self.averaging:
             weights = np.arange(first, first + n, dtype=float)
-            sums = _running_sums(self.w_sum, weights[:, None] * np.reshape(self.starts, (n, d)))
-            self.starts.clear()
+            sums = _running_sums(self.w_sum, weights[:, None] * X[:-1])
             totals = _running_sums(self.w_total, weights)
             self.w_sum, self.w_total = sums[-1], totals[-1]
         self.done += n
@@ -239,11 +242,7 @@ class _Bookkeeping:
         if not r:
             return
         at = self.rec[self.filled:self.filled + r] - first  # the records' rows in the block
-        if self.averaging:
-            points = sums[at] / totals[at, None]
-        else:
-            points = np.reshape(self.points, (r, d))
-            self.points.clear()
+        points = sums[at] / totals[at, None] if self.averaging else X[1:][at]
         out = slice(self.filled, self.filled + r)
         subopt, gsq_rec, clip_frac, eff_step, run_sq, run_min = self.columns
         subopt[out] = self.value(points)
@@ -278,23 +277,26 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     trace carries them, and the checks fail on them.
 
     The loop body only updates the state: the noise add, the step, the
-    projection and the gradient.  It draws the noise in the blocks of
-    ``_noise_blocks(K, d)``, and ``_Bookkeeping`` computes what the loop
-    only accumulates in one array pass per block.  It never updates ``x``
-    in place: the state is rebound each step, which lets the problem hand
-    back ``x`` itself as its gradient (the quadratic with mu = 1, x* = 0).
+    projection and the gradient, and appends each step's iterate.  It draws
+    the noise in the blocks of ``_noise_blocks(K, d)``, and ``_Bookkeeping``
+    takes what the loop only accumulates from the block's iterates in one
+    array pass per block.  It never updates ``x`` in place: the state is
+    rebound each step, which lets the problem hand back ``x`` itself as its
+    gradient (the quadratic with mu = 1, x* = 0) and lets the block keep
+    every iterate without a copy.
 
     At d = 1 the state is held as Python floats, and the problem's
-    ``exact_gradient`` and ``Ball.project`` take and return floats: one
-    numpy operation on a one-element array costs as much as some twenty
-    float operations.  Both kinds of state take the same IEEE operations in
-    the same order, so the trace is the same to the bit.  Powers go through
-    ``np.power``, which on a float equals numpy's array power; ``**`` on a
-    float calls the C library's pow, which can differ in the last bit, even
-    at p = 2.  Squared norms on the per-step path are ``x.dot(x)``, which
-    gives the bits of ``x @ x`` in about half the time.
+    ``exact_gradient`` takes and returns floats: one numpy operation on a
+    one-element array costs as much as some twenty float operations.  Both
+    kinds of state take the same IEEE operations in the same order, so the
+    trace is the same to the bit.  Powers go through ``np.power``, which on
+    a float equals numpy's array power; ``**`` on a float calls the C
+    library's pow, which can differ in the last bit, even at p = 2.  Squared
+    norms on the per-step path are ``sq(v, v)``: ``v * v`` on a float, and
+    ``v.dot(v)`` on an array, which gives the bits of ``v @ v`` in about
+    half the time.
 
-    At d >= 2 the ball projection is written into the loop, and ``gclip``
+    The ball projection is written into the loop at every d, and ``gclip``
     and ``proj_gclip`` screen it: ``reach`` bounds ||x - center||, and a
     step of length eff_step * ||g|| moves it by at most that much, so while
     reach + step <= radius - slack the projection is a no-op and its
@@ -305,13 +307,13 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     the exact path.  slack = 1e-9 (radius + ||center||) covers the
     rounding that the bound does not see.  While screened, ||x|| is at most
     radius + ||center||, and one step's rounding adds at most (d/2 + 5)
-    ulps of that to ||x - center|| beyond reach: the computed step length
-    can be short by (d/2 + 2) ulps (the dot product of d squares, the root
-    and the product), and the update's product and difference and the
-    bound's sum round once each.  A noise block holds at most 4,096 and at
-    most 16,384 / d steps, so the bound drifts by at most 28,672 ulps,
-    3.2e-12 (radius + ||center||), before the next block's first step
-    takes the exact distance again.
+    ulps of that to ||x - center|| beyond reach, at d = 1 as at d >= 2: the
+    computed step length can be short by (d/2 + 2) ulps (the dot product of
+    d squares, the root and the product), and the update's product and
+    difference and the bound's sum round once each.  A noise block holds at
+    most 4,096 and at most 16,384 / d steps, so the bound drifts by at most
+    28,672 ulps, 3.2e-12 (radius + ||center||), before the next block's
+    first step takes the exact distance again.
     """
     alg = config.algorithm
     K = config.iterations
@@ -337,14 +339,15 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
     eps = config.epsilon
     b1, b2 = config.beta1, config.beta2
 
-    averaging = config.averaging
-    book = _Bookkeeping(record_points(K, config.record), d, averaging, problem.value)
-    keep_eg, keep_x, keep_point = book.grads.append, book.starts.append, book.points.append
+    book = _Bookkeeping(record_points(K, config.record), problem, config.averaging, x)
+    keep_x = book.xs.append
     keep_clip_frac, keep_eff_step = book.clip_fracs.append, book.eff_steps.append
 
-    if project and not scalar:
-        center, radius = domain.center, domain.radius
-        near = radius - 1e-9 * (radius + math.sqrt(center.dot(center)))
+    sq = operator.mul if scalar else np.ndarray.dot  # sq(v, v): the bits of v @ v
+    if project:
+        center = float(domain.center[0]) if scalar else domain.center
+        radius = domain.radius
+        near = radius - 1e-9 * (radius + math.sqrt(sq(center, center)))
     step = math.inf  # the step's length, which only gclip and proj_gclip know
 
     exact_gradient = problem.exact_gradient
@@ -360,9 +363,6 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
         for xi, k, eta, scale in zip(block.ravel().tolist() if scalar else block,
                                      range(start + 1, stop + 1), sched.etas(stop, start).tolist(),
                                      sched.tau_scales(stop, start).tolist()):
-            if averaging:
-                keep_x(x)
-
             g = eg + xi
             clip_frac = 0.0
             eff_step = eta
@@ -374,7 +374,7 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
                 x = x - eta * m
             elif alg in ("gclip", "proj_gclip"):
                 tau_k = tau * scale
-                norm = math.sqrt(g * g if scalar else g.dot(g))
+                norm = math.sqrt(sq(g, g))
                 c = 1.0 if (norm == 0.0 or norm <= tau_k) else tau_k / norm
                 eff_step = eta * c
                 x = x - eff_step * g
@@ -407,25 +407,20 @@ def run(problem: StochasticProblem, config: OptimizerConfig, seed) -> Trace:
                     eff_step = eta * (float((1.0 / denom).sum()) / d)
 
             if project:
-                if scalar:
-                    x = domain.project(x)
-                else:
-                    reach += step
-                    if not reach <= near:
-                        dev = x - center
-                        reach = math.sqrt(dev.dot(dev))
-                        if not reach <= radius:  # NaN and inf project, as in Ball.project
-                            x = center + dev * (radius / reach)
-                            reach = radius
+                reach += step
+                if not reach <= near:
+                    dev = x - center
+                    reach = math.sqrt(sq(dev, dev))
+                    if not reach <= radius:  # NaN and inf project, as in Ball.project
+                        x = center + dev * (radius / reach)
+                        reach = radius
 
             eg = exact_gradient(x)
-            keep_eg(eg)
+            keep_x(x)
 
             if k == next_rec:
                 keep_clip_frac(clip_frac)
                 keep_eff_step(eff_step)
-                if not averaging:
-                    keep_point(x)
                 next_rec = next(pending, 0)
 
         book.block_end()

@@ -32,15 +32,13 @@ class Ball:
         if self.radius <= 0:
             raise ConfigurationError("ball radius must be positive")
 
-    def project(self, y: np.ndarray | float) -> np.ndarray | float:
-        """Nearest point of the ball: a float for a float ``y`` (d = 1)."""
-        scalar = isinstance(y, float)
-        c = float(self.center[0]) if scalar else self.center
-        dev = y - c
-        dist = math.sqrt(dev * dev if scalar else dev.dot(dev))  # the bits of dev @ dev
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Nearest point of the ball; the run loop writes the same steps inline."""
+        dev = y - self.center
+        dist = math.sqrt(dev.dot(dev))  # the bits of dev @ dev
         if dist <= self.radius:
             return y
-        return c + dev * (self.radius / dist)
+        return self.center + dev * (self.radius / dist)
 
 
 def project(domain: Ball, y: np.ndarray) -> np.ndarray:
@@ -57,9 +55,11 @@ class StochasticProblem:
     """An objective with exact gradient, additive gradient noise and metadata.
 
     The stochastic gradient at x is exact_gradient(x) plus one draw of
-    ``noise``; optimizers pre-generate the draws in blocks.  At d = 1
-    ``exact_gradient`` also takes a float and returns one.  ``value`` takes
-    one point or a stack of points (one per row).  Both problems have
+    ``noise``; optimizers pre-generate the draws in blocks.  Both
+    ``exact_gradient`` and ``value`` take one point or a stack of points
+    (one per row); each row of a stacked gradient has the bits of the call
+    on that row alone, and at d = 1 ``exact_gradient`` also takes a float
+    and returns one with the same bits.  Both problems have
     minimum value 0, so ``value`` is the suboptimality.  ``L`` and ``mu``
     are the smoothness and strong convexity constants, None if unknown.
     """

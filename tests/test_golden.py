@@ -1,9 +1,17 @@
-"""Probe subcommands against committed golden output.
+"""Probe subcommands and experiment runs against committed golden output.
 
-Each case runs one probe subcommand through ``cli.main`` at seed 3 from a
-fresh directory, with ``--out`` relative so that the ``wrote`` line is the
+Each case runs one subcommand through ``cli.main`` from a fresh directory,
+with ``--out`` relative so that the ``wrote`` and ``data`` lines are the
 same wherever the test runs, and compares its stdout, exit code and every
-table it writes byte for byte with ``tests/data/golden/<case>/``.
+file it writes byte for byte with ``tests/data/golden/<case>/``.  A run's
+``wall_time_s`` line is dropped from its stdout and report before the
+comparison, and a file over 64 KiB is kept in the golden copy as its
+SHA-256 digest (``<name>.sha256``).
+
+The run cases take 2 seeds, about 2,000 steps, one worker and small
+calibration draws: the d = 1 float path, projected d = 1 and d = 5 runs
+with averaging, an averaged nonconvex run recorded at every step, and
+every algorithm.
 
 To regenerate after a deliberate change of output, run from the repo root:
 
@@ -13,6 +21,7 @@ To regenerate after a deliberate change of output, run from the repo root:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import shutil
@@ -24,16 +33,56 @@ import pytest
 from tailclip.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DIGEST_ABOVE = 1 << 16  # bytes
 
-CASES = {
+
+def _run(config: str, *overrides: str) -> list[str]:
+    args = ["run", str(CONFIGS / config), "--parallel", "1"]
+    for override in overrides:
+        args += ["-O", override]
+    return args
+
+
+_SHORT = ("experiment.seeds=2", "experiment.iterations=2000",
+          "checks.ratio_k_hi=2000", "checks.ratio_k_lo=100")
+_SMOKE = ("schedule.calibration_draws=2000",)
+
+PROBES = {
     "lemma_check": ["lemma-check", "--n", "2e4", "--seed", "3"],
     "chain_check": ["chain-check", "--points", "4000", "--seed", "3"],
     "noise_probe": ["noise-probe", "--n", "2e4", "--seed", "3"],
 }
+RUNS = {
+    "run_smoke": _run("smoke.cfg", *_SMOKE),
+    "run_sgd_divergence": _run("sgd_divergence.cfg", *_SHORT),
+    # radius 0.5 about x0 = 1 excludes the optimum, so 1,595 of the 4,000 steps project
+    "run_gclip_d1_ball": _run("sgd_divergence.cfg", *_SHORT, "problem.domain=ball",
+                              "problem.radius=0.5", "optimizer.algorithm=gclip", "schedule.tau=1.0",
+                              "optimizer.averaging=true"),
+    "run_nonconvex_record1": [*_run("nonconvex_decay.cfg", *_SHORT, *_SMOKE,
+                                    "optimizer.averaging=true", "optimizer.record=1"),
+                              "--format", "json-lines"],
+    "run_cclip": _run("smoke.cfg", *_SMOKE, "optimizer.algorithm=cclip", "schedule.kind=cclip",
+                      "schedule.B=auto"),
+    "run_acclip": _run("smoke.cfg", *_SMOKE, "optimizer.algorithm=acclip"),
+    "run_adamlike": _run("smoke.cfg", *_SMOKE, "optimizer.algorithm=adamlike",
+                         "problem.dimension=3"),
+    "run_momentum_sgd": _run("smoke.cfg", *_SMOKE, "optimizer.algorithm=momentum_sgd",
+                             "problem.dimension=3", "optimizer.record=25"),
+}
+CASES = {**PROBES, **RUNS}
+
+
+def _mask(text: bytes) -> bytes:
+    """``text`` without a ``wall_time_s`` line, the one part of a run's stdout
+    and report that varies."""
+    return b"".join(line for line in text.splitlines(keepends=True)
+                    if not line.startswith(b"wall_time_s:"))
 
 
 def run_case(name: str, workdir: Path) -> dict[str, bytes]:
-    """Run one case from ``workdir``: {"stdout": ..., "exit_code": ..., table name: bytes}."""
+    """Run one case from ``workdir``: {"stdout": ..., "exit_code": ..., file name: bytes}."""
     cwd = os.getcwd()
     buf = io.StringIO()
     try:
@@ -46,7 +95,17 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     out = workdir / name
     if out.is_dir():
         files.update({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    return files
+    return {fname: _mask(data) for fname, data in files.items()}
+
+
+def _stored(files: dict[str, bytes]) -> dict[str, bytes]:
+    """The golden form of ``files``: a file over DIGEST_ABOVE bytes becomes its digest."""
+    stored = {}
+    for name, data in files.items():
+        if len(data) > DIGEST_ABOVE:
+            name, data = f"{name}.sha256", f"{hashlib.sha256(data).hexdigest()}\n".encode()
+        stored[name] = data
+    return stored
 
 
 def write_golden() -> None:
@@ -56,14 +115,23 @@ def write_golden() -> None:
             target = GOLDEN / name
             shutil.rmtree(target, ignore_errors=True)
             target.mkdir(parents=True)
-            for fname, data in run_case(name, Path(scratch)).items():
+            for fname, data in _stored(run_case(name, Path(scratch))).items():
                 (target / fname).write_bytes(data)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_probe_output_matches_golden(name, tmp_path):
-    got = run_case(name, tmp_path)
+def check_case(name: str, tmp_path: Path) -> None:
+    got = _stored(run_case(name, tmp_path))
     want = {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
     assert sorted(got) == sorted(want)
     for fname in want:
         assert got[fname] == want[fname], f"{name}/{fname} differs from the golden copy"
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probe_output_matches_golden(name, tmp_path):
+    check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_output_matches_golden(name, tmp_path):
+    check_case(name, tmp_path)

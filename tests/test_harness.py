@@ -853,12 +853,20 @@ class TestCli:
         (["noise-probe", "--n", "0"], "n >= 1"),
         (["run", "SMOKE", "--parallel", "0"], "--parallel"),
         (["run", "SMOKE", "--parallel", "-3"], "--parallel"),
+        (["report", "--csv", "MISSING"], "No such file"),
+        (["report", "--csv", "DIR"], "Is a directory"),
+        (["run", "SMOKE", "--out", "FILE"], "File exists"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_negative_seed_or_too_few_draws_is_one_error_line(self, minimal_cfg, tmp_path,
                                                                capsys, argv, name):
-        argv = [str(minimal_cfg) if a == "SMOKE" else a for a in argv]
+        (tmp_path / "file").write_text("")
+        paths = {"SMOKE": minimal_cfg, "MISSING": tmp_path / "missing.csv", "DIR": tmp_path,
+                 "FILE": tmp_path / "file"}
+        argv = [str(paths.get(a, a)) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
         try:
-            code = main([*argv, "--out", str(tmp_path / "out")])
+            code = main(argv)
         except SystemExit as exc:  # argparse refuses the flag
             code = exc.code
         assert code == 2

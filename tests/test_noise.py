@@ -11,7 +11,6 @@ from tailclip.noise import (
     NoiseSpec,
     column_sum,
     pareto_magnitude,
-    iter_blocks,
     row_blocks,
     row_sq_sums,
     sample_noise_batch,
@@ -185,10 +184,21 @@ def test_batch_matches_repeated_single_draws(family, tail):
     rng = np.random.default_rng(5)
     singles = np.stack([sample_noise_batch(spec, rng, 1)[0] for _ in range(6)])
     assert np.array_equal(batch, singles)
-    for block in (1, 4, 6, 64):
-        blocks = list(iter_blocks(spec, np.random.default_rng(5), 6, block))
-        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-        assert np.array_equal(np.vstack(blocks), singles)
+
+
+@pytest.mark.parametrize(
+    "family,tail", [("gaussian", 2.0), ("pareto", 2.5), ("stable", 1.5), ("zero", 2.0)]
+)
+def test_batches_split_at_any_row_boundary_equal_one_call(family, tail):
+    # at d = 2 a sub-block holds 8,192 rows: the splits fall inside, on and
+    # across its boundaries
+    spec = NoiseSpec(family, dimension=2, tail_index=tail)
+    whole = sample_noise_batch(spec, np.random.default_rng(5), 20_000)
+    for sizes in [(0, 20_000), (1, 19_999), (8_191, 2, 11_807), (8_192, 8_192, 3_616),
+                  (5_000, 12_000, 3_000)]:
+        rng = np.random.default_rng(5)
+        parts = [sample_noise_batch(spec, rng, n) for n in sizes]
+        assert np.array_equal(np.vstack(parts), whole), sizes
 
 
 def test_spec_validation():

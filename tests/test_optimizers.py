@@ -2,7 +2,7 @@ import math
 import tracemalloc
 import types
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from tailclip import optimizers
 from tailclip.clip import acclip_factors
 from tailclip.errors import ConfigurationError
-from tailclip.noise import NoiseSpec, iter_blocks
+from tailclip.noise import NoiseSpec, sample_noise_batch
 from tailclip.optimizers import (
     _noise_blocks,
     ALGORITHMS,
@@ -41,7 +41,7 @@ from test_clip import ACClipParams, ACClipState, acclip_step, cclip, gclip
 
 def noise_rows(problem, K, seed):
     """The K noise rows a run with ``seed`` adds to its gradients."""
-    return np.vstack(list(iter_blocks(problem.noise, np.random.default_rng(seed), K)))
+    return sample_noise_batch(problem.noise, np.random.default_rng(seed), K)
 
 
 def weighted_average(iterates) -> np.ndarray:
@@ -124,7 +124,7 @@ def reference_run(problem: StochasticProblem, config: OptimizerConfig, seed) -> 
     scalars = []
 
     exact_gradient = problem.exact_gradient
-    noise_rows = chain.from_iterable(iter_blocks(problem.noise, rng, K))
+    noise_rows = iter(sample_noise_batch(problem.noise, rng, K))
 
     run_sq = 0.0
     run_min = 0.0
@@ -824,15 +824,17 @@ def test_divergent_d10_runs_match_reference_across_block_ends(alg):
             assert np.isnan(trace.suboptimality[-1])
 
 
-def test_screened_projection_takes_few_exact_distances(monkeypatch):
+@pytest.mark.parametrize("d,G", [(1, 3.7), (10, 13.6)], ids=["d1", "d10"])
+def test_screened_projection_takes_few_exact_distances(monkeypatch, d, G):
     # the bundled A1 instance's shape: x* = 0 inside a ball of twice its
     # distance around x0, where the bound reach + step rules out almost
-    # every projection.  The loop takes one math.sqrt per step for the
+    # every projection, on floats at d = 1 as on arrays at d = 10; G is the
+    # calibrated one.  The loop takes one math.sqrt per step for the
     # gradient norm, one for the centre's norm, and one per exact distance.
-    d, K = 10, 20_000
+    K = 20_000
     problem = make_quadratic(d, "stable", 1.55, domain=Ball(center=np.ones(d),
                                                              radius=2.0 * math.sqrt(d)))
-    cfg = OptimizerConfig("proj_gclip", strongly_convex_schedule(1.0, 13.6, 1.5), K, x0=1.0,
+    cfg = OptimizerConfig("proj_gclip", strongly_convex_schedule(1.0, G, 1.5), K, x0=1.0,
                           averaging=True)
     roots = []
     counting = types.SimpleNamespace(**vars(math))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tailclip.errors import ConfigurationError
-from tailclip.noise import NoiseSpec, iter_blocks, sample_noise_batch
+from tailclip.noise import NoiseSpec, row_blocks, sample_noise_batch
 from tailclip.problems import (
     Ball,
     LowerBoundInstance,
@@ -27,10 +27,17 @@ def zero_noise(d):
     return NoiseSpec("zero", dimension=d)
 
 
+def stream_blocks(noise, rng, n):
+    """The n draws in blocks of 65,536 rows, the groups the calibration sums
+    its terms in."""
+    draws = sample_noise_batch(noise, rng, n)
+    return [draws[part] for part in row_blocks(n, coords=1 << 16)]
+
+
 def reference_moment_root(noise, shift, alpha, n, rng):
     """estimate_sigma / estimate_G through whole-block temporaries."""
     total = 0.0
-    for block in iter_blocks(noise, rng, n):
+    for block in stream_blocks(noise, rng, n):
         block = block + shift
         total += float(np.sum(np.sum(block * block, axis=1) ** (alpha / 2.0)))
     return (total / n) ** (1.0 / alpha)
@@ -38,7 +45,7 @@ def reference_moment_root(noise, shift, alpha, n, rng):
 
 def reference_B(noise, eg, alpha, n, rng):
     total = np.zeros(noise.dimension)
-    for block in iter_blocks(noise, rng, n):
+    for block in stream_blocks(noise, rng, n):
         total += np.sum(np.abs(block + eg) ** alpha, axis=0)
     return (total / n) ** (1.0 / alpha)
 
@@ -166,6 +173,30 @@ class TestQuadratic:
         moments = np.sqrt(np.sum(fresh * fresh, axis=1)) ** alpha
         se = np.std(moments, ddof=1) / math.sqrt(moments.size)
         assert np.mean(moments) <= sigma**alpha + 3.0 * se
+
+
+# The run loop takes the gradients of a block's iterates in one call on their
+# stack, and at d = 1 the per-step gradient on floats.
+STACK_ENTRIES = (-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324, -0.3, 0.2, 1.7)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("kind,mu,x_star", [("quadratic", 1.0, 0.0), ("quadratic", 0.7, 0.2),
+                                            ("quadratic", 0.7, -0.0), ("nonconvex", None, None)])
+def test_stacked_gradient_rows_have_the_bits_of_single_calls(kind, mu, x_star, d):
+    if kind == "quadratic":
+        p = quadratic_problem(mu, d, x_star, zero_noise(d))
+    else:
+        p = nonconvex_problem(d, zero_noise(d))
+    rng = np.random.default_rng(d)
+    X = np.concatenate([rng.choice(STACK_ENTRIES, size=(60, d)), rng.standard_normal((20, d))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = p.exact_gradient(X)
+        rows = np.array([p.exact_gradient(x) for x in X])
+        floats = np.array([[p.exact_gradient(float(x[0]))] for x in X]) if d == 1 else rows
+    assert stacked.shape == X.shape
+    assert np.array_equal(stacked.view(np.uint64), rows.view(np.uint64))
+    assert np.array_equal(floats.view(np.uint64), rows.view(np.uint64))
 
 
 class TestNonconvex:
