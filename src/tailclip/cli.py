@@ -3,8 +3,9 @@
 Subcommands: run, noise-probe, lemma-check, lowerbound, chain-check,
 sandwich, report.  Every subcommand accepts --out.  All but report take
 --seed; run, noise-probe and lemma-check, which write tables, also take
---format {csv,json-lines}.  Exit status: 0 all checks pass, 1 a declared
-check failed, 2 configuration or runtime error.
+--format {csv,json-lines}.  All but noise-probe print one [PASS]/[FAIL]
+line per verdict.  Exit status: 0 every verdict passes (sandwich
+included), 1 a verdict failed, 2 configuration or runtime error.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ def finite(raw) -> float:
     value = number(raw)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def tolerance(raw) -> float:
+    """``raw`` as a finite flag value of at least 0."""
+    if (value := finite(raw)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw!r}")
     return value
 
 
@@ -167,9 +175,8 @@ def cmd_sandwich(args) -> int:
         f"fuzz n={res.n}: violations={res.violations} "
         f"min_ratio={res.min_ratio:.6f} max_ratio={res.max_ratio:.6f}"
     )
-    if res.min_ratio < 0.5:
-        print("note: observed ratio drops below 1/2; the provable band is [1/4, 1/2]")
-    return EXIT_OK if res.passed else EXIT_CHECK_FAILED
+    ok = _print_verdicts(res.verdicts)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_report(args) -> int:
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, required=True)
     p.add_argument("--metric", type=str, default="suboptimality")
     p.add_argument("--slope-expect", type=finite, default=None)
-    p.add_argument("--slope-tol", type=finite, default=0.15)
+    p.add_argument("--slope-tol", type=tolerance, default=0.15)
     p.add_argument("--kmin", type=finite, default=1.0)
     p.add_argument("--kmax", type=finite, default=None)
     _add_common(p, seed=False)

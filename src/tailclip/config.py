@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .noise import NoiseSpec
-from .optimizers import ALGORITHMS, record_points
+from .optimizers import ALGORITHMS, check_moment_settings, record_points
 from .traces import TRACE_METRICS
 
 _SCHEDULE_KINDS = ("constant", "nonconvex", "strongly_convex", "cclip")
@@ -296,6 +296,8 @@ def validate_config(cfg: ExperimentConfig):
     s = cfg.schedule
     if s.kind not in _SCHEDULE_KINDS:
         raise ConfigurationError(f"[schedule] kind must be one of {_SCHEDULE_KINDS}")
+    if s.calibration_draws < 1:
+        raise ConfigurationError("[schedule] calibration_draws must be >= 1")
     o, c = cfg.optimizer, cfg.checks
     if (s.kind in _CALIBRATED or c.envelope) and not (1.0 < s.alpha <= 2.0):
         raise ConfigurationError("[schedule] alpha must lie in (1, 2]")
@@ -310,6 +312,10 @@ def validate_config(cfg: ExperimentConfig):
             "[schedule] kind = cclip gives per-coordinate thresholds, which only [optimizer] "
             f"algorithm = cclip takes (got {o.algorithm})"
         )
+    try:
+        check_moment_settings(o.beta1, o.beta2, o.acclip_alpha, o.epsilon)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[optimizer] {exc}") from None
     record = parse_record(o.record)
     try:
         recorded = record_points(cfg.iterations, record)
@@ -325,6 +331,13 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigurationError(
                 f"[checks] {key} = {getattr(c, key)!r}: expected one of {TRACE_METRICS}"
             )
+    if c.slope_tol < 0:
+        raise ConfigurationError("[checks] slope_tol must be >= 0")
+    if c.ratio_min != "" and c.ratio_max != "" and c.ratio_min >= c.ratio_max:
+        raise ConfigurationError(
+            f"[checks] ratio_min = {_fmt(c.ratio_min)} and ratio_max = {_fmt(c.ratio_max)} leave "
+            "no ratio that passes: ratio_min must lie below ratio_max"
+        )
     if c.ratio_stat not in ("median", "mean"):
         raise ConfigurationError(f"[checks] ratio_stat = {c.ratio_stat!r}: expected median or mean")
     if c.envelope and c.envelope != "strongly_convex":

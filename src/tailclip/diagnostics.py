@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .noise import row_blocks
+from .report import Verdict
 from .traces import Trace
 
 
@@ -165,8 +166,19 @@ class FuzzResult:
     max_ratio: float
 
     @property
+    def verdicts(self) -> list[Verdict]:
+        """No pair leaves the [1/4, 2] band, and some pair falls below 1/2,
+        which only pairs where clipping is active reach."""
+        return [
+            Verdict("sandwich_band", "fuzzed pairs with h_adam/h_clip outside [1/4, 2]",
+                    f"{self.violations} of {self.n}", "0", self.violations == 0),
+            Verdict("sandwich_min_ratio", "smallest h_adam/h_clip below the 1/2 constant",
+                    f"{self.min_ratio:.6f}", "< 0.5", self.min_ratio < 0.5),
+        ]
+
+    @property
     def passed(self) -> bool:
-        return self.violations == 0
+        return all(v.passed for v in self.verdicts)
 
 
 def sandwich_fuzz(

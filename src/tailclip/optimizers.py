@@ -142,8 +142,22 @@ class OptimizerConfig:
             )
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
+        check_moment_settings(self.beta1, self.beta2, self.acclip_alpha, self.epsilon)
         if self.algorithm == "proj_gclip":
             self.project = True
+
+
+def check_moment_settings(beta1: float, beta2: float, acclip_alpha: float, epsilon: float):
+    """Refuse moment weights outside [0, 1), an ACClip exponent <= 0 (the run
+    loop takes its inverse) and a negative epsilon; beta1 = beta2 = epsilon
+    = 0 stays valid."""
+    for key, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= value < 1.0:
+            raise ConfigurationError(f"{key} = {value:g}: expected a weight in [0, 1)")
+    if not acclip_alpha > 0.0:
+        raise ConfigurationError(f"acclip_alpha = {acclip_alpha:g}: expected a positive exponent")
+    if not epsilon >= 0.0:
+        raise ConfigurationError(f"epsilon = {epsilon:g}: expected a number >= 0")
 
 
 def record_points(iterations: int, record: str | int) -> np.ndarray:

@@ -1,12 +1,23 @@
-"""Acceptance suite: criteria A1-A11, each printing its pass/fail lines.
+"""Acceptance suite: criteria A1-A11, each judged by the lines it prints.
 
 A1-A4 and A10 are the checks the bundled configs in configs/ declare:
 each checked config runs through ``run_experiment`` at its own scale and
-every verdict it prints must PASS.  Their frozen scales, seeds and
-tolerances live in those config files; ``tailclip run configs/<name>.cfg``
-prints the observed margins.  The other criteria call the library
-directly.  The tests that run a bundled config, and A6 with its 30 seeds
-of 1e5 steps, carry the ``slow`` marker.  Run with:
+every verdict it prints must PASS; ``tailclip run configs/<name>.cfg``
+prints the observed margins; A1 and A2 also print their one line each
+from the cached strongly_convex_alpha15 run.  A5, A7, A8 and A9 are each one subcommand
+(PROBE_CRITERIA) run through ``cli.main``, and every verdict line it
+prints must PASS.
+
+Three criteria stay hand-built, each printing one line through ``criterion()``:
+
+- A6 needs a comparison of two runs, which waits for ROADMAP item 5 and
+  the benchmark change before it;
+- A10's two extra conditions read ``avg_min_stat``, which the CSV does
+  not carry;
+- A11 checks the program (determinism and the algorithm reductions), not
+  the paper.
+
+The config runs and A6 carry the ``slow`` marker.  Run with:
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -18,8 +29,9 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from tailclip.cli import main
 from tailclip.config import load_config
-from tailclip.diagnostics import fit_loglog_slope, sandwich_fuzz, sandwich_steps
+from tailclip.diagnostics import fit_loglog_slope
 from tailclip.noise import NoiseSpec
 from tailclip.optimizers import (
     OptimizerConfig,
@@ -31,7 +43,6 @@ from tailclip.optimizers import (
 )
 from tailclip.problems import Ball, estimate_B, estimate_G, quadratic_problem
 from tailclip.runner import calibration_stream, run_experiment
-from tailclip.suites import chain_suite, lemma_check, lowerbound_suite
 
 K = 10**5
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -98,16 +109,25 @@ def test_a2_strongly_convex_bound_envelope(config_run):
     criterion("A2", v.passed, f"violations of the strongly convex bound: {v.observed} ({v.threshold})")
 
 
-def test_a5_bias_variance_lemma_probes():
-    res = lemma_check(
-        NoiseSpec("stable", 10, tail_index=1.55), [2, 5, 10, 20, 50], 10**6,
-        np.random.default_rng(123), 1.5, grad_norm=1.0,
-    )
-    for v in res.verdicts:
-        print(v.line())
-    # 5 variance and 5 bias bounds, 4 variance and 4 bias monotonicity steps
-    assert len(res.verdicts) == 18
-    criterion("A5", res.passed, "clipped-estimator bounds and monotonicity hold on the tau grid")
+# The subcommand that decides each probe criterion, and how many verdict lines it prints.
+PROBE_CRITERIA = {
+    "A5": (["lemma-check", "--seed", "123"], 18),  # 5 variance and 5 bias bounds, 4 steps of each
+    "A7": (["lowerbound", "--seed", "7"], 16),  # a mean and a moment check per eps x alpha x nu
+    "A8": (["chain-check", "--seed", "42"], 6),
+    "A9": (["sandwich", "--seed", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(PROBE_CRITERIA))
+def test_probe_criterion(cid, tmp_path, capsys):
+    argv, count = PROBE_CRITERIA[cid]
+    code = main([*argv, "--out", str(tmp_path)])
+    lines = [s for s in capsys.readouterr().out.splitlines() if s.startswith(("[PASS] ", "[FAIL] "))]
+    for line in lines:
+        print(f"{cid} {line}")
+    assert code == 0
+    assert len(lines) == count
+    assert all(line.startswith("[PASS] ") for line in lines)
 
 
 @pytest.mark.slow
@@ -136,39 +156,6 @@ def test_a6_cclip_beats_gclip_at_high_dimension():
         mean_lower and pval < 0.05,
         f"final subopt mean: cclip {finals['cclip'].mean():.4f} < gclip "
         f"{finals['gclip'].mean():.4f}; paired wins {wins}/{seeds}, sign test p={pval:.2e}",
-    )
-
-
-def test_a7_lowerbound_oracle_validity():
-    res = lowerbound_suite([0.125, 0.0625], [1.5, 2.0], 10**6, np.random.default_rng(7))
-    n_checks = len(res.verdicts)
-    criterion(
-        "A7",
-        res.passed,
-        f"all {n_checks} mean/moment checks pass over eps x alpha x nu grid",
-    )
-
-
-def test_a8_chain_property_suite():
-    res = chain_suite(20, 10**5, np.random.default_rng(42))
-    failing = [v.criterion for v in res.verdicts if not v.passed]
-    criterion(
-        "A8",
-        res.passed,
-        "all chain properties hold at d=20 over 1e5 points"
-        + (f"; failing: {failing}" if failing else ""),
-    )
-
-
-def test_a9_rmsprop_acclip_sandwich():
-    res = sandwich_fuzz(10**6, np.random.default_rng(0))
-    h_adam, h_clip = sandwich_steps(1.0, 1.0, a=1e-3, beta2=0.99, epsilon=1e-8)
-    criterion(
-        "A9",
-        res.violations == 0 and res.min_ratio < 0.5,
-        f"0 violations of the 1/4..2 band over 1e6 points; observed min ratio "
-        f"{res.min_ratio:.4f} (no-clip region reaches {h_adam / h_clip:.4f}), both below the "
-        f"claimed 1/2 constant",
     )
 
 

@@ -52,6 +52,10 @@ PROBES = {
     "lemma_check": ["lemma-check", "--n", "2e4", "--seed", "3"],
     "chain_check": ["chain-check", "--points", "4000", "--seed", "3"],
     "noise_probe": ["noise-probe", "--n", "2e4", "--seed", "3"],
+    "lowerbound": ["lowerbound", "--n", "2e4", "--seed", "3"],
+    "report": ["report", "--csv", str(GOLDEN / "run_smoke" / "smoke.csv"),
+               "--slope-expect", "-0.6667", "--kmin", "10"],
+    "sandwich": ["sandwich", "--fuzz", "2e4", "--seed", "3"],
 }
 RUNS = {
     "run_smoke": _run("smoke.cfg", *_SMOKE),

@@ -1,5 +1,4 @@
 import configparser
-import copy
 import json
 import math
 import os
@@ -124,7 +123,7 @@ def config_settings(draw):
         "schedule.calibration_draws": draw(st.integers(1, 10**6)),
         "optimizer.algorithm": algorithm,
         "optimizer.averaging": draw(st.booleans()),
-        "optimizer.beta1": draw(st.floats(0.0, 1.0)),
+        "optimizer.beta1": draw(st.floats(0.0, 1.0, exclude_max=True)),
         "optimizer.record": draw(st.just("log") | st.integers(1, 100).map(str)),
         **{f"checks.{key}": draw(st.text("abcXYZ019_-. %;#", max_size=12))
            for key in TEXT_KEYS[1:]},
@@ -315,6 +314,17 @@ class TestConfig:
              "slope_kmax"),  # 50, 100
             (ENVELOPE_UNDER_CONSTANT + ["schedule.alpha=5"], r"alpha must lie in \(1, 2\]"),
             (ENVELOPE_UNDER_CONSTANT + ["schedule.alpha=0.5"], r"alpha must lie in \(1, 2\]"),
+            (["schedule.calibration_draws=0"], "calibration_draws must be >= 1"),
+            (["schedule.calibration_draws=-5"], "calibration_draws must be >= 1"),
+            (["optimizer.acclip_alpha=0"], r"\[optimizer\] acclip_alpha = 0"),
+            (["optimizer.acclip_alpha=-1"], r"\[optimizer\] acclip_alpha = -1"),
+            (["optimizer.beta1=1.5"], r"\[optimizer\] beta1 = 1.5"),
+            (["optimizer.beta1=-0.1"], r"\[optimizer\] beta1 = -0.1"),
+            (["optimizer.beta2=1"], r"\[optimizer\] beta2 = 1"),
+            (["optimizer.epsilon=-1"], r"\[optimizer\] epsilon = -1"),
+            (["checks.slope_tol=-0.5"], "slope_tol must be >= 0"),
+            (["checks.ratio_min=5", "checks.ratio_max=1"], "ratio_min must lie below ratio_max"),
+            (["checks.ratio_min=1", "checks.ratio_max=1"], "ratio_min must lie below ratio_max"),
         ],
     )
     def test_bad_combination_rejected_before_run(self, minimal_cfg, overrides, named):
@@ -334,6 +344,8 @@ class TestConfig:
         ["checks.envelope=strongly_convex", "schedule.G=2.0"],
         ["checks.slope_expect=-0.5", "checks.slope_kmin=69"],  # 69, 87, 100: the fewest
         ["checks.slope_expect=-0.5", "checks.slope_kmin=10", "checks.slope_kmax=20"],
+        ["optimizer.beta1=0", "optimizer.beta2=0", "optimizer.epsilon=0"],  # A11's reduction
+        ["checks.slope_tol=0", "checks.ratio_min=0.5", "checks.ratio_max=0.6"],
     ])
     def test_checkable_combination_accepted(self, minimal_cfg, overrides):
         apply_overrides(load_config(minimal_cfg), overrides)
@@ -686,6 +698,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "violations=0" in out
 
+    def test_sandwich_fails_when_the_fuzz_never_clips(self, tmp_path, capsys):
+        # with g = 0 every pair sits at the no-clip ratio 1/2, so the band
+        # holds but the minimum-ratio verdict fails
+        assert main(["sandwich", "--g-max", "0", "--fuzz", "1e4", "--out", str(tmp_path)]) == 1
+        assert "[FAIL] sandwich_min_ratio" in capsys.readouterr().out
+
     def test_chain_check_subcommand(self, tmp_path):
         assert main(["chain-check", "--d", "6", "--points", "2000", "--out", str(tmp_path)]) == 0
 
@@ -806,6 +824,7 @@ class TestCli:
             ["sandwich", "--g-max", "inf"],
             ["report", "--csv", "smoke.csv", "--kmin", "nan"],
             ["report", "--csv", "smoke.csv", "--slope-tol", "inf"],
+            ["report", "--csv", "smoke.csv", "--slope-tol", "-1"],
             # counts below what the estimate needs
             ["noise-probe", "--block-size", "1"],
             ["noise-probe", "--block-size", "0"],
@@ -906,6 +925,12 @@ class TestCli:
         ["checks.ratio_min=x"],
         ["checks.slope_id=A1 ;x"],
         ["experiment.name=a#b"],
+        ["schedule.calibration_draws=0"],
+        ["optimizer.acclip_alpha=0"],
+        ["optimizer.beta1=1.5"],
+        ["optimizer.epsilon=-1"],
+        ["checks.slope_tol=-0.5"],
+        ["checks.ratio_min=5", "checks.ratio_max=1"],
     ])
     def test_refused_setting_exits_two_before_compute(self, minimal_cfg, tmp_path, capsys,
                                                        overrides):
@@ -1281,34 +1306,48 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+# A fresh interpreter that runs one experiment and prints its peak resident
+# KiB.  It reads VmHWM, the peak of its own address space: on Linux its
+# ru_maxrss also counts the peak of the test process it was started from.
+_PEAK_RSS_CHILD = """
+import re, sys
+from tailclip.config import apply_overrides, load_config
+from tailclip.runner import run_experiment
+cfg = load_config(sys.argv[1])
+apply_overrides(cfg, sys.argv[3:])
+run_experiment(cfg, out_dir=sys.argv[2], parallel=1)
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+"""
+
+
+def run_peak_rss(config: Path, out_dir: Path, overrides: list[str]) -> int:
+    """Peak resident bytes of a child process that runs ``config`` with ``overrides``."""
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, str(config), str(out_dir),
+                           *overrides], env=env, capture_output=True, text=True, check=True)
+    return int(proc.stdout) * 1024
+
+
 def test_run_and_report_memory_do_not_grow_with_seeds(tmp_path):
     # At d = 10, K = 2e4 and every step recorded, a seed's trace is 1.3 MB.
     # run_experiment holds one trace and the seed-sum, whatever the seed
     # count; holding every trace and a table of their rows added 2.5 MB per seed.
-    cfg = load_config(REPO / "configs" / "strongly_convex_alpha15.cfg")
-    apply_overrides(cfg, ["schedule.G=13.5", "experiment.iterations=20000", "optimizer.record=1"])
-    small = copy_config(cfg, ["experiment.iterations=1000", "experiment.seeds=2"])
-    run_experiment(small, out_dir=tmp_path / "warm", parallel=1)  # one-time allocations
-    peaks = {}
-    for seeds in (2, 8):
-        seeded = copy_config(cfg, [f"experiment.seeds={seeds}"])
-        peaks[seeds] = traced_peak(
-            lambda: run_experiment(seeded, out_dir=tmp_path / str(seeds), parallel=1))
+    # Each seed count runs in its own process, one after the other.
+    config = REPO / "configs" / "strongly_convex_alpha15.cfg"
+    overrides = ["schedule.G=13.5", "experiment.iterations=20000", "optimizer.record=1"]
+    peaks = {seeds: run_peak_rss(config, tmp_path / str(seeds),
+                                 [*overrides, f"experiment.seeds={seeds}"]) for seeds in (2, 8)}
     assert abs(peaks[8] - peaks[2]) <= 2**20, peaks
     # report reads the 8-seed table once and averages slices of its columns;
     # the experiment and algorithm columns hold one stored value each
-    path = tmp_path / "8" / f"{cfg.name}.csv"
+    path = tmp_path / "8" / f"{config.stem}.csv"
     table = read_csv(path)
     column_bytes = sum(table[name].nbytes for name in CSV_COLUMNS[2:])
     del table
     peak = traced_peak(lambda: average_traces(row_traces(read_csv(path))))
     assert peak <= 1.3 * column_bytes, peak / column_bytes
-
-
-def copy_config(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    out = copy.deepcopy(cfg)
-    apply_overrides(out, overrides)
-    return out
 
 
 class TestBundledConfigs:

@@ -369,6 +369,12 @@ class TestRunLoop:
         for f in ("suboptimality", "grad_norm", "min_grad_stat", "clip_frac", "eff_step"):
             assert np.array_equal(t_sgd.metric(f), t_ac.metric(f)), f
 
+    @pytest.mark.parametrize("setting", [dict(beta1=1.0), dict(beta2=-0.1), dict(acclip_alpha=0.0),
+                                         dict(epsilon=-1e-8)], ids=str)
+    def test_moment_setting_outside_its_range_refused(self, setting):
+        with pytest.raises(ConfigurationError, match=next(iter(setting))):
+            OptimizerConfig("sgd", Schedule(0.1), 10, **setting)
+
     def test_gclip_cclip_infinite_tau_match_sgd(self):
         p = make_quadratic(3, "pareto", 2.5)
         base = dict(iterations=300, x0=-0.5, record=11)
