@@ -139,7 +139,8 @@ def cmd_lemma_check(args) -> int:
     spec = _noise_spec_from_args(args)
     rng = np.random.default_rng(args.seed)
     taus = numbers(args.taus, "--taus")
-    res = lemma_check(spec, taus, args.n, rng, args.alpha, grad_norm=args.grad_norm)
+    res = lemma_check(spec, taus, args.n, rng, args.alpha, grad_norm=args.grad_norm,
+                      workers=os.cpu_count() or 1)
     fields = ("tau", "second_moment", "second_moment_se", "bias_norm", "bias_se",
               "bound_second_moment", "bound_bias")
     path = _table(args, "lemma_check",
@@ -160,7 +161,7 @@ def cmd_lowerbound(args) -> int:
 
 def cmd_chain_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    res = chain_suite(args.d, args.points, rng, p=args.p)
+    res = chain_suite(args.d, args.points, rng, p=args.p, workers=os.cpu_count() or 1)
     ok = _print_verdicts(res.verdicts)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", type=str, help="path to the experiment config file")
     p.add_argument("--override", "-O", action="append", default=[],
                    metavar="SECTION.KEY=VALUE", help="override a config value")
-    p.add_argument("--parallel", type=at_least(1), default=None, help="worker processes across seeds")
+    p.add_argument("--parallel", type=at_least(1), default=None,
+                   help="worker processes across seeds and calibration draws")
     p.add_argument("--seed", type=at_least(0), default=None, help="override the master seed")
     _add_common(p, seed=False, table=True)
     p.set_defaults(func=cmd_run)
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=str, default="stable")
     p.add_argument("--a", type=finite, default=1.5, help="tail/stability index")
     p.add_argument("--scale", type=finite, default=1.0)
-    p.add_argument("--dimension", type=int, default=1)
+    p.add_argument("--dimension", type=at_least(1), default=1)
     p.add_argument("--n", type=integer, default="1e6")
     p.add_argument("--block-size", type=at_least(2), default=100)
     p.add_argument("--bins", type=at_least(1), default=50)
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=str, default="stable")
     p.add_argument("--a", type=finite, default=1.55, help="tail/stability index of the sampler")
     p.add_argument("--scale", type=finite, default=1.0)
-    p.add_argument("--dimension", type=int, default=10)
+    p.add_argument("--dimension", type=at_least(1), default=10)
     p.add_argument("--alpha", type=finite, default=1.5, help="moment exponent of the bounds")
     p.add_argument("--taus", type=str, default="2,5,10,20,50")
     p.add_argument("--n", type=integer, default="1e6")
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("chain-check", help="verify the chain hard instance's properties")
-    p.add_argument("--d", type=int, default=20)
+    p.add_argument("--d", type=at_least(1), default=20)
     p.add_argument("--points", type=integer, default="1e5")
     p.add_argument("--p", type=finite, default=0.5, help="oracle revealing probability")
     _add_common(p)

@@ -14,7 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import NoiseSpec, column_sum, row_sq_sums, sample_noise_batch
+from .noise import (
+    NoiseSpec,
+    column_sum,
+    fan_out,
+    pass_workers,
+    row_sq_sums,
+    sample_noise_batch,
+    stream_groups,
+    stream_workers,
+    worker_array,
+)
 
 
 def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray:
@@ -49,6 +59,7 @@ def bias_variance_grid(
     n: int,
     rng: np.random.Generator,
     alpha: float,
+    workers: int = 1,
 ) -> list[ProbeResult]:
     """Draw n gradients true_grad + noise, clip them globally at each
     threshold in ``taus``, and compare the empirical second moment and bias
@@ -57,6 +68,10 @@ def bias_variance_grid(
     Every threshold sees the same draws, which makes the variance-vs-tau
     comparison exact sample-wise instead of only in expectation.  The moment
     constants in the bounds are estimated from the same draws.
+
+    With two or more ``workers`` and at least FAN_OUT_FLOOR coordinates,
+    the draws are made a stream group per job on forked workers, and then
+    each threshold is a job.  Every figure keeps its bits.
     """
     if n < 10**4:
         raise ConfigurationError("probe needs at least 1e4 samples")
@@ -68,32 +83,47 @@ def bias_variance_grid(
             raise ConfigurationError(f"clip thresholds must be positive, got {t!r}")
     true_grad = np.asarray(true_grad, dtype=float)
     d = noise.dimension
-    draws = sample_noise_batch(noise, rng, n)
-    draws += true_grad
-    norms = np.sqrt(row_sq_sums(draws, np.empty(n)))
+    workers = pass_workers(n * d, workers)
+    draw_workers = stream_workers(noise, rng, n, workers)
+    draws, norms = worker_array((n, d), draw_workers), worker_array(n, draw_workers)
+
+    def draw(group, gen):
+        rows = sample_noise_batch(noise, gen, group.stop - group.start, out=draws[group])
+        rows += true_grad
+        np.sqrt(row_sq_sums(rows, norms[group]), out=norms[group])
+
+    stream_groups(noise, rng, n, draw, workers)
     g_mom = float(np.mean(norms**alpha))
-    # The clipped rows c = draws * factors[:, None] are built a block at a
-    # time, never all at once.
-    factors, sq, results = np.empty(n), np.empty(n), []
 
-    def clipped(part, out):  # also keeps the clipped rows' squared norms
-        np.multiply(draws[part], factors[part, None], out=out)
-        row_sq_sums(out, sq[part])
+    # The clipped rows c = draws * min(tau / norms, 1) are built a sub-block at
+    # a time, never all at once.
+    def clipped(tau, part, out):
+        factors = np.ones(part.stop - part.start)
+        np.divide(tau, norms[part], out=factors, where=norms[part] > tau)
+        return np.multiply(draws[part], factors[:, None], out=out)
 
-    def centred(part, out):  # (c - mean)**2
-        np.multiply(draws[part], factors[part, None], out=out)
-        np.square(np.subtract(out, mean_clip, out=out), out=out)
+    def probe(i):
+        """np.mean and np.var(ddof=1) of c over rows, and the mean of c's
+        squared row norms and its standard error, at the i-th threshold."""
+        tau, sq = taus[i], np.empty(n)
 
-    for tau in taus:
-        factors.fill(1.0)
-        np.divide(tau, norms, out=factors, where=norms > tau)
-        mean_clip = column_sum(n, d, clipped) / n
-        # np.var(clipped, axis=0, ddof=1): sum, divide by n, subtract, square, sum
+        def first(part, out):  # also keeps the clipped rows' squared norms
+            row_sq_sums(clipped(tau, part, out), sq[part])
+
+        mean = column_sum(n, d, first) / n
+
+        def centred(part, out):  # (c - mean)**2: sum, divide by n, subtract, square, sum
+            np.square(np.subtract(clipped(tau, part, out), mean, out=out), out=out)
+
         var = column_sum(n, d, centred) / (n - 1)
+        return mean, var, float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(n))
+
+    results = []
+    for tau, (mean_clip, var, second, second_se) in zip(taus, fan_out(probe, len(taus), workers)):
         results.append(ProbeResult(
             tau=tau,
-            second_moment=float(np.mean(sq)),
-            second_moment_se=float(np.std(sq, ddof=1) / math.sqrt(n)),
+            second_moment=second,
+            second_moment_se=second_se,
             bias_norm=float(np.linalg.norm(mean_clip - true_grad)),
             bias_se=float(math.sqrt(np.sum(var) / n)),
             g_moment=g_mom,
@@ -101,4 +131,3 @@ def bias_variance_grid(
             bound_bias=g_mom * tau ** (1.0 - alpha),
         ))
     return results
-

@@ -6,6 +6,8 @@ Provides:
 - sample_noise_batch: seeded draws,
 - row_blocks / column_sum: the row slices and numpy's column sum of a blockwise pass,
 - row_sq_sums: squared row norms of a block of draws,
+- fan_out / worker_array: jobs on forked worker processes and the arrays they fill,
+- stream_groups: a pass over a noise stream, a group of rows per job,
 - norm_moment_root / coordinate_moment_roots: the calibration moments,
 - tail_index: block-sum log-moment estimate of the tail index.
 """
@@ -13,6 +15,8 @@ Provides:
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -22,8 +26,12 @@ from .errors import ConfigurationError
 
 FAMILIES = ("gaussian", "pareto", "stable", "zero")
 
-# Rows per group of the moment sums.
+# Rows per group of the moment sums, and per job of a pass over a stream.
 _STREAM_CHUNK = 1 << 16
+
+# A pass fans out over worker processes only when it holds at least this many
+# coordinates; a smaller one is done before the workers would have started.
+FAN_OUT_FLOOR = 1 << 20
 
 # Coordinates per sub-block of a blockwise pass: its temporaries hold this
 # many float64 each (128 KB, so that the dozen the stable transform builds
@@ -97,8 +105,11 @@ def _heavy_tailed(spec: NoiseSpec, u2: np.ndarray) -> np.ndarray:
         ) ** ((1.0 - a) / a)
 
 
-def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` independent noise vectors, shape (n, spec.dimension).
+def sample_noise_batch(
+    spec: NoiseSpec, rng: np.random.Generator, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw ``n`` independent noise vectors, shape (n, spec.dimension), into
+    ``out`` if given (a C-contiguous float64 array of that shape).
 
     Every family consumes a fixed number of uniforms (or normals) per
     vector in row order, so identical (spec, seed) give bit-identical
@@ -106,13 +117,15 @@ def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.
     are transformed a sub-block of row_blocks(n, d) at a time into the result.
     """
     d = spec.dimension
+    if out is None:
+        out = np.empty((n, d))
     if spec.family == "zero":
-        return np.zeros((n, d))
+        out.fill(0.0)
+        return out
     if spec.family == "gaussian":
-        out = rng.standard_normal((n, d))
+        rng.standard_normal(out=out)
         out *= spec.scale
         return out
-    out = np.empty((n, d))
     for part in row_blocks(n, d):
         u2 = rng.random((part.stop - part.start, 2 * d))
         np.multiply(_heavy_tailed(spec, u2), spec.scale, out=out[part])
@@ -150,42 +163,149 @@ def row_sq_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Worker processes.  A job reaches its inputs through the fork, never through
+# a pickle, and hands back small results or writes into a worker_array.
+
+_fan_out_job = None  # the job of the running fan_out, inherited by its workers
+
+
+def _run_job(i: int):
+    return _fan_out_job(i)
+
+
+def forks(workers: int) -> bool:
+    """Whether fan_out(job, count, workers) may run jobs on forked processes."""
+    return workers >= 2 and hasattr(os, "fork")
+
+
+def fan_out(job: Callable[[int], object], count: int, workers: int) -> list:
+    """[job(i) for i in range(count)], on min(workers, count) forked worker
+    processes when that is two or more.  The workers inherit ``job`` and
+    everything it reads at the fork, so only i and each result are pickled;
+    the caller must hold no thread of its own, which a fork would not copy.
+    A job's exception is raised again here, and the jobs not yet started are
+    cancelled."""
+    global _fan_out_job
+    workers = min(workers, count)
+    if not forks(workers):
+        return [job(i) for i in range(count)]
+    # Imported here: the pool's modules cost every serial CLI process about
+    # 20 ms of start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _fan_out_job = job  # set before the pool forks its workers, at the first submit
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_run_job, range(count)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _fan_out_job = None
+
+
+def worker_array(shape, workers: int, dtype=float) -> np.ndarray:
+    """An uninitialised array that the jobs of fan_out(..., workers) fill:
+    over an anonymous shared mmap when the jobs may run on forked processes,
+    so that their writes reach the caller, and np.empty otherwise, whose
+    pages fault in faster."""
+    if not forks(workers):
+        return np.empty(shape, dtype)
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(nbytes, 1)))
+
+
+def pass_workers(coords: int, workers: int) -> int:
+    """The workers a pass over ``coords`` coordinates fans out to."""
+    return workers if coords >= FAN_OUT_FLOOR else 1
+
+
+def stream_workers(spec: NoiseSpec, rng: np.random.Generator, n: int, workers: int) -> int:
+    """The workers that stream_groups(spec, rng, n, job, workers) fans out to:
+    one unless a row of the stream can be drawn from anywhere.  A pareto or
+    stable row takes 2d uniforms, one PCG64 step each, so a copy of the
+    PCG64 advanced by r * 2d steps draws from row r on.  A gaussian row
+    takes a data-dependent number of ziggurat steps, and other bit
+    generators cannot be advanced."""
+    if spec.family not in ("pareto", "stable") or type(rng.bit_generator) is not np.random.PCG64:
+        return 1
+    return pass_workers(n * spec.dimension, workers)
+
+
+def _advanced(rng: np.random.Generator, steps: int) -> np.random.Generator:
+    """A copy of rng's PCG64 moved on by ``steps`` 64-bit draws."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator.advance(steps))
+
+
+def stream_groups(
+    spec: NoiseSpec,
+    rng: np.random.Generator,
+    n: int,
+    job: Callable[[slice, np.random.Generator], object],
+    workers: int = 1,
+) -> list:
+    """[job(group, gen) for each group of row_blocks(n, coords=_STREAM_CHUNK)],
+    where gen draws the group's rows of spec's stream from rng, the same bits
+    whoever draws them.  The groups fan out to stream_workers(spec, rng, n,
+    workers) processes, each on a copy of rng positioned at its first row;
+    rng itself ends where the serial pass leaves it."""
+    groups = list(row_blocks(n, coords=_STREAM_CHUNK))
+    workers = stream_workers(spec, rng, n, workers)
+    if not forks(workers):
+        return [job(group, rng) for group in groups]
+    steps = 2 * spec.dimension  # per row
+    results = fan_out(lambda i: job(groups[i], _advanced(rng, groups[i].start * steps)),
+                      len(groups), workers)
+    # A double draw leaves the buffered 32-bit half alone; advance() clears it.
+    state = rng.bit_generator.state
+    state["state"] = _advanced(rng, n * steps).bit_generator.state["state"]
+    rng.bit_generator.state = state
+    return results
+
+
+# ---------------------------------------------------------------------------
 # Empirical moments of shifted draws, for the calibrated schedule constants.
-# Each sums its terms per group of row_blocks(n, coords=_STREAM_CHUNK) rows,
-# bit for bit, while drawing a sub-block at a time.
+# Each sums its terms per group of stream_groups, bit for bit, while drawing
+# a sub-block at a time, and adds the group sums in order.
 
 
 def norm_moment_root(
-    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator
+    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
 ) -> float:
     """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws xi of spec.
-    The powered norms of a block fill one vector, which is summed whole."""
-    terms = np.empty(min(n, _STREAM_CHUNK))
-    total = 0.0
-    for group in row_blocks(n, coords=_STREAM_CHUNK):
-        sq = terms[:group.stop - group.start]
+    The powered norms of a group fill one vector, which is summed whole."""
+    def group_sum(group, gen):
+        sq = np.empty(group.stop - group.start)
         for part in row_blocks(len(sq), spec.dimension):
-            block = sample_noise_batch(spec, rng, part.stop - part.start)
+            block = sample_noise_batch(spec, gen, part.stop - part.start)
             block += shift
             row_sq_sums(block, sq[part])
         sq **= alpha / 2.0
-        total += float(np.sum(sq))
+        return float(np.sum(sq))
+
+    total = 0.0
+    for term in stream_groups(spec, rng, n, group_sum, workers):
+        total += term
     return (total / n) ** (1.0 / alpha)
 
 
 def coordinate_moment_roots(
-    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator
+    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
 ) -> np.ndarray:
     """Per coordinate i, (empirical E|shift_i + xi_i|^alpha)^(1/alpha) over
-    n draws xi of spec; each block's column sum is a column_sum."""
-    def fill(part, out):
-        np.add(sample_noise_batch(spec, rng, len(out)), shift, out=out)
-        np.abs(out, out=out)
-        out **= alpha
+    n draws xi of spec; each group's column sum is a column_sum."""
+    def group_sum(group, gen):
+        def fill(part, out):
+            np.add(sample_noise_batch(spec, gen, len(out)), shift, out=out)
+            np.abs(out, out=out)
+            out **= alpha
+
+        return column_sum(group.stop - group.start, spec.dimension, fill)
 
     total = np.zeros(spec.dimension)
-    for group in row_blocks(n, coords=_STREAM_CHUNK):
-        total += column_sum(group.stop - group.start, spec.dimension, fill)
+    for term in stream_groups(spec, rng, n, group_sum, workers):
+        total += term
     return (total / n) ** (1.0 / alpha)
 
 

@@ -196,25 +196,27 @@ _SQRT_E = math.sqrt(math.e)
 _PHI_SCALE = _SQRT_E * math.sqrt(math.pi / 2.0)
 
 
-def chain_psi(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+def _psi_and_prime(t: np.ndarray, prime: bool):
+    """psi(t) and, if ``prime``, psi'(t) (else None), from one exp."""
+    psi = np.zeros_like(t)
     mask = t > 0.5
-    if np.any(mask):
-        tm = t[mask]
-        with np.errstate(over="ignore"):
-            out[mask] = np.exp(1.0 - 1.0 / (2.0 * tm - 1.0) ** 2)
+    u = 2.0 * t[mask] - 1.0
+    with np.errstate(over="ignore"):
+        psi[mask] = np.exp(1.0 - 1.0 / u**2)
+    if not prime:
+        return psi, None
+    dpsi = np.zeros_like(t)
+    dpsi[mask] = psi[mask] * 4.0 / u**3
+    return psi, dpsi
+
+
+def chain_psi(t):
+    out = _psi_and_prime(np.asarray(t, dtype=float), False)[0]
     return out if out.ndim else float(out)
 
 
 def chain_psi_prime(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mask = t > 0.5
-    if np.any(mask):
-        tm = t[mask]
-        u = 2.0 * tm - 1.0
-        out[mask] = np.exp(1.0 - 1.0 / u**2) * 4.0 / u**3
+    out = _psi_and_prime(np.asarray(t, dtype=float), True)[1]
     return out if out.ndim else float(out)
 
 
@@ -235,39 +237,54 @@ def chain_phi_prime(t):
     return out if out.ndim else float(out)
 
 
+def _pair_terms(x: np.ndarray, negate: bool, gradient: bool):
+    """For the pairs (t, s) = (x_{i-1}, x_i) of each row of x, or (-x_{i-1},
+    -x_i) if ``negate``: psi(t) phi(s) and, if ``gradient``, psi(t) phi'(s)
+    and psi'(t) phi(s) (else None).  Each negated copy is made where it is
+    used, so that it is freed soon."""
+    phi = chain_phi(-x[:, 1:] if negate else x[:, 1:])
+    psi, dpsi = _psi_and_prime(-x[:, :-1] if negate else x[:, :-1], gradient)
+    if not gradient:
+        return psi * phi, None, None
+    return psi * phi, psi * chain_phi_prime(-x[:, 1:] if negate else x[:, 1:]), dpsi * phi
+
+
+def chain_value_and_gradient(x: np.ndarray, gradient: bool = True):
+    """f_d and its gradient (None unless ``gradient``) at one point (1-d
+    input: a float and a vector) or at batched rows (2-d input: one value
+    and one gradient row per row), from one evaluation of psi, psi', phi
+    and phi'."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.atleast_2d(x)
+    value = -chain_psi(1.0) * chain_phi(x2[:, 0])
+    grad = None
+    if gradient:
+        grad = np.zeros_like(x2)
+        grad[:, 0] = -chain_psi(1.0) * chain_phi_prime(x2[:, 0])
+    if x2.shape[1] > 1:
+        value_neg, phi_prime_neg, psi_prime_neg = _pair_terms(x2, True, gradient)
+        value_pos, phi_prime_pos, psi_prime_pos = _pair_terms(x2, False, gradient)
+        value_neg -= value_pos
+        value = value + np.sum(value_neg, axis=1)
+        if gradient:
+            # d/dx_i of the i-th pair term, i = 2..d
+            grad[:, 1:] += -phi_prime_neg - phi_prime_pos
+            # d/dx_{i-1} of the i-th pair term
+            grad[:, :-1] += -psi_prime_neg - psi_prime_pos
+    if x.ndim == 2:
+        return value, grad
+    return float(value[0]), None if grad is None else grad[0]
+
+
 def chain_value_raw(x: np.ndarray):
     """f_d at one point (1-d input, a float) or batched rows (2-d input, one
     value per row)."""
-    x = np.asarray(x, dtype=float)
-    batched = x.ndim == 2
-    x = np.atleast_2d(x)
-    total = -chain_psi(1.0) * chain_phi(x[:, 0])
-    if x.shape[1] > 1:
-        prev, cur = x[:, :-1], x[:, 1:]
-        total = total + np.sum(
-            chain_psi(-prev) * chain_phi(-cur) - chain_psi(prev) * chain_phi(cur),
-            axis=1,
-        )
-    return total if batched else float(total[0])
+    return chain_value_and_gradient(x, gradient=False)[0]
 
 
 def chain_gradient_raw(x: np.ndarray) -> np.ndarray:
     """Analytic gradient of f_d, batched like chain_value_raw."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    m, d = x2.shape
-    g = np.zeros_like(x2)
-    g[:, 0] = -chain_psi(1.0) * chain_phi_prime(x2[:, 0])
-    if d > 1:
-        prev, cur = x2[:, :-1], x2[:, 1:]
-        # d/dx_i of the i-th pair term, i = 2..d
-        g[:, 1:] += -chain_psi(-prev) * chain_phi_prime(-cur) - chain_psi(
-            prev
-        ) * chain_phi_prime(cur)
-        # d/dx_{i-1} of the i-th pair term
-        g[:, :-1] += -chain_psi_prime(-prev) * chain_phi(-cur) - chain_psi_prime(
-            prev
-        ) * chain_phi(cur)
-    return g if np.asarray(x).ndim == 2 else g[0]
+    return chain_value_and_gradient(x)[1]
 
 
 def prog(x: np.ndarray, beta: float):
@@ -282,22 +299,26 @@ def prog(x: np.ndarray, beta: float):
 # Empirical calibration of the moment constants used by the prescribed schedules.
 
 
-def estimate_sigma(noise: NoiseSpec, alpha: float, n: int, rng: np.random.Generator) -> float:
+def estimate_sigma(
+    noise: NoiseSpec, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
+) -> float:
     """sigma with sigma^alpha = empirical E||xi||^alpha over n draws."""
-    return norm_moment_root(noise, 0.0, alpha, n, rng)
+    return norm_moment_root(noise, 0.0, alpha, n, rng, workers)
 
 
 def estimate_G(
-    problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator
+    problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator,
+    workers: int = 1,
 ) -> float:
     """G with G^alpha = empirical E||g(x0)||^alpha over n oracle draws."""
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))
-    return norm_moment_root(problem.noise, eg, alpha, n, rng)
+    return norm_moment_root(problem.noise, eg, alpha, n, rng, workers)
 
 
 def estimate_B(
-    problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator
+    problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator,
+    workers: int = 1,
 ) -> np.ndarray:
     """Per-coordinate B_i with B_i^alpha = empirical E|g_i(x0)|^alpha."""
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))
-    return coordinate_moment_roots(problem.noise, eg, alpha, n, rng)
+    return coordinate_moment_roots(problem.noise, eg, alpha, n, rng, workers)

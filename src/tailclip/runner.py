@@ -7,6 +7,7 @@ and machine-readable JSON-lines verdict records.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -77,8 +78,10 @@ def build_problem(cfg: ExperimentConfig) -> tuple[StochasticProblem, np.ndarray]
 
 
 def build_schedule(
-    cfg: ExperimentConfig, problem: StochasticProblem, x0: np.ndarray
+    cfg: ExperimentConfig, problem: StochasticProblem, x0: np.ndarray, workers: int = 1
 ) -> tuple[Schedule, dict]:
+    """The schedule of cfg, its ``auto`` constants calibrated on up to
+    ``workers`` processes, and the calibrated values."""
     s = cfg.schedule
     calibration: dict = {}
     rng = calibration_stream(cfg.master_seed)
@@ -86,7 +89,7 @@ def build_schedule(
         return Schedule(s.eta, s.tau), calibration
     if s.kind == "nonconvex":
         if s.sigma == "auto":
-            sigma = estimate_sigma(problem.noise, s.alpha, s.calibration_draws, rng)
+            sigma = estimate_sigma(problem.noise, s.alpha, s.calibration_draws, rng, workers)
             calibration["sigma"] = sigma
         else:
             sigma = float(s.sigma)
@@ -99,14 +102,14 @@ def build_schedule(
     mu = problem.mu  # validate_config refuses these kinds on a problem without mu
     if s.kind == "strongly_convex":
         if s.G == "auto":
-            G = estimate_G(problem, x0, s.alpha, s.calibration_draws, rng)
+            G = estimate_G(problem, x0, s.alpha, s.calibration_draws, rng, workers)
             calibration["G"] = G
         else:
             G = float(s.G)
         return strongly_convex_schedule(mu, G, s.alpha), calibration
     # cclip
     if isinstance(s.B, str):
-        B = estimate_B(problem, x0, s.alpha, s.calibration_draws, rng)
+        B = estimate_B(problem, x0, s.alpha, s.calibration_draws, rng, workers)
         calibration["B_norm2"] = float(np.linalg.norm(B))
     else:
         B = np.asarray(s.B, dtype=float)
@@ -276,6 +279,8 @@ def run_experiment(
     parallel: int | None = None,
 ) -> ExperimentResult:
     """Run every seed of ``cfg`` and write its data, report and verdicts.
+    ``parallel`` caps the worker processes of the calibration and the
+    seeds; by default there is one per core.
 
     Each seed's trace is written as its own block of rows and folded into
     the checks as it arrives, then dropped, so memory does not grow with
@@ -288,7 +293,8 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     problem, x0 = build_problem(cfg)
-    schedule, calibration = build_schedule(cfg, problem, x0)
+    workers = parallel if parallel is not None else os.cpu_count() or 1
+    schedule, calibration = build_schedule(cfg, problem, x0, workers)
     if cfg.problem.kind == "quadratic":
         calibration.setdefault("mu", cfg.problem.mu)
     opt = build_optimizer_config(cfg, schedule, x0, problem.domain is not None)

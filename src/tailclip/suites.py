@@ -13,10 +13,20 @@ import numpy as np
 
 from .clip import ProbeResult, bias_variance_grid
 from .errors import ConfigurationError
-from .noise import NoiseSpec, row_blocks, row_sq_sums, sample_noise_batch, tail_index
+from .noise import (
+    NoiseSpec,
+    fan_out,
+    pass_workers,
+    row_blocks,
+    row_sq_sums,
+    sample_noise_batch,
+    tail_index,
+    worker_array,
+)
 from .problems import (
     LowerBoundInstance,
     chain_gradient_raw,
+    chain_value_and_gradient,
     chain_value_raw,
     prog,
 )
@@ -93,16 +103,24 @@ def lemma_check(
     rng: np.random.Generator,
     alpha: float,
     grad_norm: float = 1.0,
+    workers: int = 1,
 ) -> LemmaCheckResult:
-    """Probe the clipped estimator over a threshold grid on shared draws.
+    """Probe the clipped estimator over a threshold grid on shared draws,
+    with up to ``workers`` processes.
 
     Checks, at every grid point, that the empirical second moment and bias
     stay below their analytic bounds (3 standard errors of slack), and that
-    the variance grows while the bias shrinks along the grid.
+    the variance grows while the bias shrinks along the grid.  A threshold
+    given twice is refused: its monotonicity verdicts would compare a probe
+    with itself.
     """
+    taus = sorted(taus)
+    for lo, hi in zip(taus, taus[1:]):
+        if lo == hi:
+            raise ConfigurationError(f"clip thresholds must differ, got {lo:g} twice")
     true_grad = np.zeros(noise.dimension)
     true_grad[0] = grad_norm
-    probes = bias_variance_grid(noise, true_grad, sorted(taus), n, rng, alpha)
+    probes = bias_variance_grid(noise, true_grad, taus, n, rng, alpha, workers)
     verdicts = []
     for pr in probes:
         verdicts.append(
@@ -245,10 +263,12 @@ def chain_suite(
     rng: np.random.Generator,
     p: float = 0.5,
     curvature_points: int = 2000,
+    workers: int = 1,
 ) -> SuiteResult:
     """Numerically verify the chain objective's advertised properties and
     gradient/finite-difference agreement.  ``p``, the oracle's revealing
-    probability, is only checked to lie in (0, 1]."""
+    probability, is only checked to lie in (0, 1].  The per-point pass runs
+    on up to ``workers`` processes."""
     if d < 1:
         raise ConfigurationError("chain length d must be >= 1")
     if not (0.0 < p <= 1.0):
@@ -256,20 +276,27 @@ def chain_suite(
     if n_points < 1:
         raise ConfigurationError(f"chain check needs at least 1 point, got {n_points}")
     pts = _chain_test_points(d, n_points, rng)
+    f0 = chain_value_raw(np.zeros(d))  # also imports scipy.special once, before any fork
     # Per-point figures, taken over blocks of rows so that the chain's
-    # temporaries stay at the sampler's sub-block size.
-    values, grad_inf, gnorms = np.empty(n_points), np.empty(n_points), np.empty(n_points)
-    excess = np.empty(n_points, dtype=np.int64)
-    for part in row_blocks(n_points, d):
-        grads = chain_gradient_raw(pts[part])
-        values[part] = chain_value_raw(pts[part])
-        np.max(np.abs(grads), axis=1, out=grad_inf[part])
-        np.sqrt(row_sq_sums(grads, gnorms[part]), out=gnorms[part])
-        excess[part] = prog(grads, 0.0) - prog(pts[part], 0.5)
+    # temporaries stay at the sampler's sub-block size.  A job takes every
+    # workers-th block: the first 40% of the rows, the wide uniform group,
+    # cost more per row than the rest.
+    workers = pass_workers(n_points * d, workers)
+    values, grad_inf, gnorms = (worker_array(n_points, workers) for _ in range(3))
+    excess = worker_array(n_points, workers, dtype=np.int64)
+    parts = list(row_blocks(n_points, d))
+
+    def figures(job):
+        for part in parts[job::workers]:
+            values[part], grads = chain_value_and_gradient(pts[part])
+            np.max(np.abs(grads), axis=1, out=grad_inf[part])
+            np.sqrt(row_sq_sums(grads, gnorms[part]), out=gnorms[part])
+            excess[part] = prog(grads, 0.0) - prog(pts[part], 0.5)
+
+    fan_out(figures, workers, workers)
     verdicts = []
 
     # 1. value gap from 0 to the best point found.
-    f0 = chain_value_raw(np.zeros(d))
     best = float(np.min(values))
     # 300 gradient steps from the best point and 150 from each of 20 random
     # restarts; the restarts descend together, one row each.

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tailclip import noise
 from tailclip.errors import ConfigurationError
 from tailclip.problems import (
     chain_gradient_raw,
@@ -11,6 +12,7 @@ from tailclip.problems import (
     chain_phi_prime,
     chain_psi,
     chain_psi_prime,
+    chain_value_and_gradient,
     chain_value_raw,
     prog,
 )
@@ -51,6 +53,38 @@ def test_chain_value_d1_closed_form():
     x = np.array([0.37])
     assert chain_value_raw(x) == pytest.approx(-chain_phi(0.37), rel=1e-12)
     assert chain_gradient_raw(x)[0] == pytest.approx(-chain_phi_prime(0.37), rel=1e-12)
+
+
+def separate_value_and_gradient(x):
+    """f_d and its gradient, each written out in chain_psi, chain_psi_prime,
+    chain_phi and chain_phi_prime: the bit-identity reference for the one
+    evaluation of chain_value_and_gradient."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+    value = -chain_psi(1.0) * chain_phi(x2[:, 0])
+    g = np.zeros_like(x2)
+    g[:, 0] = -chain_psi(1.0) * chain_phi_prime(x2[:, 0])
+    if x2.shape[1] > 1:
+        prev, cur = x2[:, :-1], x2[:, 1:]
+        value = value + np.sum(chain_psi(-prev) * chain_phi(-cur) - chain_psi(prev) * chain_phi(cur),
+                               axis=1)
+        g[:, 1:] += -chain_psi(-prev) * chain_phi_prime(-cur) - chain_psi(prev) * chain_phi_prime(cur)
+        g[:, :-1] += -chain_psi_prime(-prev) * chain_phi(-cur) - chain_psi_prime(prev) * chain_phi(cur)
+    return (value, g) if np.ndim(x) == 2 else (float(value[0]), g[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 20])
+def test_one_evaluation_gives_the_bits_of_separate_ones(d):
+    rng = np.random.default_rng(d)
+    pts = np.vstack([rng.uniform(-3.0, 3.0, (500, d)), rng.uniform(0.49, 0.51, (500, d)),
+                     -rng.uniform(0.49, 0.51, (500, d)), np.zeros((2, d)), np.full((2, d), 0.5)])
+    for x in (pts, pts[0], pts[-1]):
+        value, grad = chain_value_and_gradient(x)
+        want_value, want_grad = separate_value_and_gradient(x)
+        assert type(value) is type(want_value)
+        assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+        assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+        assert np.asarray(chain_value_raw(x)).tobytes() == np.asarray(value).tobytes()
+        assert chain_gradient_raw(x).tobytes() == grad.tobytes()
 
 
 def test_chain_gradient_matches_fd():
@@ -169,13 +203,13 @@ def test_zero_chain_reports_first_offending_point(monkeypatch):
     # A gradient that reveals every coordinate at once breaks the zero-chain
     # property; the suite reports the excess at the first such point.
     def revealing(x):
-        g = chain_gradient_raw(x)
+        value, g = chain_value_and_gradient(x)
         if np.ndim(x) == 2 and len(x) > 1000:
             g = g.copy()
             g[7:, -1] = 1.0
-        return g
+        return value, g
 
-    monkeypatch.setattr("tailclip.suites.chain_gradient_raw", revealing)
+    monkeypatch.setattr("tailclip.suites.chain_value_and_gradient", revealing)
     pts = _chain_test_points(6, 1500, np.random.default_rng(4))
     first = next(i for i in range(7, len(pts)) if prog(pts[i], 0.5) + 1 < 6)
     v = {v.criterion: v for v in chain_suite(6, 1500, np.random.default_rng(4)).verdicts}
@@ -232,6 +266,15 @@ def test_chain_suite_matches_whole_array_reference(n):
     # at d = 20 a block is 819 rows: one short block, one exact, several with a remainder
     got = [(v.criterion, v.observed, v.passed)
            for v in chain_suite(20, n, np.random.default_rng(n)).verdicts]
+    assert got == whole_array_chain_verdicts(20, n, np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("n", [819, 4001])
+def test_chain_suite_on_two_workers_matches_whole_array_reference(n, monkeypatch):
+    # the per-point pass fans out, each worker taking every other block
+    monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
+    got = [(v.criterion, v.observed, v.passed)
+           for v in chain_suite(20, n, np.random.default_rng(n), workers=2).verdicts]
     assert got == whole_array_chain_verdicts(20, n, np.random.default_rng(n))
 
 

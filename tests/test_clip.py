@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailclip import noise
 from tailclip.clip import ProbeResult, acclip_factors, bias_variance_grid
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, sample_noise_batch
@@ -364,6 +365,21 @@ class TestProbeMatchesReference:
         want = reference_bias_variance_grid(spec, grad, self.TAUS, n,
                                             np.random.default_rng(seed), 1.5)
         assert [astuple(r) for r in got] == [astuple(r) for r in want]
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("family,tail", [("zero", 2.0), ("gaussian", 2.0), ("pareto", 1.6),
+                                             ("stable", 1.55)])
+    def test_bit_identical_on_two_workers(self, family, tail, d, monkeypatch):
+        # every pass fans out: the draws in two stream groups, the sweep in ten jobs
+        monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
+        spec = NoiseSpec(family, dimension=d, tail_index=tail)
+        grad = np.zeros(d)
+        grad[0] = 1.0
+        got, want = np.random.default_rng(d), np.random.default_rng(d)
+        fanned = bias_variance_grid(spec, grad, self.TAUS, 70001, got, 1.5, workers=2)
+        serial = reference_bias_variance_grid(spec, grad, self.TAUS, 70001, want, 1.5)
+        assert [astuple(r) for r in fanned] == [astuple(r) for r in serial]
+        assert got.bit_generator.state == want.bit_generator.state
 
     def test_every_row_clipped_below_all_norms(self):
         spec = NoiseSpec("gaussian", dimension=3)

@@ -13,6 +13,11 @@ calibration draws: the d = 1 float path, projected d = 1 and d = 5 runs
 with averaging, an averaged nonconvex run recorded at every step, and
 every algorithm.
 
+The same cases run again with every pass fanned out to two worker
+processes (the floor of noise.FAN_OUT_FLOOR lowered to 0) and must give
+the same bytes; so must calibrations large enough to make several stream
+groups, and the A5 and A8 probes at their defaults, on one worker and two.
+
 To regenerate after a deliberate change of output, run from the repo root:
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_golden()"
@@ -30,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from tailclip import noise
 from tailclip.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -85,14 +91,15 @@ def _mask(text: bytes) -> bytes:
                     if not line.startswith(b"wall_time_s:"))
 
 
-def run_case(name: str, workdir: Path) -> dict[str, bytes]:
-    """Run one case from ``workdir``: {"stdout": ..., "exit_code": ..., file name: bytes}."""
+def run_case(name: str, workdir: Path, argv: list[str] | None = None) -> dict[str, bytes]:
+    """Run one case from ``workdir``: {"stdout": ..., "exit_code": ..., file name: bytes}.
+    ``argv`` replaces the case's own arguments."""
     cwd = os.getcwd()
     buf = io.StringIO()
     try:
         os.chdir(workdir)
         with contextlib.redirect_stdout(buf):
-            code = main([*CASES[name], "--out", name])
+            code = main([*(CASES[name] if argv is None else argv), "--out", name])
     finally:
         os.chdir(cwd)
     files = {"stdout": buf.getvalue().encode(), "exit_code": f"{code}\n".encode()}
@@ -123,8 +130,8 @@ def write_golden() -> None:
                 (target / fname).write_bytes(data)
 
 
-def check_case(name: str, tmp_path: Path) -> None:
-    got = _stored(run_case(name, tmp_path))
+def check_case(name: str, tmp_path: Path, argv: list[str] | None = None) -> None:
+    got = _stored(run_case(name, tmp_path, argv))
     want = {p.name: p.read_bytes() for p in sorted((GOLDEN / name).iterdir())}
     assert sorted(got) == sorted(want)
     for fname in want:
@@ -139,3 +146,43 @@ def test_probe_output_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_output_matches_golden(name, tmp_path):
     check_case(name, tmp_path)
+
+
+def two_workers(monkeypatch) -> None:
+    """Fan every pass out, whatever its size, to two workers."""
+    monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def on_parallel(argv: list[str], workers: int) -> list[str]:
+    i = argv.index("--parallel")
+    return [*argv[:i + 1], str(workers), *argv[i + 2:]]
+
+
+@pytest.mark.parametrize("name", ["chain_check", "lemma_check", "run_cclip", "run_smoke"])
+def test_output_on_two_workers_matches_golden(name, tmp_path, monkeypatch):
+    two_workers(monkeypatch)
+    check_case(name, tmp_path, on_parallel(RUNS[name], 2) if name in RUNS else None)
+
+
+@pytest.mark.parametrize("name", ["run_cclip", "run_nonconvex_record1", "run_smoke"])
+def test_calibration_on_two_workers_writes_the_bytes_of_one(name, tmp_path, monkeypatch):
+    # 140,000 draws make three stream groups, each a job of its own
+    two_workers(monkeypatch)
+    argv = [*RUNS[name], "-O", "schedule.calibration_draws=140000"]
+    one, two = tmp_path / "one", tmp_path / "two"
+    one.mkdir()
+    two.mkdir()
+    assert run_case(name, one, on_parallel(argv, 1)) == run_case(name, two, on_parallel(argv, 2))
+
+
+@pytest.mark.parametrize("argv", [["lemma-check", "--seed", "123"], ["chain-check", "--seed", "42"]],
+                         ids=" ".join)
+def test_acceptance_probes_print_the_same_bytes_on_one_and_two_workers(argv, tmp_path,
+                                                                       monkeypatch):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        (tmp_path / str(workers)).mkdir()
+        runs.append(run_case("probe", tmp_path / str(workers), argv))
+    assert runs[0] == runs[1]

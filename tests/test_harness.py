@@ -813,6 +813,9 @@ class TestCli:
             ["lowerbound", "--n", "nan"],
             ["chain-check", "--points", "1e-3"],
             ["sandwich", "--fuzz", "1500.5"],
+            ["noise-probe", "--dimension", "2.5"],
+            ["lemma-check", "--dimension", "0"],
+            ["chain-check", "--d", "0"],
             # float flags that are not finite
             ["noise-probe", "--scale", "nan"],
             ["noise-probe", "--family", "pareto", "--a", "nan"],
@@ -907,6 +910,23 @@ class TestCli:
         assert main(["lemma-check", f"--taus={taus}", "--n", "1e4", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "thresholds must be positive" in err
+
+    @pytest.mark.parametrize("taus", ["2,2", "5,2,5", "2,2.0,10"])
+    def test_lemma_check_refuses_a_repeated_threshold(self, tmp_path, capsys, taus):
+        # its monotonicity verdicts would compare a probe with itself and could not fail
+        assert main(["lemma-check", f"--taus={taus}", "--n", "1e4", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not any(tmp_path.iterdir())
+        assert len(captured.err.splitlines()) == 1 and "thresholds must differ" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["noise-probe", "--dimension", "1e1", "--n", "1e4"],
+        ["lemma-check", "--dimension", "1e1", "--n", "1e4"],
+        ["chain-check", "--d", "1e1", "--points", "1e3"],
+    ], ids=" ".join)
+    def test_count_flags_take_the_spellings_of_n(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         ["experiment.name=a,b"],

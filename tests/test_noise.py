@@ -1,20 +1,27 @@
 import copy
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from tailclip import noise
 from tailclip.errors import ConfigurationError
 from tailclip.noise import (
     NoiseSpec,
     column_sum,
+    coordinate_moment_roots,
+    fan_out,
+    norm_moment_root,
     pareto_magnitude,
     row_blocks,
     row_sq_sums,
     sample_noise_batch,
+    stream_groups,
     tail_index,
+    worker_array,
 )
 from tailclip.problems import estimate_G, quadratic_problem
 from tailclip.suites import noise_probe
@@ -316,3 +323,104 @@ def test_noise_probe_outputs_read_one_draw(n, block):
     counts, edges = np.histogram(hist, bins=20, range=(0.0, float(np.quantile(hist, 0.999))))
     assert np.array_equal(res.histogram[0], counts)
     assert np.array_equal(res.histogram[1], edges)
+
+
+@pytest.mark.parametrize("family,tail", [("gaussian", 2.0), ("pareto", 1.5), ("stable", 1.5),
+                                         ("zero", 2.0)])
+def test_draws_into_a_given_array_equal_a_fresh_one(family, tail):
+    spec = NoiseSpec(family, dimension=3, scale=1.7, tail_index=tail)
+    out = np.full((2 * sub_rows(3) + 5, 3), np.nan)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    assert sample_noise_batch(spec, rng, len(out), out=out) is out
+    assert same_bits(out, sample_noise_batch(spec, ref, len(out)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# Positioned streams: the rows of a pareto or stable stream from any row on.
+
+SPLIT_N = 65_540
+
+
+@pytest.mark.parametrize("d", [1, 10, 100])
+@pytest.mark.parametrize("family,tail", [("pareto", 1.6), ("stable", 1.55)])
+def test_a_positioned_generator_draws_the_serial_rows(family, tail, d):
+    spec = NoiseSpec(family, dimension=d, scale=0.7, tail_index=tail)
+    rng = np.random.default_rng(d)
+    rng.integers(0, 7, dtype=np.int32)  # a buffered 32-bit half, which rows leave alone
+    serial = sample_noise_batch(spec, copy.deepcopy(rng), SPLIT_N)
+    for row in (1, 7, 1637, 1638, 65_537, SPLIT_N - 1):
+        gen = noise._advanced(rng, row * 2 * d)
+        rows = min(5, SPLIT_N - row)
+        assert same_bits(sample_noise_batch(spec, gen, rows), serial[row:row + rows]), row
+
+
+def fanned(monkeypatch):
+    """Fan out every pass, whatever its size."""
+    monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("family,tail", [("pareto", 1.6), ("stable", 1.55)])
+def test_a_fanned_pass_keeps_the_bits_and_leaves_the_stream_where_a_serial_one_does(
+        family, tail, d, monkeypatch):
+    fanned(monkeypatch)
+    spec = NoiseSpec(family, dimension=d, tail_index=tail)
+    n = 2 * 65_536 + 11  # three groups
+    shift = np.linspace(-1.0, 1.0, d)
+    for moments in (norm_moment_root, coordinate_moment_roots):
+        got, want = np.random.default_rng(3), np.random.default_rng(3)
+        for rng in (got, want):
+            rng.integers(0, 7, dtype=np.int32)
+        assert got.bit_generator.state["has_uint32"] == 1
+        assert same_bits(np.asarray(moments(spec, shift, 1.5, n, got, workers=2)),
+                         np.asarray(moments(spec, shift, 1.5, n, want)))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("family,bit_generator,forked", [
+    ("stable", np.random.PCG64, True), ("pareto", np.random.PCG64, True),
+    ("gaussian", np.random.PCG64, False), ("zero", np.random.PCG64, False),
+    ("stable", np.random.MT19937, False), ("stable", np.random.PCG64DXSM, False),
+])
+def test_only_pcg64_pareto_and_stable_streams_fan_out(family, bit_generator, forked, monkeypatch):
+    fanned(monkeypatch)
+    spec = NoiseSpec(family, dimension=2, tail_index=1.5)
+    rng = np.random.Generator(bit_generator(1))
+    pids = stream_groups(spec, rng, 3 * 65_536, lambda group, gen: os.getpid(), workers=2)
+    assert len(pids) == 3
+    assert (os.getpid() not in pids) == forked and (set(pids) == {os.getpid()}) != forked
+
+
+def test_a_pass_below_the_floor_stays_serial():
+    spec = NoiseSpec("stable", dimension=2, tail_index=1.5)
+    n = noise.FAN_OUT_FLOOR // 2 - 1
+    pids = stream_groups(spec, np.random.default_rng(0), n, lambda group, gen: os.getpid(), 2)
+    assert set(pids) == {os.getpid()}
+
+
+def _square_or_raise(i):
+    if i == 5:
+        raise ValueError("job 5 failed")
+    return i * i, os.getpid()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fan_out_returns_the_jobs_in_order_and_raises_their_errors(workers):
+    squares = fan_out(lambda i: (i * i, os.getpid()), 9, workers)
+    assert [sq for sq, _ in squares] == [i * i for i in range(9)]
+    assert ({pid for _, pid in squares} == {os.getpid()}) == (workers == 1)
+    with pytest.raises(ValueError, match="job 5 failed"):
+        fan_out(_square_or_raise, 9, workers)
+    assert noise._fan_out_job is None
+
+
+def test_every_worker_writes_its_rows_of_a_worker_array():
+    # one worker more than there are cores (at most 9): each job writes its
+    # own rows, which the caller must see, from whichever worker ran it
+    workers = min((os.cpu_count() or 1) + 1, 9)
+    rows = worker_array((64 * workers, 3), workers)
+    rows.fill(-1.0)
+    pids = fan_out(lambda i: (rows[64 * i:64 * (i + 1)].fill(i), os.getpid())[1], workers, workers)
+    assert os.getpid() not in pids
+    assert np.array_equal(rows, np.repeat(np.arange(workers, dtype=float), 64)[:, None] * np.ones(3))
