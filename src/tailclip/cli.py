@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sandwich", help="fuzz the RMSProp/clipping step-size correspondence")
     p.add_argument("--fuzz", type=integer, default="1e6")
-    p.add_argument("--v-max", type=finite, default=100.0)
+    p.add_argument("--v-max", type=tolerance, default=100.0)
     p.add_argument("--g-max", type=finite, default=100.0)
     p.add_argument("--a", type=finite, default=1e-3)
     p.add_argument("--beta2", type=finite, default=0.99)

@@ -274,14 +274,16 @@ def norm_moment_root(
     spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
 ) -> float:
     """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws xi of spec.
-    The powered norms of a group fill one vector, which is summed whole."""
+    The powered norms of a group fill one vector, which is summed whole.
+    A norm that overflows makes the root inf, without a RuntimeWarning."""
     def group_sum(group, gen):
         sq = np.empty(group.stop - group.start)
-        for part in row_blocks(len(sq), spec.dimension):
-            block = sample_noise_batch(spec, gen, part.stop - part.start)
-            block += shift
-            row_sq_sums(block, sq[part])
-        sq **= alpha / 2.0
+        with np.errstate(over="ignore"):
+            for part in row_blocks(len(sq), spec.dimension):
+                block = sample_noise_batch(spec, gen, part.stop - part.start)
+                block += shift
+                row_sq_sums(block, sq[part])
+            sq **= alpha / 2.0
         return float(np.sum(sq))
 
     total = 0.0
@@ -294,14 +296,16 @@ def coordinate_moment_roots(
     spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
 ) -> np.ndarray:
     """Per coordinate i, (empirical E|shift_i + xi_i|^alpha)^(1/alpha) over
-    n draws xi of spec; each group's column sum is a column_sum."""
+    n draws xi of spec; each group's column sum is a column_sum.  A power
+    that overflows makes its root inf, without a RuntimeWarning."""
     def group_sum(group, gen):
         def fill(part, out):
             np.add(sample_noise_batch(spec, gen, len(out)), shift, out=out)
             np.abs(out, out=out)
             out **= alpha
 
-        return column_sum(group.stop - group.start, spec.dimension, fill)
+        with np.errstate(over="ignore"):
+            return column_sum(group.stop - group.start, spec.dimension, fill)
 
     total = np.zeros(spec.dimension)
     for term in stream_groups(spec, rng, n, group_sum, workers):

@@ -77,19 +77,37 @@ def build_problem(cfg: ExperimentConfig) -> tuple[StochasticProblem, np.ndarray]
     return problem, x0
 
 
+def _check_estimate(key: str, name: str, value: float, draws: int, positive: bool = False):
+    """Refuse ``value``, the estimate ``name`` of the ``auto`` constant
+    ``key``, when it is not finite, or not positive where ``positive``."""
+    if not math.isfinite(value) or positive and value <= 0.0:
+        need = "finite and positive" if positive else "finite"
+        raise ConfigurationError(f"[schedule] {key} = auto: {draws} calibration draws estimate "
+                                 f"{name} = {value!r}, which must be {need}")
+
+
 def build_schedule(
     cfg: ExperimentConfig, problem: StochasticProblem, x0: np.ndarray, workers: int = 1
 ) -> tuple[Schedule, dict]:
     """The schedule of cfg, its ``auto`` constants calibrated on up to
-    ``workers`` processes, and the calibrated values."""
+    ``workers`` processes, and the calibrated values.
+
+    A constant is estimated only where something reads it: ``sigma`` by the
+    nonconvex pair, ``B`` by the cclip schedule, and ``G`` by gclip and
+    proj_gclip, whose threshold it scales, or by an envelope check.  Under
+    ``kind = strongly_convex`` the other algorithms take the same step sizes
+    with no threshold (tau = inf), and nothing is drawn.  An estimate that
+    is not finite, or a G of 0, is refused."""
     s = cfg.schedule
     calibration: dict = {}
     rng = calibration_stream(cfg.master_seed)
+    n = s.calibration_draws
     if s.kind == "constant":
         return Schedule(s.eta, s.tau), calibration
     if s.kind == "nonconvex":
         if s.sigma == "auto":
-            sigma = estimate_sigma(problem.noise, s.alpha, s.calibration_draws, rng, workers)
+            sigma = estimate_sigma(problem.noise, s.alpha, n, rng, workers)
+            _check_estimate("sigma", "sigma", sigma, n)
             calibration["sigma"] = sigma
         else:
             sigma = float(s.sigma)
@@ -101,16 +119,21 @@ def build_schedule(
         return sched, calibration
     mu = problem.mu  # validate_config refuses these kinds on a problem without mu
     if s.kind == "strongly_convex":
-        if s.G == "auto":
-            G = estimate_G(problem, x0, s.alpha, s.calibration_draws, rng, workers)
+        if s.G != "auto":
+            G = float(s.G)
+        elif cfg.optimizer.algorithm in ("gclip", "proj_gclip") or cfg.checks.envelope:
+            G = estimate_G(problem, x0, s.alpha, n, rng, workers)
+            _check_estimate("G", "G", G, n, positive=True)
             calibration["G"] = G
         else:
-            G = float(s.G)
+            G = math.inf
         return strongly_convex_schedule(mu, G, s.alpha), calibration
     # cclip
     if isinstance(s.B, str):
-        B = estimate_B(problem, x0, s.alpha, s.calibration_draws, rng, workers)
-        calibration["B_norm2"] = float(np.linalg.norm(B))
+        B = estimate_B(problem, x0, s.alpha, n, rng, workers)
+        with np.errstate(over="ignore"):  # an overflowed norm is refused below
+            calibration["B_norm2"] = float(np.linalg.norm(B))
+        _check_estimate("B", "B_norm2", calibration["B_norm2"], n)
     else:
         B = np.asarray(s.B, dtype=float)
     return cclip_schedule(mu, B, s.alpha), calibration

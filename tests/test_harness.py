@@ -22,7 +22,7 @@ from tailclip.config import ExperimentConfig, apply_overrides, dump_config, load
 from tailclip.errors import ConfigurationError
 from tailclip.noise import FAMILIES
 from tailclip.optimizers import ALGORITHMS, record_points, run, run_seeds, seed_stream
-from tailclip.problems import project
+from tailclip.problems import estimate_G, project
 from tailclip.runner import evaluate_checks, run_experiment
 from tailclip.traces import (
     CSV_COLUMNS,
@@ -828,6 +828,7 @@ class TestCli:
             ["report", "--csv", "smoke.csv", "--kmin", "nan"],
             ["report", "--csv", "smoke.csv", "--slope-tol", "inf"],
             ["report", "--csv", "smoke.csv", "--slope-tol", "-1"],
+            ["sandwich", "--v-max", "-5"],
             # counts below what the estimate needs
             ["noise-probe", "--block-size", "1"],
             ["noise-probe", "--block-size", "0"],
@@ -843,8 +844,8 @@ class TestCli:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags", [["--a", "0"], ["--v-max", "-5"],
-                                       ["--epsilon", "0", "--v-max", "0"], ["--beta2", "1.5"]],
+    @pytest.mark.parametrize("flags", [["--a", "0"], ["--epsilon", "0", "--v-max", "0"],
+                                       ["--beta2", "1.5"]],
                              ids=" ".join)
     def test_sandwich_refuses_parameters_outside_the_formula(self, tmp_path, capsys, flags):
         assert main(["sandwich", "--fuzz", "1e4", *flags, "--out", str(tmp_path)]) == 2
@@ -875,6 +876,7 @@ class TestCli:
         (["noise-probe", "--n", "0"], "n >= 1"),
         (["run", "SMOKE", "--parallel", "0"], "--parallel"),
         (["run", "SMOKE", "--parallel", "-3"], "--parallel"),
+        (["sandwich", "--v-max", "-1"], "--v-max"),
         (["report", "--csv", "MISSING"], "No such file"),
         (["report", "--csv", "DIR"], "Is a directory"),
         (["run", "SMOKE", "--out", "FILE"], "File exists"),
@@ -1412,3 +1414,103 @@ class TestBundledConfigs:
                  "-O", "experiment.seeds=8", "--out", str(tmp_path)]
         assert main(["run", str(cfgdir / "sgd_divergence.cfg"), *scale]) == 0
         assert main(["run", str(cfgdir / "gclip_stabilizes.cfg"), *scale]) == 0
+
+    @pytest.mark.parametrize("path", sorted((REPO / "perfbench" / "configs").glob("d100_*.cfg")),
+                             ids=lambda p: p.stem)
+    def test_benchmark_config_runs_and_lists_what_it_estimates(self, path, tmp_path, capsys):
+        # each inherits G = auto from d100_proj_gclip.cfg; only gclip's and cclip's steps
+        # read a calibrated constant
+        assert main(["run", str(path), "-O", "experiment.iterations=200",
+                     "-O", "schedule.calibration_draws=2000", "--parallel", "1",
+                     "--out", str(tmp_path)]) == 0
+        calibration = calibration_keys(capsys.readouterr().out)
+        algorithm = load_config(path).optimizer.algorithm
+        assert ("G" in calibration) == (algorithm == "proj_gclip")
+        assert ("B_norm2" in calibration) == (algorithm == "cclip")
+
+
+def calibration_keys(report: str) -> list[str]:
+    """The keys of a report's ``calibration:`` block."""
+    lines = report.splitlines()
+    if "calibration:" not in lines:
+        return []
+    block = lines[lines.index("calibration:") + 1:]
+    return [line.split(" = ")[0].strip() for line in block[:next(
+        (i for i, line in enumerate(block) if not line.startswith("  ")), len(block))]]
+
+
+SMOKE_CALIBRATED = ["schedule.calibration_draws=2000"]
+# (algorithm, envelope): every algorithm on smoke.cfg's G = auto, cclip under its
+# own schedule kind, where an envelope has no G to read and is refused
+READ_CASES = [(alg, envelope) for alg in ALGORITHMS for envelope in (False, True)
+              if not (alg == "cclip" and envelope)]
+
+
+def smoke_run(out: Path, *overrides: str) -> int:
+    argv = ["run", str(REPO / "configs" / "smoke.cfg"), "--parallel", "1", "--out", str(out)]
+    for o in (*SMOKE_CALIBRATED, *overrides):
+        argv += ["-O", o]
+    return main(argv)
+
+
+class TestCalibratedConstants:
+    """A run estimates an auto constant only where a step or a check reads
+    it, and refuses an estimate that no step could use."""
+
+    @pytest.mark.parametrize("alg,envelope", READ_CASES,
+                             ids=[f"{a}{'-envelope' * e}" for a, e in READ_CASES])
+    def test_G_is_estimated_and_listed_exactly_where_it_is_read(self, tmp_path, capsys,
+                                                               monkeypatch, alg, envelope):
+        calls = []
+        monkeypatch.setattr(runner, "estimate_G",
+                            lambda *args: calls.append(args) or estimate_G(*args))
+        overrides = [f"optimizer.algorithm={alg}"]
+        overrides += ["schedule.kind=cclip"] if alg == "cclip" else []
+        overrides += ["checks.envelope=strongly_convex"] if envelope else []
+        assert smoke_run(tmp_path, *overrides) in (0, 1)
+        reads = alg in ("gclip", "proj_gclip") or envelope
+        assert len(calls) == reads
+        assert ("G" in calibration_keys(capsys.readouterr().out)) == reads
+        assert ("G" in calibration_keys((tmp_path / "smoke.report.txt").read_text())) == reads
+
+    @pytest.mark.parametrize("alg", ["sgd", "momentum_sgd", "adamlike", "acclip"])
+    def test_an_unread_G_leaves_the_bytes_of_a_run_given_the_estimate(self, tmp_path, alg):
+        cfg = load_config(REPO / "configs" / "smoke.cfg")
+        apply_overrides(cfg, SMOKE_CALIBRATED)
+        problem, x0 = runner.build_problem(cfg)
+        s = cfg.schedule
+        G = estimate_G(problem, x0, s.alpha, s.calibration_draws,
+                       runner.calibration_stream(cfg.master_seed))
+        assert smoke_run(tmp_path / "auto", f"optimizer.algorithm={alg}") == 0
+        assert smoke_run(tmp_path / "given", f"optimizer.algorithm={alg}", f"schedule.G={G!r}") == 0
+        assert (tmp_path / "auto" / "smoke.csv").read_bytes() == \
+            (tmp_path / "given" / "smoke.csv").read_bytes()
+
+    @pytest.mark.parametrize("config,overrides,key,estimate", [
+        ("smoke", ["noise.scale=1e200"], "G", "G = inf"),
+        ("smoke", ["noise.scale=1e200", "optimizer.algorithm=sgd",
+                   "checks.envelope=strongly_convex"], "G", "G = inf"),
+        ("smoke", ["noise.family=zero", "problem.x0=0"], "G", "G = 0.0"),
+        ("smoke", ["noise.scale=1e200", "optimizer.algorithm=cclip", "schedule.kind=cclip"],
+         "B", "B_norm2 = inf"),
+        ("nonconvex_decay", ["noise.scale=1e200", "experiment.iterations=100",
+                             "checks.ratio_k_hi=100", "checks.ratio_k_lo=10"], "sigma", "sigma = inf"),
+    ])
+    def test_an_estimate_no_step_can_use_is_one_error_line(self, tmp_path, capsys, config,
+                                                          overrides, key, estimate):
+        argv = ["run", str(REPO / "configs" / f"{config}.cfg"), "--parallel", "1",
+                "--out", str(tmp_path)]
+        for o in (*SMOKE_CALIBRATED, *overrides):
+            argv += ["-O", o]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not list(tmp_path.iterdir())  # before any seed runs
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: [schedule] {key} = auto: ")
+        assert f"2000 calibration draws estimate {estimate}," in captured.err
+
+    @pytest.mark.parametrize("alg", ["sgd", "momentum_sgd", "adamlike", "acclip"])
+    def test_zero_noise_at_the_optimum_runs_where_no_step_reads_G(self, tmp_path, capsys, alg):
+        assert smoke_run(tmp_path, "noise.family=zero", "problem.x0=0",
+                         f"optimizer.algorithm={alg}") == 0
+        assert calibration_keys(capsys.readouterr().out) == ["mu"]
