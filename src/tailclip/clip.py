@@ -14,17 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import (
-    NoiseSpec,
-    column_sum,
-    fan_out,
-    pass_workers,
-    row_sq_sums,
-    sample_noise_batch,
-    stream_groups,
-    stream_workers,
-    worker_array,
-)
+from .noise import NoiseSpec, column_sum, row_sq_sums, sample_noise_batch, stream_groups
 
 
 def acclip_factors(m: np.ndarray, tau: np.ndarray, epsilon: float) -> np.ndarray:
@@ -69,65 +59,103 @@ def bias_variance_grid(
     comparison exact sample-wise instead of only in expectation.  The moment
     constants in the bounds are estimated from the same draws.
 
-    With two or more ``workers`` and at least FAN_OUT_FLOOR coordinates,
-    the draws are made a stream group per job on forked workers, and then
-    each threshold is a job.  Every figure keeps its bits.
+    The draws are summarised one group of noise.stream_groups at a time, on
+    up to ``workers`` forked processes, and never held whole.  Each group
+    gives, per threshold, the (count, mean, M2) of its clipped rows by
+    column (column_sum passes) and of their squared norms; these are folded
+    in group order by _fold, starting from the first group itself.
+    E||g||^alpha is the in-order sum of the groups' sums over n.  So up to
+    one group (65,536 rows) every figure is numpy's whole-array mean,
+    var(ddof=1) or std(ddof=1) bit for bit, and above it depends on n
+    alone, never on the worker count.
+
+    Refused before any draw: n below 1e4, alpha outside (1, 2], a threshold
+    that is not positive, and pareto or stable (index below 2) noise whose
+    tail index is at most alpha, where E||g||^alpha is infinite.  Refused
+    after the draws: a figure that is not finite, as when a squared norm
+    overflows.
     """
     if n < 10**4:
         raise ConfigurationError("probe needs at least 1e4 samples")
     if not 1.0 < alpha <= 2.0:  # written so that NaN fails too
         raise ConfigurationError(f"moment exponent alpha must lie in (1, 2], got {alpha!r}")
+    a = noise.tail_index
+    if (noise.family == "pareto" or noise.family == "stable" and a < 2.0) and alpha >= a:
+        raise ConfigurationError(f"E||g||^alpha is infinite for {noise.family} noise of tail "
+                                 f"index {a:g}: the moment exponent alpha = {alpha:g} must lie below it")
     taus = [float(t) for t in taus]
     for t in taus:
         if not t > 0.0:
             raise ConfigurationError(f"clip thresholds must be positive, got {t!r}")
     true_grad = np.asarray(true_grad, dtype=float)
     d = noise.dimension
-    workers = pass_workers(n * d, workers)
-    draw_workers = stream_workers(noise, rng, n, workers)
-    draws, norms = worker_array((n, d), draw_workers), worker_array(n, draw_workers)
 
-    def draw(group, gen):
-        rows = sample_noise_batch(noise, gen, group.stop - group.start, out=draws[group])
-        rows += true_grad
-        np.sqrt(row_sq_sums(rows, norms[group]), out=norms[group])
+    def summary(group, gen):
+        """sum ||g||^alpha over the group, and per threshold the (count,
+        mean, M2) of the clipped rows and of their squared norms."""
+        m = group.stop - group.start
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, warning-free
+            rows = sample_noise_batch(noise, gen, m)
+            rows += true_grad
+            norms = row_sq_sums(rows, np.empty(m))
+            np.sqrt(norms, out=norms)
+            factors, sq = np.empty(m), np.empty(m)
+            stats = []
+            for tau in taus:
+                factors.fill(1.0)
+                np.divide(tau, norms, out=factors, where=norms > tau)
 
-    stream_groups(noise, rng, n, draw, workers)
-    g_mom = float(np.mean(norms**alpha))
+                def first(part, out):  # also keeps the clipped rows' squared norms
+                    row_sq_sums(np.multiply(rows[part], factors[part, None], out=out), sq[part])
 
-    # The clipped rows c = draws * min(tau / norms, 1) are built a sub-block at
-    # a time, never all at once.
-    def clipped(tau, part, out):
-        factors = np.ones(part.stop - part.start)
-        np.divide(tau, norms[part], out=factors, where=norms[part] > tau)
-        return np.multiply(draws[part], factors[:, None], out=out)
+                mean = column_sum(m, d, first) / m
 
-    def probe(i):
-        """np.mean and np.var(ddof=1) of c over rows, and the mean of c's
-        squared row norms and its standard error, at the i-th threshold."""
-        tau, sq = taus[i], np.empty(n)
+                def centred(part, out):  # (c - mean)**2
+                    np.multiply(rows[part], factors[part, None], out=out)
+                    np.square(np.subtract(out, mean, out=out), out=out)
 
-        def first(part, out):  # also keeps the clipped rows' squared norms
-            row_sq_sums(clipped(tau, part, out), sq[part])
+                sq_mean = np.sum(sq) / m
+                np.square(np.subtract(sq, sq_mean, out=sq), out=sq)
+                stats.append(((m, mean, column_sum(m, d, centred)), (m, sq_mean, np.sum(sq))))
+            return float(np.sum(norms**alpha)), stats
 
-        mean = column_sum(n, d, first) / n
+    summaries = stream_groups(noise, rng, n, summary, workers)
+    total = 0.0
+    for power_sum, _ in summaries:
+        total += power_sum
+    g_mom = total / n
+    if not math.isfinite(g_mom):
+        raise ConfigurationError(f"{n} draws estimate E||g||^alpha = {g_mom!r}, which must be finite")
 
-        def centred(part, out):  # (c - mean)**2: sum, divide by n, subtract, square, sum
-            np.square(np.subtract(clipped(tau, part, out), mean, out=out), out=out)
-
-        var = column_sum(n, d, centred) / (n - 1)
-        return mean, var, float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(n))
-
+    folded = summaries[0][1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, warning-free
+        for _, stats in summaries[1:]:
+            folded = [(_fold(c, gc), _fold(s, gs)) for (c, s), (gc, gs) in zip(folded, stats)]
     results = []
-    for tau, (mean_clip, var, second, second_se) in zip(taus, fan_out(probe, len(taus), workers)):
-        results.append(ProbeResult(
+    for tau, ((_, mean_clip, m2), (_, second, second_m2)) in zip(taus, folded):
+        result = ProbeResult(
             tau=tau,
-            second_moment=second,
-            second_moment_se=second_se,
+            second_moment=float(second),
+            second_moment_se=math.sqrt(second_m2 / (n - 1)) / math.sqrt(n),
             bias_norm=float(np.linalg.norm(mean_clip - true_grad)),
-            bias_se=float(math.sqrt(np.sum(var) / n)),
+            bias_se=math.sqrt(np.sum(m2 / (n - 1)) / n),
             g_moment=g_mom,
             bound_second_moment=g_mom * tau ** (2.0 - alpha),
             bound_bias=g_mom * tau ** (1.0 - alpha),
-        ))
+        )
+        for name, value in vars(result).items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{n} draws clipped at tau = {tau:g} give {name} = "
+                                         f"{value!r}, which must be finite")
+        results.append(result)
     return results
+
+
+def _fold(a, b):
+    """The (count, mean, M2) of two parts from each part's, by the pairwise
+    update of Chan, Golub and LeVeque: with delta = mean_b - mean_a,
+    mean = mean_a + delta nb / n and M2 = M2_a + (M2_b + delta^2 na nb / n)."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    count = na + nb
+    delta = mean_b - mean_a
+    return count, mean_a + delta * nb / count, m2_a + (m2_b + delta * delta * na * nb / count)

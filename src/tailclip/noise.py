@@ -219,18 +219,6 @@ def pass_workers(coords: int, workers: int) -> int:
     return workers if coords >= FAN_OUT_FLOOR else 1
 
 
-def stream_workers(spec: NoiseSpec, rng: np.random.Generator, n: int, workers: int) -> int:
-    """The workers that stream_groups(spec, rng, n, job, workers) fans out to:
-    one unless a row of the stream can be drawn from anywhere.  A pareto or
-    stable row takes 2d uniforms, one PCG64 step each, so a copy of the
-    PCG64 advanced by r * 2d steps draws from row r on.  A gaussian row
-    takes a data-dependent number of ziggurat steps, and other bit
-    generators cannot be advanced."""
-    if spec.family not in ("pareto", "stable") or type(rng.bit_generator) is not np.random.PCG64:
-        return 1
-    return pass_workers(n * spec.dimension, workers)
-
-
 def _advanced(rng: np.random.Generator, steps: int) -> np.random.Generator:
     """A copy of rng's PCG64 moved on by ``steps`` 64-bit draws."""
     bit_generator = np.random.PCG64()
@@ -247,11 +235,17 @@ def stream_groups(
 ) -> list:
     """[job(group, gen) for each group of row_blocks(n, coords=_STREAM_CHUNK)],
     where gen draws the group's rows of spec's stream from rng, the same bits
-    whoever draws them.  The groups fan out to stream_workers(spec, rng, n,
-    workers) processes, each on a copy of rng positioned at its first row;
-    rng itself ends where the serial pass leaves it."""
+    whoever draws them.  The groups fan out to pass_workers(n * d, workers)
+    processes, each on a copy of rng positioned at its first row, when a
+    row of the stream can be drawn from anywhere: a pareto or stable row
+    takes 2d uniforms, one PCG64 step each, so a copy of the PCG64 advanced
+    by r * 2d steps draws from row r on.  A gaussian row takes a
+    data-dependent number of ziggurat steps, and other bit generators
+    cannot be advanced, so those streams stay serial.  rng itself ends
+    where the serial pass leaves it."""
     groups = list(row_blocks(n, coords=_STREAM_CHUNK))
-    workers = stream_workers(spec, rng, n, workers)
+    splits = spec.family in ("pareto", "stable") and type(rng.bit_generator) is np.random.PCG64
+    workers = pass_workers(n * spec.dimension, workers) if splits else 1
     if not forks(workers):
         return [job(group, rng) for group in groups]
     steps = 2 * spec.dimension  # per row

@@ -65,19 +65,25 @@ def noise_probe(
     """One draw of max(n, 2 * block_size) vectors, kept as one squared norm
     each.  The second moment at c = 1e3, 1e4, ... and n is the mean of the
     first c; the tail index reads the first max(n - n % block_size,
-    2 * block_size) norms and the histogram the first min(n, 1e5)."""
+    2 * block_size) norms and the histogram the first min(n, 1e5).  A
+    second moment that overflows to inf is refused."""
     if n < 1:
         raise ConfigurationError(f"noise probe needs n >= 1 draws, got {n}")
-    sq = np.empty(max(n, 2 * block_size))
-    for part in row_blocks(sq.size, spec.dimension):
-        row_sq_sums(sample_noise_batch(spec, rng, part.stop - part.start), sq[part])
     checkpoints = []
     c = 1000
     while c < n:
         checkpoints.append(c)
         c *= 10
     checkpoints.append(n)
-    curve = [(c, float(np.sum(sq[:c])) / c) for c in checkpoints]
+    sq = np.empty(max(n, 2 * block_size))
+    with np.errstate(over="ignore"):  # refused below, without a RuntimeWarning
+        for part in row_blocks(sq.size, spec.dimension):
+            row_sq_sums(sample_noise_batch(spec, rng, part.stop - part.start), sq[part])
+        curve = [(c, float(np.sum(sq[:c])) / c) for c in checkpoints]
+    for c, moment in curve:
+        if not math.isfinite(moment):
+            raise ConfigurationError(f"the empirical second moment of the first {c} draws "
+                                     f"overflowed to {moment!r}; it must be finite")
     norms = np.sqrt(sq, out=sq)
     tail_norms = norms[:max(n - n % block_size, 2 * block_size)]
     tail = tail_index(tail_norms, block_size, rng=rng) if np.any(tail_norms > 0) else None

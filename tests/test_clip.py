@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import astuple, dataclass, field, replace
 
@@ -11,6 +12,8 @@ from tailclip import noise
 from tailclip.clip import ProbeResult, acclip_factors, bias_variance_grid
 from tailclip.errors import ConfigurationError
 from tailclip.noise import NoiseSpec, sample_noise_batch
+
+GROUP = noise._STREAM_CHUNK  # rows per stream group of a probe
 
 # ---------------------------------------------------------------------------
 # Reference clipping operators and the adaptive clipping state machine, one
@@ -306,6 +309,36 @@ class TestBiasVarianceProbe:
             )
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("family,tail,alpha", [("pareto", 1.1, 1.9), ("pareto", 1.5, 1.5),
+                                                   ("stable", 1.2, 1.5), ("stable", 1.5, 1.5)])
+    def test_moment_exponent_at_or_above_the_tail_index_refused_before_drawing(self, family,
+                                                                                tail, alpha):
+        # E||g||^alpha is infinite there, so the lemma's G does not exist
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match=r"E\|\|g\|\|\^alpha is infinite"):
+            bias_variance_grid(NoiseSpec(family, dimension=2, tail_index=tail), np.zeros(2),
+                               [5.0], 10**4, rng, alpha)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("family", ["gaussian", "stable", "zero"])
+    def test_every_moment_of_gaussian_noise_is_finite(self, family):
+        # a stable index of 2 is the Gaussian
+        res = bias_variance_grid(NoiseSpec(family, dimension=2, tail_index=2.0), np.ones(2),
+                                 [5.0], 10**4, np.random.default_rng(0), 2.0)
+        assert math.isfinite(res[0].g_moment)
+
+    @pytest.mark.parametrize("scale,grad,taus,name", [
+        (1e200, 1.0, [5.0], "E||g||^alpha = inf"),
+        (1.0, 1e200, [5.0], "E||g||^alpha = inf"),
+        (1e150, 1.0, [1e150], "second_moment_se = inf"),  # a finite E||g||^alpha
+    ])
+    def test_figure_that_overflows_is_refused(self, scale, grad, taus, name):
+        spec = NoiseSpec("pareto", dimension=3, scale=scale, tail_index=1.6)
+        with pytest.raises(ConfigurationError, match=re.escape(name)):
+            bias_variance_grid(spec, np.array([grad, 0.0, 0.0]), taus, 2 * GROUP + 7,
+                               np.random.default_rng(0), 1.5)
+
     def test_grid_monotone_on_shared_draws(self):
         res = bias_variance_grid(
             NoiseSpec("stable", dimension=2, tail_index=1.55),
@@ -348,38 +381,122 @@ def reference_bias_variance_grid(noise, true_grad, taus, n, rng, alpha):
     return out
 
 
+
+def chan_fold(parts):
+    """The mean and M2 of (count, mean, M2) parts, folded in order from the
+    first part by the pairwise update of Chan, Golub and LeVeque."""
+    count, mean, m2 = parts[0]
+    for m, mean_g, m2_g in parts[1:]:
+        before, count = count, count + m
+        delta = mean_g - mean
+        mean = mean + delta * m / count
+        m2 = m2 + (m2_g + delta * delta * before * m / count)
+    return mean, m2
+
+
+def reference_group_fold(noise, true_grad, taus, n, rng, alpha):
+    """bias_variance_grid as its definition: whole-array numpy figures of
+    each stream group, folded in group order."""
+    true_grad = np.asarray(true_grad, dtype=float)
+    draws = sample_noise_batch(noise, rng, n) + true_grad
+    norms = np.sqrt(np.sum(draws * draws, axis=1))
+    groups = [slice(start, min(start + GROUP, n)) for start in range(0, n, GROUP)]
+    total = 0.0
+    for g in groups:
+        total += float(np.sum(norms[g] ** alpha))
+    g_mom = total / n
+    out = []
+    for tau in [float(t) for t in taus]:
+        factors = np.ones(n)
+        np.divide(tau, norms, out=factors, where=norms > tau)
+        clipped = draws * factors[:, None]
+        sq = np.sum(clipped * clipped, axis=1)
+        columns, squares = [], []
+        for g in groups:
+            c, s = clipped[g], sq[g]
+            columns.append((len(c), c.mean(axis=0), np.sum(np.square(c - c.mean(axis=0)), axis=0)))
+            squares.append((len(s), np.mean(s), np.sum(np.square(s - np.mean(s)))))
+        mean, m2 = chan_fold(columns)
+        second, second_m2 = chan_fold(squares)
+        out.append(ProbeResult(
+            tau=tau,
+            second_moment=float(second),
+            second_moment_se=math.sqrt(second_m2 / (n - 1)) / math.sqrt(n),
+            bias_norm=float(np.linalg.norm(mean - true_grad)),
+            bias_se=math.sqrt(np.sum(m2 / (n - 1)) / n),
+            g_moment=g_mom,
+            bound_second_moment=g_mom * tau ** (2.0 - alpha),
+            bound_bias=g_mom * tau ** (1.0 - alpha),
+        ))
+    return out
+
+
+FAMILIES = pytest.mark.parametrize("family,tail", [("zero", 2.0), ("gaussian", 2.0),
+                                                   ("pareto", 1.6), ("stable", 1.55)])
+
+
+def probe_case(family, tail, d):
+    grad = np.zeros(d)
+    grad[0] = 1.0
+    return NoiseSpec(family, dimension=d, tail_index=tail), grad
+
+
 class TestProbeMatchesReference:
     # 1e-9 lies below every draw's norm, so it clips every row.
     TAUS = [1e-9, 0.5, 2.0, 10.0, 50.0]
 
-    @pytest.mark.parametrize("n", [10**4, 70001, 123457])
+    @pytest.mark.parametrize("n", [10**4, GROUP])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
-    @pytest.mark.parametrize("family,tail", [("zero", 2.0), ("gaussian", 2.0), ("pareto", 1.6),
-                                             ("stable", 1.55)])
+    @FAMILIES
     def test_bit_identical(self, family, tail, d, n):
-        spec = NoiseSpec(family, dimension=d, tail_index=tail)
-        grad = np.zeros(d)
-        grad[0] = 1.0
+        spec, grad = probe_case(family, tail, d)
         seed = n + d
         got = bias_variance_grid(spec, grad, self.TAUS, n, np.random.default_rng(seed), 1.5)
         want = reference_bias_variance_grid(spec, grad, self.TAUS, n,
                                             np.random.default_rng(seed), 1.5)
         assert [astuple(r) for r in got] == [astuple(r) for r in want]
 
+    @pytest.mark.parametrize("n", [70001, 123457])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @FAMILIES
+    def test_bit_identical_to_the_group_fold(self, family, tail, d, n):
+        spec, grad = probe_case(family, tail, d)
+        seed = n + d
+        got = bias_variance_grid(spec, grad, self.TAUS, n, np.random.default_rng(seed), 1.5)
+        want = reference_group_fold(spec, grad, self.TAUS, n, np.random.default_rng(seed), 1.5)
+        assert [astuple(r) for r in got] == [astuple(r) for r in want]
+
+    @pytest.mark.parametrize("n", [70001, 123457])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @FAMILIES
+    def test_close_to_whole_array_above_one_group(self, family, tail, d, n):
+        # The fold rounds differently from numpy's whole-array sums: measured
+        # up to 7e-13 relative on bias_norm, a difference of nearly equal
+        # vectors, and 1e-14 elsewhere.  Where every row is clipped to a
+        # constant, the standard errors are rounding noise of the clipped
+        # values (1e-36 against 0 here), so that threshold gets a floor.
+        spec, grad = probe_case(family, tail, d)
+        seed = n + d
+        got = bias_variance_grid(spec, grad, self.TAUS, n, np.random.default_rng(seed), 1.5)
+        want = reference_bias_variance_grid(spec, grad, self.TAUS, n,
+                                            np.random.default_rng(seed), 1.5)
+        for g, w in zip(got, want):
+            floor = 1e-12 * g.tau if g.tau == self.TAUS[0] else 0.0
+            for name, value in vars(g).items():
+                assert math.isclose(value, getattr(w, name), rel_tol=1e-11, abs_tol=floor), \
+                    (g.tau, name, value, getattr(w, name))
+
     @pytest.mark.parametrize("d", [1, 2, 10])
-    @pytest.mark.parametrize("family,tail", [("zero", 2.0), ("gaussian", 2.0), ("pareto", 1.6),
-                                             ("stable", 1.55)])
+    @FAMILIES
     def test_bit_identical_on_two_workers(self, family, tail, d, monkeypatch):
-        # every pass fans out: the draws in two stream groups, the sweep in ten jobs
+        # the pass fans out, whatever its size: three stream groups, three jobs
         monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
-        spec = NoiseSpec(family, dimension=d, tail_index=tail)
-        grad = np.zeros(d)
-        grad[0] = 1.0
-        got, want = np.random.default_rng(d), np.random.default_rng(d)
-        fanned = bias_variance_grid(spec, grad, self.TAUS, 70001, got, 1.5, workers=2)
-        serial = reference_bias_variance_grid(spec, grad, self.TAUS, 70001, want, 1.5)
+        spec, grad = probe_case(family, tail, d)
+        one, two = np.random.default_rng(d), np.random.default_rng(d)
+        serial = bias_variance_grid(spec, grad, self.TAUS, 2 * GROUP + 7, one, 1.5)
+        fanned = bias_variance_grid(spec, grad, self.TAUS, 2 * GROUP + 7, two, 1.5, workers=2)
         assert [astuple(r) for r in fanned] == [astuple(r) for r in serial]
-        assert got.bit_generator.state == want.bit_generator.state
+        assert two.bit_generator.state == one.bit_generator.state
 
     def test_every_row_clipped_below_all_norms(self):
         spec = NoiseSpec("gaussian", dimension=3)
@@ -389,7 +506,8 @@ class TestProbeMatchesReference:
 
 
 def test_probe_peak_memory_below_one_and_a_half_draw_arrays():
-    # the draws plus a few (n,) vectors: the clipped rows are built a block at a time
+    # one stream group's draws and a few (group,) vectors, whatever n: the
+    # draws are summarised a group at a time and never held whole
     n, d = 5 * 10**5, 10
     spec = NoiseSpec("stable", dimension=d, tail_index=1.55)
     grad = np.zeros(d)
@@ -401,4 +519,4 @@ def test_probe_peak_memory_below_one_and_a_half_draw_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * d * 8, f"traced peak {peak / (n * d * 8):.2f}x the draws array"
+    assert peak <= 1.5 * GROUP * d * 8, f"traced peak {peak / (GROUP * d * 8):.2f}x a group's draws"

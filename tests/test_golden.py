@@ -15,8 +15,9 @@ every algorithm.
 
 The same cases run again with every pass fanned out to two worker
 processes (the floor of noise.FAN_OUT_FLOOR lowered to 0) and must give
-the same bytes; so must calibrations large enough to make several stream
-groups, and the A5 and A8 probes at their defaults, on one worker and two.
+the same bytes; so must calibrations and a lemma-check large enough to make
+several stream groups, and the A5 and A8 probes at their defaults, on one
+worker and two.
 
 To regenerate after a deliberate change of output, run from the repo root:
 
@@ -56,6 +57,8 @@ _SMOKE = ("schedule.calibration_draws=2000",)
 
 PROBES = {
     "lemma_check": ["lemma-check", "--n", "2e4", "--seed", "3"],
+    # 140,000 draws make three stream groups, whose figures are folded
+    "lemma_check_groups": ["lemma-check", "--n", "140000", "--seed", "3"],
     "chain_check": ["chain-check", "--points", "4000", "--seed", "3"],
     "noise_probe": ["noise-probe", "--n", "2e4", "--seed", "3"],
     "lowerbound": ["lowerbound", "--n", "2e4", "--seed", "3"],
@@ -159,7 +162,8 @@ def on_parallel(argv: list[str], workers: int) -> list[str]:
     return [*argv[:i + 1], str(workers), *argv[i + 2:]]
 
 
-@pytest.mark.parametrize("name", ["chain_check", "lemma_check", "run_cclip", "run_smoke"])
+@pytest.mark.parametrize("name", ["chain_check", "lemma_check", "lemma_check_groups", "run_cclip",
+                                  "run_smoke"])
 def test_output_on_two_workers_matches_golden(name, tmp_path, monkeypatch):
     two_workers(monkeypatch)
     check_case(name, tmp_path, on_parallel(RUNS[name], 2) if name in RUNS else None)

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import is_dataclass
 from pathlib import Path
 
@@ -907,6 +908,33 @@ class TestCli:
         assert captured.out == "" and not any(tmp_path.iterdir())
         assert len(captured.err.splitlines()) == 1 and "alpha must lie in (1, 2]" in captured.err
 
+    @pytest.mark.parametrize("flags", [["--a", "1.2", "--alpha", "1.5"],
+                                       ["--family", "pareto", "--a", "1.1", "--alpha", "1.9"],
+                                       ["--family", "pareto", "--a", "1.5", "--alpha", "1.5"]],
+                             ids=" ".join)
+    def test_lemma_check_refuses_alpha_at_or_above_the_tail_index(self, tmp_path, capsys, flags):
+        # E||g||^alpha is infinite there: its bounds would read inf and every verdict pass
+        assert main(["lemma-check", *flags, "--n", "1e5", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not any(tmp_path.iterdir())
+        assert len(captured.err.splitlines()) == 1 and "E||g||^alpha is infinite" in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lemma-check", "--scale", "1e200"], "10000 draws estimate E||g||^alpha = inf"),
+        (["lemma-check", "--grad-norm", "1e200"], "10000 draws estimate E||g||^alpha = inf"),
+        (["lemma-check", "--scale", "1e150", "--taus", "1e150,1e152"], "second_moment_se = inf"),
+        (["noise-probe", "--scale", "1e200"], "second moment of the first 1000 draws overflowed"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_overflowing_draws_are_refused_without_a_warning(self, tmp_path, capsys, argv,
+                                                             message):
+        # an overflowed square once printed a RuntimeWarning and then PASS lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--n", "1e4", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not any(tmp_path.iterdir())
+        assert len(captured.err.splitlines()) == 1 and message in captured.err
+
     @pytest.mark.parametrize("taus", ["0,5", "-1,5", "nan"])
     def test_lemma_check_refuses_nonpositive_threshold(self, tmp_path, capsys, taus):
         assert main(["lemma-check", f"--taus={taus}", "--n", "1e4", "--out", str(tmp_path)]) == 2
@@ -1350,6 +1378,38 @@ def run_peak_rss(config: Path, out_dir: Path, overrides: list[str]) -> int:
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, str(config), str(out_dir),
                            *overrides], env=env, capture_output=True, text=True, check=True)
     return int(proc.stdout) * 1024
+
+
+# A fresh interpreter that runs one CLI command on two workers and prints
+# the peak resident KiB of its largest process: its own VmHWM, or the
+# largest ru_maxrss of the pool workers it has reaped.
+_CLI_PEAK_RSS_CHILD = """
+import contextlib, io, os, re, resource, sys
+from tailclip.cli import main
+os.cpu_count = lambda: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as status:
+    own = int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss))
+"""
+
+
+def cli_peak_rss(argv: list[str]) -> int:
+    """Peak resident bytes of the largest process of a child that runs ``argv``."""
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _CLI_PEAK_RSS_CHILD, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout) * 1024
+
+
+def test_lemma_check_memory_does_not_grow_with_n(tmp_path):
+    # Each stream group of 65,536 draws is summarised where it is drawn and
+    # only its figures are kept; holding the n x d draws cost 80 MB at 1e6.
+    peaks = {n: cli_peak_rss(["lemma-check", "--n", n, "--out", str(tmp_path / n)])
+             for n in ("2e5", "1e6")}
+    assert abs(peaks["1e6"] - peaks["2e5"]) <= 2 * 2**20, peaks
 
 
 def test_run_and_report_memory_do_not_grow_with_seeds(tmp_path):
