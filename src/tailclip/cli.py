@@ -139,8 +139,7 @@ def cmd_lemma_check(args) -> int:
     spec = _noise_spec_from_args(args)
     rng = np.random.default_rng(args.seed)
     taus = numbers(args.taus, "--taus")
-    res = lemma_check(spec, taus, args.n, rng, args.alpha, grad_norm=args.grad_norm,
-                      workers=os.cpu_count() or 1)
+    res = lemma_check(spec, taus, args.n, rng, args.alpha, grad_norm=args.grad_norm)
     fields = ("tau", "second_moment", "second_moment_se", "bias_norm", "bias_se",
               "bound_second_moment", "bound_bias")
     path = _table(args, "lemma_check",
@@ -161,7 +160,7 @@ def cmd_lowerbound(args) -> int:
 
 def cmd_chain_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    res = chain_suite(args.d, args.points, rng, p=args.p, workers=os.cpu_count() or 1)
+    res = chain_suite(args.d, args.points, rng, p=args.p)
     ok = _print_verdicts(res.verdicts)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

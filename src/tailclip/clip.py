@@ -49,7 +49,7 @@ def bias_variance_grid(
     n: int,
     rng: np.random.Generator,
     alpha: float,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[ProbeResult]:
     """Draw n gradients true_grad + noise, clip them globally at each
     threshold in ``taus``, and compare the empirical second moment and bias
@@ -60,14 +60,14 @@ def bias_variance_grid(
     constants in the bounds are estimated from the same draws.
 
     The draws are summarised one group of noise.stream_groups at a time, on
-    up to ``workers`` forked processes, and never held whole.  Each group
-    gives, per threshold, the (count, mean, M2) of its clipped rows by
-    column (column_sum passes) and of their squared norms; these are folded
-    in group order by _fold, starting from the first group itself.
-    E||g||^alpha is the in-order sum of the groups' sums over n.  So up to
-    one group (65,536 rows) every figure is numpy's whole-array mean,
-    var(ddof=1) or std(ddof=1) bit for bit, and above it depends on n
-    alone, never on the worker count.
+    up to ``workers`` forked processes (by default one per core), and never
+    held whole.  Each group gives, per threshold, the (count, mean, M2) of
+    its clipped rows by column (column_sum passes) and of their squared
+    norms; these are folded in group order by _fold, starting from the
+    first group itself.  E||g||^alpha is the in-order sum of the groups'
+    sums over n.  So up to one group (65,536 rows) every figure is numpy's
+    whole-array mean, var(ddof=1) or std(ddof=1) bit for bit, and above it
+    depends on n alone, never on the worker count.
 
     Refused before any draw: n below 1e4, alpha outside (1, 2], a threshold
     that is not positive, and pareto or stable (index below 2) noise whose

@@ -6,7 +6,7 @@ Provides:
 - sample_noise_batch: seeded draws,
 - row_blocks / column_sum: the row slices and numpy's column sum of a blockwise pass,
 - row_sq_sums: squared row norms of a block of draws,
-- fan_out / worker_array: jobs on forked worker processes and the arrays they fill,
+- fan_out: jobs on forked worker processes, one per core unless told otherwise,
 - stream_groups: a pass over a noise stream, a group of rows per job,
 - norm_moment_root / coordinate_moment_roots: the calibration moments,
 - tail_index: block-sum log-moment estimate of the tail index.
@@ -15,7 +15,6 @@ Provides:
 from __future__ import annotations
 
 import math
-import mmap
 import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -105,11 +104,8 @@ def _heavy_tailed(spec: NoiseSpec, u2: np.ndarray) -> np.ndarray:
         ) ** ((1.0 - a) / a)
 
 
-def sample_noise_batch(
-    spec: NoiseSpec, rng: np.random.Generator, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Draw ``n`` independent noise vectors, shape (n, spec.dimension), into
-    ``out`` if given (a C-contiguous float64 array of that shape).
+def sample_noise_batch(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` independent noise vectors, shape (n, spec.dimension).
 
     Every family consumes a fixed number of uniforms (or normals) per
     vector in row order, so identical (spec, seed) give bit-identical
@@ -117,11 +113,9 @@ def sample_noise_batch(
     are transformed a sub-block of row_blocks(n, d) at a time into the result.
     """
     d = spec.dimension
-    if out is None:
-        out = np.empty((n, d))
     if spec.family == "zero":
-        out.fill(0.0)
-        return out
+        return np.zeros((n, d))
+    out = np.empty((n, d))
     if spec.family == "gaussian":
         rng.standard_normal(out=out)
         out *= spec.scale
@@ -163,8 +157,9 @@ def row_sq_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Worker processes.  A job reaches its inputs through the fork, never through
-# a pickle, and hands back small results or writes into a worker_array.
+# Worker processes.  fan_out is the one place that starts them and decides
+# how many.  A job reaches its inputs through the fork, never through a
+# pickle, and hands back a small result.
 
 _fan_out_job = None  # the job of the running fan_out, inherited by its workers
 
@@ -173,48 +168,48 @@ def _run_job(i: int):
     return _fan_out_job(i)
 
 
-def forks(workers: int) -> bool:
-    """Whether fan_out(job, count, workers) may run jobs on forked processes."""
-    return workers >= 2 and hasattr(os, "fork")
+def _pool_size(workers: int | None, count: int) -> int:
+    """The processes fan_out(job, count, workers) runs its jobs on, forked if
+    two or more: min(workers, count), where workers None means one per core."""
+    if not hasattr(os, "fork"):
+        return 1
+    return min((os.cpu_count() or 1) if workers is None else workers, count)
 
 
-def fan_out(job: Callable[[int], object], count: int, workers: int) -> list:
-    """[job(i) for i in range(count)], on min(workers, count) forked worker
-    processes when that is two or more.  The workers inherit ``job`` and
-    everything it reads at the fork, so only i and each result are pickled;
-    the caller must hold no thread of its own, which a fork would not copy.
-    A job's exception is raised again here, and the jobs not yet started are
-    cancelled."""
+def forks(workers: int | None, count: int) -> bool:
+    """Whether fan_out(job, count, workers) runs its jobs on forked processes."""
+    return _pool_size(workers, count) >= 2
+
+
+def fan_out(job: Callable[[int], object], count: int, workers: int | None = None) -> Iterator:
+    """Yield job(i) for i in range(count) in order, the jobs run on
+    _pool_size(workers, count) processes; a free worker takes the next job
+    not yet started.  The workers are forked and inherit ``job`` and
+    everything it reads, so only i and each result are pickled; the caller
+    must hold no thread of its own, which a fork would not copy.  A job's
+    exception is raised again here.  Closing the iterator early, or an
+    exception, cancels the jobs not yet started and waits for the running
+    ones."""
     global _fan_out_job
-    workers = min(workers, count)
-    if not forks(workers):
-        return [job(i) for i in range(count)]
+    size = _pool_size(workers, count)
+    if size < 2:
+        yield from map(job, range(count))
+        return
     # Imported here: the pool's modules cost every serial CLI process about
     # 20 ms of start-up.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    _fan_out_job = job  # set before the pool forks its workers, at the first submit
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    _fan_out_job = job  # set before the pool forks all its workers, at the first submit
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_run_job, range(count)))
+        yield from pool.map(_run_job, range(count))
     finally:
         pool.shutdown(cancel_futures=True)
         _fan_out_job = None
 
 
-def worker_array(shape, workers: int, dtype=float) -> np.ndarray:
-    """An uninitialised array that the jobs of fan_out(..., workers) fill:
-    over an anonymous shared mmap when the jobs may run on forked processes,
-    so that their writes reach the caller, and np.empty otherwise, whose
-    pages fault in faster."""
-    if not forks(workers):
-        return np.empty(shape, dtype)
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(nbytes, 1)))
-
-
-def pass_workers(coords: int, workers: int) -> int:
+def pass_workers(coords: int, workers: int | None) -> int | None:
     """The workers a pass over ``coords`` coordinates fans out to."""
     return workers if coords >= FAN_OUT_FLOOR else 1
 
@@ -231,7 +226,7 @@ def stream_groups(
     rng: np.random.Generator,
     n: int,
     job: Callable[[slice, np.random.Generator], object],
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list:
     """[job(group, gen) for each group of row_blocks(n, coords=_STREAM_CHUNK)],
     where gen draws the group's rows of spec's stream from rng, the same bits
@@ -246,11 +241,11 @@ def stream_groups(
     groups = list(row_blocks(n, coords=_STREAM_CHUNK))
     splits = spec.family in ("pareto", "stable") and type(rng.bit_generator) is np.random.PCG64
     workers = pass_workers(n * spec.dimension, workers) if splits else 1
-    if not forks(workers):
+    if not forks(workers, len(groups)):
         return [job(group, rng) for group in groups]
     steps = 2 * spec.dimension  # per row
-    results = fan_out(lambda i: job(groups[i], _advanced(rng, groups[i].start * steps)),
-                      len(groups), workers)
+    results = list(fan_out(lambda i: job(groups[i], _advanced(rng, groups[i].start * steps)),
+                           len(groups), workers))
     # A double draw leaves the buffered 32-bit half alone; advance() clears it.
     state = rng.bit_generator.state
     state["state"] = _advanced(rng, n * steps).bit_generator.state["state"]
@@ -265,7 +260,8 @@ def stream_groups(
 
 
 def norm_moment_root(
-    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
+    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator,
+    workers: int | None = None,
 ) -> float:
     """(empirical E||shift + xi||^alpha)^(1/alpha) over n draws xi of spec.
     The powered norms of a group fill one vector, which is summed whole.
@@ -287,7 +283,8 @@ def norm_moment_root(
 
 
 def coordinate_moment_roots(
-    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
+    spec: NoiseSpec, shift, alpha: float, n: int, rng: np.random.Generator,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Per coordinate i, (empirical E|shift_i + xi_i|^alpha)^(1/alpha) over
     n draws xi of spec; each group's column sum is a column_sum.  A power

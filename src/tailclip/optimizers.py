@@ -13,15 +13,16 @@ from __future__ import annotations
 import math
 import operator
 import os
+import tempfile
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
 from .clip import acclip_factors
 from .errors import ConfigurationError
-from .noise import row_blocks, sample_noise_batch
+from .noise import fan_out, forks, row_blocks, sample_noise_batch
 from .problems import StochasticProblem
 # average_traces is also taken from here: perfbench/traced.py calls optimizers.average_traces
 from .traces import TRACE_METRICS, Trace, average_traces
@@ -481,30 +482,23 @@ def iter_seeds(
     replica i draws from a stream derived from (master_seed, i), so adding
     seeds never changes earlier ones.
 
-    With workers, a free worker takes the next seed not yet started and
-    saves its trace to a temporary file, read when the caller asks for it:
-    the caller holds one trace at a time, and the traces not yet taken wait
-    on disk.  If a seed raises or the caller stops early, the seeds not yet
-    started are cancelled and the temporary files removed.
+    The seeds go through noise.fan_out on up to ``parallel`` workers (by
+    default one per core).  When they fork, each worker saves its trace to
+    a temporary file, read when the caller asks for it: the caller holds
+    one trace at a time, and the traces not yet taken wait on disk.  If a
+    seed raises or the caller stops early, the seeds not yet started are
+    cancelled and the running ones finish before the temporary files are
+    removed.
     """
     jobs = [(problem, config, master_seed, i) for i in range(n_seeds)]
-    if parallel is None:
-        parallel = min(os.cpu_count() or 1, n_seeds)
-    if parallel <= 1 or n_seeds == 1:
+    if not forks(parallel, n_seeds):
         for job in jobs:
             yield _run_indexed(job)
         return
-    # Imported here: the pool's modules cost every serial CLI process about
-    # 20 ms of start-up.
-    import tempfile
-    from concurrent.futures import ProcessPoolExecutor
-
-    with tempfile.TemporaryDirectory() as tmp, ProcessPoolExecutor(max_workers=parallel) as pool:
-        try:
-            for seed, path in enumerate(pool.map(_run_to_file, jobs, repeat(tmp))):
-                yield _load_trace(path, config.algorithm, seed)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with tempfile.TemporaryDirectory() as tmp, \
+            closing(fan_out(lambda i: _run_to_file(jobs[i], tmp), n_seeds, parallel)) as paths:
+        for seed, path in enumerate(paths):
+            yield _load_trace(path, config.algorithm, seed)
 
 
 def run_seeds(

@@ -300,7 +300,8 @@ def prog(x: np.ndarray, beta: float):
 
 
 def estimate_sigma(
-    noise: NoiseSpec, alpha: float, n: int, rng: np.random.Generator, workers: int = 1
+    noise: NoiseSpec, alpha: float, n: int, rng: np.random.Generator,
+    workers: int | None = None,
 ) -> float:
     """sigma with sigma^alpha = empirical E||xi||^alpha over n draws."""
     return norm_moment_root(noise, 0.0, alpha, n, rng, workers)
@@ -308,7 +309,7 @@ def estimate_sigma(
 
 def estimate_G(
     problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> float:
     """G with G^alpha = empirical E||g(x0)||^alpha over n oracle draws."""
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))
@@ -317,7 +318,7 @@ def estimate_G(
 
 def estimate_B(
     problem: StochasticProblem, x0: np.ndarray, alpha: float, n: int, rng: np.random.Generator,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Per-coordinate B_i with B_i^alpha = empirical E|g_i(x0)|^alpha."""
     eg = problem.exact_gradient(np.asarray(x0, dtype=float))

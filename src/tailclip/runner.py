@@ -7,7 +7,6 @@ and machine-readable JSON-lines verdict records.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -87,10 +86,12 @@ def _check_estimate(key: str, name: str, value: float, draws: int, positive: boo
 
 
 def build_schedule(
-    cfg: ExperimentConfig, problem: StochasticProblem, x0: np.ndarray, workers: int = 1
+    cfg: ExperimentConfig, problem: StochasticProblem, x0: np.ndarray,
+    workers: int | None = None,
 ) -> tuple[Schedule, dict]:
     """The schedule of cfg, its ``auto`` constants calibrated on up to
-    ``workers`` processes, and the calibrated values.
+    ``workers`` processes (by default one per core), and the calibrated
+    values.
 
     A constant is estimated only where something reads it: ``sigma`` by the
     nonconvex pair, ``B`` by the cclip schedule, and ``G`` by gclip and
@@ -316,8 +317,7 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     problem, x0 = build_problem(cfg)
-    workers = parallel if parallel is not None else os.cpu_count() or 1
-    schedule, calibration = build_schedule(cfg, problem, x0, workers)
+    schedule, calibration = build_schedule(cfg, problem, x0, parallel)
     if cfg.problem.kind == "quadratic":
         calibration.setdefault("mu", cfg.problem.mu)
     opt = build_optimizer_config(cfg, schedule, x0, problem.domain is not None)

@@ -21,7 +21,6 @@ from .noise import (
     row_sq_sums,
     sample_noise_batch,
     tail_index,
-    worker_array,
 )
 from .problems import (
     LowerBoundInstance,
@@ -109,10 +108,10 @@ def lemma_check(
     rng: np.random.Generator,
     alpha: float,
     grad_norm: float = 1.0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> LemmaCheckResult:
     """Probe the clipped estimator over a threshold grid on shared draws,
-    with up to ``workers`` processes.
+    with up to ``workers`` processes (by default one per core).
 
     Checks, at every grid point, that the empirical second moment and bias
     stay below their analytic bounds (3 standard errors of slack), and that
@@ -269,12 +268,12 @@ def chain_suite(
     rng: np.random.Generator,
     p: float = 0.5,
     curvature_points: int = 2000,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SuiteResult:
     """Numerically verify the chain objective's advertised properties and
     gradient/finite-difference agreement.  ``p``, the oracle's revealing
     probability, is only checked to lie in (0, 1].  The per-point pass runs
-    on up to ``workers`` processes."""
+    on up to ``workers`` processes, by default one per core."""
     if d < 1:
         raise ConfigurationError("chain length d must be >= 1")
     if not (0.0 < p <= 1.0):
@@ -283,30 +282,33 @@ def chain_suite(
         raise ConfigurationError(f"chain check needs at least 1 point, got {n_points}")
     pts = _chain_test_points(d, n_points, rng)
     f0 = chain_value_raw(np.zeros(d))  # also imports scipy.special once, before any fork
-    # Per-point figures, taken over blocks of rows so that the chain's
-    # temporaries stay at the sampler's sub-block size.  A job takes every
-    # workers-th block: the first 40% of the rows, the wide uniform group,
-    # cost more per row than the rest.
-    workers = pass_workers(n_points * d, workers)
-    values, grad_inf, gnorms = (worker_array(n_points, workers) for _ in range(3))
-    excess = worker_array(n_points, workers, dtype=np.int64)
+    # Per-point figures, a job per block of rows so that the chain's
+    # temporaries stay at the sampler's sub-block size; a free worker takes
+    # the next block, which balances the costlier wide uniform rows (the
+    # first 40%).  The blocks' figures are folded in row order.
     parts = list(row_blocks(n_points, d))
 
-    def figures(job):
-        for part in parts[job::workers]:
-            values[part], grads = chain_value_and_gradient(pts[part])
-            np.max(np.abs(grads), axis=1, out=grad_inf[part])
-            np.sqrt(row_sq_sums(grads, gnorms[part]), out=gnorms[part])
-            excess[part] = prog(grads, 0.0) - prog(pts[part], 0.5)
+    def figures(i):
+        part = parts[i]
+        values, grads = chain_value_and_gradient(pts[part])
+        low = int(np.argmin(values))
+        gnorms = np.sqrt(row_sq_sums(grads, np.empty(len(grads))))[np.abs(pts[part, -1]) <= 1.0]
+        excess = prog(grads, 0.0) - prog(pts[part], 0.5)
+        offending = excess[excess > 1]
+        return (values[low], part.start + low, np.max(np.abs(grads)),
+                np.min(gnorms) if gnorms.size else math.inf,
+                int(offending[0]) if offending.size else None)
 
-    fan_out(figures, workers, workers)
+    mins, rows, maxes, floors, excesses = zip(
+        *fan_out(figures, len(parts), pass_workers(n_points * d, workers)))
     verdicts = []
 
     # 1. value gap from 0 to the best point found.
-    best = float(np.min(values))
+    first = int(np.argmin(mins))
+    best = float(mins[first])
     # 300 gradient steps from the best point and 150 from each of 20 random
     # restarts; the restarts descend together, one row each.
-    x_best, restarts = pts[[np.argmin(values)]], rng.uniform(-2.0, 2.0, size=(20, d))
+    x_best, restarts = pts[[rows[first]]], rng.uniform(-2.0, 2.0, size=(20, d))
     for x, steps in ((x_best, 300), (restarts, 150)):
         for _ in range(steps):
             x -= 0.05 * chain_gradient_raw(x)
@@ -323,19 +325,19 @@ def chain_suite(
     )
 
     # 2. sup-norm gradient bound.
+    grad_inf = float(np.max(maxes))
     verdicts.append(
         Verdict(
             criterion="chain_grad_bound",
             description="max |grad|_inf over sampled points below 23",
-            observed=f"{float(grad_inf.max()):.4g}",
+            observed=f"{grad_inf:.4g}",
             threshold="<= 23",
-            passed=bool(grad_inf.max() <= 23.0 + 1e-9),
+            passed=grad_inf <= 23.0 + 1e-9,
         )
     )
 
     # 3. large gradient while the chain is incomplete.
-    unfinished = np.abs(pts[:, -1]) <= 1.0
-    min_unfinished = float(gnorms[unfinished].min()) if np.any(unfinished) else math.inf
+    min_unfinished = float(np.min(floors))
     verdicts.append(
         Verdict(
             criterion="chain_grad_floor",
@@ -347,13 +349,13 @@ def chain_suite(
     )
 
     # 4. the gradient reveals at most one new coordinate (excess at the first breach).
-    offending = excess[excess > 1]
-    prog_ok = offending.size == 0
+    offending = next((e for e in excesses if e is not None), None)
+    prog_ok = offending is None
     verdicts.append(
         Verdict(
             criterion="chain_zero_chain",
             description="prog_0(grad) never exceeds prog_1/2(x) + 1",
-            observed="ok" if prog_ok else f"excess {offending[0]}",
+            observed="ok" if prog_ok else f"excess {offending}",
             threshold="<= +1",
             passed=prog_ok,
         )

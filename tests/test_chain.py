@@ -217,6 +217,32 @@ def test_zero_chain_reports_first_offending_point(monkeypatch):
     assert v["chain_zero_chain"].observed == f"excess {6 - prog(pts[first], 0.5)}"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_chain_reports_first_offending_point_across_blocks(workers, monkeypatch):
+    # As above, across blocks.  At d = 20 a block is 819 rows, so 4,001
+    # points make five blocks, each a job; the gradient reveals from row
+    # 1,000 on, in the second block, and the later blocks' offending points
+    # must not mask it.
+    d, n, reveal_from = 20, 4001, 1000
+
+    def revealing(x):  # x is a block of rows of the suite's points
+        value, g = chain_value_and_gradient(x)
+        start = (x.ctypes.data - x.base.ctypes.data) // x.strides[0]
+        g = g.copy()
+        g[max(reveal_from - start, 0):, -1] = 1.0
+        return value, g
+
+    monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
+    monkeypatch.setattr("tailclip.suites.chain_value_and_gradient", revealing)
+    pts = _chain_test_points(d, n, np.random.default_rng(4))
+    offending = [i for i in range(reveal_from, n) if prog(pts[i], 0.5) + 1 < d]
+    assert offending[0] < 2 * 819 and offending[-1] >= 2 * 819
+    v = {v.criterion: v
+         for v in chain_suite(d, n, np.random.default_rng(4), workers=workers).verdicts}
+    assert not v["chain_zero_chain"].passed
+    assert v["chain_zero_chain"].observed == f"excess {d - prog(pts[offending[0]], 0.5)}"
+
+
 def whole_array_chain_verdicts(d, n, rng):
     """chain_suite's (criterion, observed, passed) triples with every per-point
     figure taken on all n points at once, drawing from ``rng`` as chain_suite does."""
@@ -271,7 +297,7 @@ def test_chain_suite_matches_whole_array_reference(n):
 
 @pytest.mark.parametrize("n", [819, 4001])
 def test_chain_suite_on_two_workers_matches_whole_array_reference(n, monkeypatch):
-    # the per-point pass fans out, each worker taking every other block
+    # the per-point pass fans out, a job per block, folded in row order
     monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
     got = [(v.criterion, v.observed, v.passed)
            for v in chain_suite(20, n, np.random.default_rng(n), workers=2).verdicts]

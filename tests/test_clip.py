@@ -493,7 +493,8 @@ class TestProbeMatchesReference:
         monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
         spec, grad = probe_case(family, tail, d)
         one, two = np.random.default_rng(d), np.random.default_rng(d)
-        serial = bias_variance_grid(spec, grad, self.TAUS, 2 * GROUP + 7, one, 1.5)
+        serial = bias_variance_grid(spec, grad, self.TAUS, 2 * GROUP + 7, one, 1.5,
+                                    workers=1)
         fanned = bias_variance_grid(spec, grad, self.TAUS, 2 * GROUP + 7, two, 1.5, workers=2)
         assert [astuple(r) for r in fanned] == [astuple(r) for r in serial]
         assert two.bit_generator.state == one.bit_generator.state
@@ -507,7 +508,8 @@ class TestProbeMatchesReference:
 
 def test_probe_peak_memory_below_one_and_a_half_draw_arrays():
     # one stream group's draws and a few (group,) vectors, whatever n: the
-    # draws are summarised a group at a time and never held whole
+    # draws are summarised a group at a time and never held whole (on one
+    # worker, so that every group runs in the traced process)
     n, d = 5 * 10**5, 10
     spec = NoiseSpec("stable", dimension=d, tail_index=1.55)
     grad = np.zeros(d)
@@ -515,7 +517,7 @@ def test_probe_peak_memory_below_one_and_a_half_draw_arrays():
     tracemalloc.start()
     try:
         bias_variance_grid(spec, grad, [2.0, 5.0, 10.0, 20.0, 50.0], n,
-                           np.random.default_rng(0), 1.5)
+                           np.random.default_rng(0), 1.5, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

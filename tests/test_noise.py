@@ -1,13 +1,18 @@
+import concurrent.futures
 import copy
 import math
 import os
+import time
 import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from tailclip import noise
+from tailclip import noise, runner
+from tailclip.config import apply_overrides, load_config
 from tailclip.errors import ConfigurationError
 from tailclip.noise import (
     NoiseSpec,
@@ -21,10 +26,11 @@ from tailclip.noise import (
     sample_noise_batch,
     stream_groups,
     tail_index,
-    worker_array,
 )
 from tailclip.problems import estimate_G, quadratic_problem
-from tailclip.suites import noise_probe
+from tailclip.suites import chain_suite, lemma_check, noise_probe
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def reference_batch(spec, rng, n):
@@ -200,12 +206,14 @@ def test_batches_split_at_any_row_boundary_equal_one_call(family, tail):
     # at d = 2 a sub-block holds 8,192 rows: the splits fall inside, on and
     # across its boundaries
     spec = NoiseSpec(family, dimension=2, tail_index=tail)
-    whole = sample_noise_batch(spec, np.random.default_rng(5), 20_000)
+    ref = np.random.default_rng(5)
+    whole = sample_noise_batch(spec, ref, 20_000)
     for sizes in [(0, 20_000), (1, 19_999), (8_191, 2, 11_807), (8_192, 8_192, 3_616),
                   (5_000, 12_000, 3_000)]:
         rng = np.random.default_rng(5)
         parts = [sample_noise_batch(spec, rng, n) for n in sizes]
         assert np.array_equal(np.vstack(parts), whole), sizes
+        assert rng.bit_generator.state == ref.bit_generator.state, sizes
 
 
 def test_spec_validation():
@@ -325,17 +333,6 @@ def test_noise_probe_outputs_read_one_draw(n, block):
     assert np.array_equal(res.histogram[1], edges)
 
 
-@pytest.mark.parametrize("family,tail", [("gaussian", 2.0), ("pareto", 1.5), ("stable", 1.5),
-                                         ("zero", 2.0)])
-def test_draws_into_a_given_array_equal_a_fresh_one(family, tail):
-    spec = NoiseSpec(family, dimension=3, scale=1.7, tail_index=tail)
-    out = np.full((2 * sub_rows(3) + 5, 3), np.nan)
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    assert sample_noise_batch(spec, rng, len(out), out=out) is out
-    assert same_bits(out, sample_noise_batch(spec, ref, len(out)))
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
 # Positioned streams: the rows of a pareto or stable stream from any row on.
 
 SPLIT_N = 65_540
@@ -373,7 +370,7 @@ def test_a_fanned_pass_keeps_the_bits_and_leaves_the_stream_where_a_serial_one_d
             rng.integers(0, 7, dtype=np.int32)
         assert got.bit_generator.state["has_uint32"] == 1
         assert same_bits(np.asarray(moments(spec, shift, 1.5, n, got, workers=2)),
-                         np.asarray(moments(spec, shift, 1.5, n, want)))
+                         np.asarray(moments(spec, shift, 1.5, n, want, workers=1)))
         assert got.bit_generator.state == want.bit_generator.state
         assert got.random() == want.random()
 
@@ -407,20 +404,73 @@ def _square_or_raise(i):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fan_out_returns_the_jobs_in_order_and_raises_their_errors(workers):
-    squares = fan_out(lambda i: (i * i, os.getpid()), 9, workers)
+    squares = list(fan_out(lambda i: (i * i, os.getpid()), 9, workers))
     assert [sq for sq, _ in squares] == [i * i for i in range(9)]
     assert ({pid for _, pid in squares} == {os.getpid()}) == (workers == 1)
     with pytest.raises(ValueError, match="job 5 failed"):
-        fan_out(_square_or_raise, 9, workers)
+        list(fan_out(_square_or_raise, 9, workers))
     assert noise._fan_out_job is None
 
 
-def test_every_worker_writes_its_rows_of_a_worker_array():
-    # one worker more than there are cores (at most 9): each job writes its
-    # own rows, which the caller must see, from whichever worker ran it
-    workers = min((os.cpu_count() or 1) + 1, 9)
-    rows = worker_array((64 * workers, 3), workers)
-    rows.fill(-1.0)
-    pids = fan_out(lambda i: (rows[64 * i:64 * (i + 1)].fill(i), os.getpid())[1], workers, workers)
-    assert os.getpid() not in pids
-    assert np.array_equal(rows, np.repeat(np.arange(workers, dtype=float), 64)[:, None] * np.ones(3))
+def test_closing_fan_out_early_cancels_the_jobs_not_started(tmp_path):
+    # 20 jobs on 2 workers, each marking its start, sleeping, then marking
+    # its end: once the first result is taken and the iterator closed, the
+    # jobs that started have ended and no other job starts
+    def job(i):
+        (tmp_path / f"{i}.start").touch()
+        time.sleep(0.05)
+        (tmp_path / f"{i}.end").touch()
+        return i
+
+    results = fan_out(job, 20, 2)
+    assert next(results) == 0
+    results.close()
+    files = sorted(p.name for p in tmp_path.iterdir())
+    started = [name for name in files if name.endswith(".start")]
+    assert 0 < len(started) < 20
+    assert files == sorted([*started, *(name.replace("start", "end") for name in started)])
+    assert noise._fan_out_job is None
+    time.sleep(0.3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def test_library_entry_points_default_to_one_worker_per_core(monkeypatch):
+    # with two cores and no floor, each entry point called without a worker
+    # count starts a pool, and gives the bits of one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    spec = NoiseSpec("stable", dimension=2, tail_index=1.55)
+    cfg = load_config(REPO / "configs" / "smoke.cfg")
+    apply_overrides(cfg, ["schedule.calibration_draws=140000"])  # three stream groups
+    problem, x0 = runner.build_problem(cfg)
+    calls = {
+        "lemma_check": lambda **kw: [
+            astuple(p) for p in lemma_check(spec, [2.0, 5.0], 2 * 65_536 + 7,
+                                             np.random.default_rng(0), 1.5, **kw).probes],
+        "chain_suite": lambda **kw: [
+            astuple(v) for v in chain_suite(20, 4001, np.random.default_rng(0), **kw).verdicts],
+        "build_schedule": lambda **kw: runner.build_schedule(cfg, problem, x0, **kw),
+    }
+    for name, call in calls.items():
+        pools.clear()
+        fanned = call()
+        assert len(pools) == 1, name
+        assert fanned == call(workers=1), name
+        assert len(pools) == 1, name
+
+
+def test_only_noise_starts_worker_processes():
+    # fan_out is the one place that builds a process pool and reads the core count
+    src = REPO / "src" / "tailclip"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for name in ("ProcessPoolExecutor", "cpu_count"):
+            assert (name in text) == (path.name == "noise.py"), (path.name, name)

@@ -70,13 +70,14 @@ def test_calibration_bits_equal_the_whole_block_formulas(family, tail, d, n, alp
 @pytest.mark.parametrize("estimate", [estimate_G, estimate_B])
 def test_calibration_peak_stays_near_a_sub_block(estimate):
     # at d = 100 the draws come 163 rows (128 KB) at a time; one 65,536-row
-    # block of them would take 52 MB
+    # block of them would take 52 MB (on one worker, so that every group
+    # runs in the traced process)
     noise = NoiseSpec("stable", dimension=100, tail_index=1.55)
     p = quadratic_problem(1.0, 100, 1.0, noise)
     estimate(p, np.zeros(100), 1.5, 1000, np.random.default_rng(0))  # one-time allocations
     tracemalloc.start()
     try:
-        estimate(p, np.zeros(100), 1.5, 100_000, np.random.default_rng(1))
+        estimate(p, np.zeros(100), 1.5, 100_000, np.random.default_rng(1), workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
