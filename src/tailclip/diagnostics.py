@@ -8,6 +8,7 @@ step size of an RMSProp-style update to that of threshold clipping.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -194,12 +195,17 @@ def sandwich_fuzz(
     if n < 1:
         raise ConfigurationError("fuzz size must be positive")
     _refuse_bad_sandwich(v_max, g_max, a, beta2, epsilon)
-    v = rng.random(n) * v_max
-    g = (rng.random(n) * 2.0 - 1.0) * g_max
-    # a sub-block of pairs at a time: the count, min and max do not depend on the order
+    # a sub-block of pairs at a time, v from a copy of rng and g from rng past the n
+    # v-draws: two whole draws' bits; the count, min and max do not depend on the order
+    v_rng = copy.deepcopy(rng)
+    for part in row_blocks(n):
+        rng.random(part.stop - part.start)
     bad, min_ratio, max_ratio = 0, math.inf, -math.inf
     for part in row_blocks(n):
-        h_adam, h_clip = sandwich_steps(v[part], g[part], a, beta2, epsilon)
+        size = part.stop - part.start
+        v = v_rng.random(size) * v_max
+        g = (rng.random(size) * 2.0 - 1.0) * g_max
+        h_adam, h_clip = sandwich_steps(v, g, a, beta2, epsilon)
         ratio = h_adam / h_clip
         bad += int(np.count_nonzero((h_adam < 0.25 * h_clip) | (h_adam > 2.0 * h_clip)))
         min_ratio = min(min_ratio, float(ratio.min()))

@@ -315,14 +315,19 @@ def tail_index(
     independent random signs, forms block sums Y_j and returns
     1/alpha_hat = (mean log|Y_j| - mean log X_i) / log K.  The signs make
     the estimator exact for magnitudes of symmetric stable laws and drive
-    light-tailed inputs to alpha_hat = 2.
+    light-tailed inputs to alpha_hat = 2.  Zero samples are dropped; a
+    negative or non-finite one is refused before any draw.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ConfigurationError("tail_index expects a 1-d sample array")
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
+        raise ConfigurationError(f"tail_index expects finite samples; sample {i} is {float(x[i])!r}")
     if np.any(x < 0):
         raise ConfigurationError("tail_index expects nonnegative samples")
-    x = x[x > 0]
+    if not np.all(x > 0):
+        x = x[x > 0]
     n = x.size
     k = int(block_size)
     if k < 2:  # log K = 0 divides by zero
@@ -334,8 +339,12 @@ def tail_index(
     m = n // k
     if m < 2:
         raise ConfigurationError("tail_index needs at least 2 blocks")
-    signed = np.where(rng.random(n) < 0.5, -x, x)
-    block_sums = np.abs(signed.reshape(m, k).sum(axis=1))
+    # signs and sums a run of whole blocks at a time: rng.random(n)'s bits, summed per row
+    block_sums = np.empty(m)
+    for part in row_blocks(m, k):
+        rows = x[part.start * k:part.stop * k].reshape(-1, k)
+        signed = np.where(rng.random(rows.shape) < 0.5, -rows, rows)
+        np.abs(signed.sum(axis=1), out=block_sums[part])
     block_sums = block_sums[block_sums > 0]
     if block_sums.size < 2:
         raise ConfigurationError("all block sums vanished; cannot estimate tail index")

@@ -221,13 +221,12 @@ def chain_psi_prime(t):
 
 
 def chain_phi(t):
-    """sqrt(e) * sqrt(pi/2) * (1 + erf(t/sqrt(2))), exact via erf."""
-    # Imported here: scipy.special costs most of the package's import time
-    # and only the chain instance needs it.
-    from scipy.special import erf
-
+    """sqrt(e) * sqrt(pi/2) * (1 + erf(t/sqrt(2))), exact via the standard
+    library's math.erf, one call per entry."""
     t = np.asarray(t, dtype=float)
-    out = _PHI_SCALE * (1.0 + erf(t / math.sqrt(2.0)))
+    z = (t / math.sqrt(2.0)).ravel().tolist()
+    erf = np.fromiter(map(math.erf, z), float, len(z)).reshape(t.shape)
+    out = _PHI_SCALE * (1.0 + erf)
     return out if out.ndim else float(out)
 
 
@@ -240,13 +239,17 @@ def chain_phi_prime(t):
 def _pair_terms(x: np.ndarray, negate: bool, gradient: bool):
     """For the pairs (t, s) = (x_{i-1}, x_i) of each row of x, or (-x_{i-1},
     -x_i) if ``negate``: psi(t) phi(s) and, if ``gradient``, psi(t) phi'(s)
-    and psi'(t) phi(s) (else None).  Each negated copy is made where it is
-    used, so that it is freed soon."""
-    phi = chain_phi(-x[:, 1:] if negate else x[:, 1:])
+    and psi'(t) phi(s) (else None).  phi(s) is evaluated only where psi(t)
+    != 0 or s is NaN: elsewhere psi(t) and psi'(t) are +0.0 and phi(s) is
+    finite, so both products are +0.0 whatever phi(s) is."""
+    s = -x[:, 1:] if negate else x[:, 1:]
     psi, dpsi = _psi_and_prime(-x[:, :-1] if negate else x[:, :-1], gradient)
+    phi = np.zeros_like(s)
+    live = (psi != 0.0) | np.isnan(s)
+    phi[live] = chain_phi(s[live])
     if not gradient:
         return psi * phi, None, None
-    return psi * phi, psi * chain_phi_prime(-x[:, 1:] if negate else x[:, 1:]), dpsi * phi
+    return psi * phi, psi * chain_phi_prime(s), dpsi * phi
 
 
 def chain_value_and_gradient(x: np.ndarray, gradient: bool = True):

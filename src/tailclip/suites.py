@@ -281,7 +281,7 @@ def chain_suite(
     if n_points < 1:
         raise ConfigurationError(f"chain check needs at least 1 point, got {n_points}")
     pts = _chain_test_points(d, n_points, rng)
-    f0 = chain_value_raw(np.zeros(d))  # also imports scipy.special once, before any fork
+    f0 = chain_value_raw(np.zeros(d))
     # Per-point figures, a job per block of rows so that the chain's
     # temporaries stay at the sampler's sub-block size; a free worker takes
     # the next block, which balances the costlier wide uniform rows (the

@@ -57,8 +57,9 @@ def test_chain_value_d1_closed_form():
 
 def separate_value_and_gradient(x):
     """f_d and its gradient, each written out in chain_psi, chain_psi_prime,
-    chain_phi and chain_phi_prime: the bit-identity reference for the one
-    evaluation of chain_value_and_gradient."""
+    chain_phi and chain_phi_prime, with phi evaluated at every entry: the
+    bit-identity reference for the one evaluation of
+    chain_value_and_gradient, which skips phi where psi is 0."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     value = -chain_psi(1.0) * chain_phi(x2[:, 0])
     g = np.zeros_like(x2)
@@ -85,6 +86,33 @@ def test_one_evaluation_gives_the_bits_of_separate_ones(d):
         assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
         assert np.asarray(chain_value_raw(x)).tobytes() == np.asarray(value).tobytes()
         assert chain_gradient_raw(x).tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_a_nan_coordinate_gives_a_nan_value(d):
+    # phi of a NaN is taken even where psi of its neighbour is 0, so the NaN
+    # reaches the value and the gradient entries the reference puts it in
+    rng = np.random.default_rng(d)
+    for j in range(d):
+        x = np.vstack([rng.uniform(-3.0, 3.0, (2, d)), rng.uniform(-0.5, 0.5, (2, d))])  # psi = 0
+        x[:, j] = math.nan
+        value, grad = chain_value_and_gradient(x)
+        want_value, want_grad = separate_value_and_gradient(x)
+        assert np.all(np.isnan(value))
+        assert np.array_equal(np.isnan(grad), np.isnan(want_grad))
+        assert np.array_equal(grad[~np.isnan(grad)], want_grad[~np.isnan(want_grad)])
+
+
+def test_phi_matches_the_scipy_erf_formula():
+    # math.erf and scipy's erf differ by up to 3 ulp of erf near |t| = 1.4,
+    # so phi stays within 3 ulp of the larger of its two terms
+    from scipy.special import erf
+
+    t = np.linspace(-40.0, 40.0, 400_001)
+    want = chain_phi(0.0) * (1.0 + erf(t / math.sqrt(2.0)))
+    scale = np.spacing(chain_phi(0.0) * (1.0 + np.abs(erf(t / math.sqrt(2.0)))))
+    assert np.all(np.abs(chain_phi(t) - want) <= 3 * scale)
+    assert chain_phi(-40.0) == 0.0 and chain_phi(40.0) == 2.0 * chain_phi(0.0)
 
 
 def test_chain_gradient_matches_fd():
@@ -333,7 +361,7 @@ def test_chain_suite_peak_memory_below_two_and_a_half_point_arrays():
     # measured 2.32x with the points drawn into one array (2.87x when the
     # groups were drawn apart and stacked)
     d, n = 20, 20_000
-    chain_suite(d, 100, np.random.default_rng(1))  # scipy's import, numpy's one-time allocations
+    chain_suite(d, 100, np.random.default_rng(1))  # numpy's one-time allocations
     tracemalloc.start()
     try:
         chain_suite(d, n, np.random.default_rng(0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailclip.diagnostics import (
+    FuzzResult,
     bound_envelope_check,
     fit_loglog_slope,
     sandwich_fuzz,
@@ -221,6 +222,22 @@ class TestSandwich:
         assert (got.n, got.violations, got.min_ratio, got.max_ratio) == (
             n, int(np.sum((h_adam < 0.25 * h_clip) | (h_adam > 2.0 * h_clip))),
             float(ratio.min()), float(ratio.max()))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64])
+    @pytest.mark.parametrize("n", [16_384, 50_001])
+    def test_fuzz_draws_the_bits_of_whole_v_and_g_draws(self, bit_generator, n):
+        # v from a copy of the generator, g after a skip of n draws: the
+        # result and the generator's end state of two whole draws
+        rng, twin = np.random.Generator(bit_generator(n)), np.random.Generator(bit_generator(n))
+        got = sandwich_fuzz(n, rng)
+        v = twin.random(n) * 100.0
+        g = (twin.random(n) * 2.0 - 1.0) * 100.0
+        h_adam, h_clip = sandwich_steps(v, g)
+        ratio = h_adam / h_clip
+        assert got == FuzzResult(n, int(np.sum((h_adam < 0.25 * h_clip) | (h_adam > 2.0 * h_clip))),
+                                 float(ratio.min()), float(ratio.max()))
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)  # MT19937's key is an array
 
     def test_fuzz_respects_provable_band(self):
         res = sandwich_fuzz(10**5, np.random.default_rng(3))

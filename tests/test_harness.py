@@ -1142,6 +1142,32 @@ class TestCli:
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         assert self._after_cli_import("'concurrent.futures.process' in sys.modules") == "False"
 
+    def test_no_command_imports_scipy(self, tmp_path):
+        # every subcommand runs in one fresh interpreter, and none of them
+        # (chain-check's erf included) loads scipy
+        golden = REPO / "tests" / "data" / "golden" / "run_smoke" / "smoke.csv"
+        commands = [
+            ["chain-check", "--points", "2000"],
+            ["noise-probe", "--n", "2e4"],
+            ["lemma-check", "--n", "2e4"],
+            ["lowerbound", "--n", "2e4"],
+            ["sandwich", "--fuzz", "2e4"],
+            ["report", "--csv", str(golden)],
+            ["run", str(REPO / "configs" / "smoke.cfg"), "--parallel", "1",
+             "-O", "schedule.calibration_draws=2000"],
+        ]
+        code = ("import contextlib, io, json, sys\n"
+                "from tailclip.cli import main\n"
+                "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main([*argv, '--out', f'{sys.argv[2]}/{i}']) == 0, argv\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands), str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -1410,6 +1436,30 @@ def test_lemma_check_memory_does_not_grow_with_n(tmp_path):
     peaks = {n: cli_peak_rss(["lemma-check", "--n", n, "--out", str(tmp_path / n)])
              for n in ("2e5", "1e6")}
     assert abs(peaks["1e6"] - peaks["2e5"]) <= 2 * 2**20, peaks
+
+
+def test_sandwich_memory_does_not_grow_with_the_fuzz_size(tmp_path):
+    # (v, g) are drawn a sub-block at a time; holding both whole cost 16 MB at 1e6
+    peaks = {n: cli_peak_rss(["sandwich", "--fuzz", n, "--out", str(tmp_path / n)])
+             for n in ("2e5", "1e6")}
+    assert abs(peaks["1e6"] - peaks["2e5"]) <= 2 * 2**20, peaks
+
+
+def test_noise_probe_holds_two_floats_per_draw(tmp_path):
+    # the squared norms and, for the tail index, their logs; the signs and
+    # block sums go a run of whole blocks at a time
+    peaks = {n: cli_peak_rss(["noise-probe", "--n", n, "--out", str(tmp_path / n)])
+             for n in ("2e5", "1e6")}
+    assert peaks["1e6"] - peaks["2e5"] <= 2 * 8 * 800_000 + 2 * 2**20, peaks
+
+
+def test_chain_check_peak_is_its_points_above_a_start_up(tmp_path):
+    # lowerbound draws 40 binomials, so its peak is the interpreter's and
+    # numpy's; chain-check adds its (1e5, 20) points and sub-block
+    # temporaries, and no scipy
+    peaks = {cmd: cli_peak_rss([cmd, "--out", str(tmp_path / cmd)])
+             for cmd in ("lowerbound", "chain-check")}
+    assert peaks["chain-check"] - peaks["lowerbound"] <= 10**5 * 20 * 8 + 12 * 2**20, peaks
 
 
 def test_run_and_report_memory_do_not_grow_with_seeds(tmp_path):

@@ -285,6 +285,43 @@ def test_tail_index_validation():
         tail_index(np.ones(100), 1, rng)  # log K = 0
 
 
+def whole_array_tail_index(samples, k, rng):
+    """tail_index written with whole-array signs and block sums: the
+    bit-identity reference for its blockwise pass."""
+    x = samples[samples > 0]
+    n = x.size
+    signed = np.where(rng.random(n) < 0.5, -x, x)
+    block_sums = np.abs(signed.reshape(n // k, k).sum(axis=1))
+    block_sums = block_sums[block_sums > 0]
+    inv = (np.mean(np.log(block_sums)) - np.mean(np.log(x))) / math.log(k)
+    return float(min(2.0 if inv <= 0.5 else 1.0 / inv, 2.0))
+
+
+@pytest.mark.parametrize("k", [2, 7, 100])
+@pytest.mark.parametrize("zeros", [0, 37])
+def test_tail_index_in_runs_of_blocks_equals_the_whole_array(k, zeros):
+    # about 60,000 samples: several runs of whole blocks at each k
+    spec = NoiseSpec("stable", dimension=1, tail_index=1.5)
+    m = 60_000 // k
+    x = np.abs(sample_noise_batch(spec, np.random.default_rng(k), m * k)[:, 0])
+    x = np.insert(x, np.random.default_rng(zeros).integers(0, x.size, zeros), 0.0)
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    got = tail_index(x, k, rng)
+    assert got == whole_array_tail_index(x, k, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+def test_tail_index_refuses_a_non_finite_sample_before_drawing(bad):
+    x = np.ones(1000)
+    x[[321, 654]] = bad
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match=f"sample 321 is {bad!r}"):
+        tail_index(x, 100, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_noise_probe_zero_family():
     res = noise_probe(NoiseSpec("zero", dimension=3), 100, np.random.default_rng(0))
     assert [v for _, v in res.variance_curve] == [0.0]
