@@ -190,6 +190,8 @@ def cmd_report(args) -> int:
         raise ConfigurationError(f"report: --kmin {args.kmin:g} leaves no k to fit: it must "
                                  f"lie below --kmax {args.kmax:g}")
     table = read_csv(Path(args.csv))
+    if not len(table["k"]):
+        raise ConfigurationError(f"{args.csv}: no rows after the header")
     mean_trace = average_traces(row_traces(table))
     report = Report(experiment=table["experiment"][0], version=__version__)
     del table  # the fit's temporaries can take its memory

@@ -304,6 +304,30 @@ def coordinate_moment_roots(
     return (total / n) ** (1.0 / alpha)
 
 
+# Terms per leaf of _log_mean's sum; any leaf size gives the same bits.
+_LOG_LEAF = 1 << 16
+
+
+def _log_mean(x: np.ndarray) -> float:
+    """np.mean(np.log(x)) of a 1-d x of n >= 1 floats, bit for bit, through
+    logs of at most _LOG_LEAF terms at a time instead of n.
+
+    numpy sums a contiguous vector pairwise: a range of more than 128 terms
+    splits after n2 = n // 2 - (n // 2) % 8 of them, and each half is summed
+    the same way.  So the range is split there until a part holds at most
+    _LOG_LEAF terms, whose np.sum is its subtree's sum, and the parts are
+    added up the tree (Higham, The accuracy of floating point summation, 1993).
+    """
+    def tree_sum(start: int, stop: int) -> float:
+        n = stop - start
+        if n <= _LOG_LEAF:
+            return np.sum(np.log(x[start:stop]))
+        half = n // 2 - (n // 2) % 8
+        return tree_sum(start, start + half) + tree_sum(start + half, stop)
+
+    return float(tree_sum(0, x.size) / x.size)
+
+
 def tail_index(
     samples: np.ndarray,
     block_size: int,
@@ -315,8 +339,10 @@ def tail_index(
     independent random signs, forms block sums Y_j and returns
     1/alpha_hat = (mean log|Y_j| - mean log X_i) / log K.  The signs make
     the estimator exact for magnitudes of symmetric stable laws and drive
-    light-tailed inputs to alpha_hat = 2.  Zero samples are dropped; a
-    negative or non-finite one is refused before any draw.
+    light-tailed inputs to alpha_hat = 2.  Both means are _log_mean's, and
+    the signs and block sums are drawn and taken a run of whole blocks at
+    a time, so no other vector of n floats is held.  Zero samples are
+    dropped; a negative or non-finite one is refused before any draw.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -348,7 +374,7 @@ def tail_index(
     block_sums = block_sums[block_sums > 0]
     if block_sums.size < 2:
         raise ConfigurationError("all block sums vanished; cannot estimate tail index")
-    inv = (np.mean(np.log(block_sums)) - np.mean(np.log(x))) / math.log(k)
+    inv = (_log_mean(block_sums) - _log_mean(x)) / math.log(k)
     alpha = 2.0 if inv <= 0.5 else 1.0 / inv
     return float(min(alpha, 2.0))
 

@@ -6,6 +6,7 @@ same logic backs both the command line and the acceptance tests.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -62,10 +63,11 @@ def noise_probe(
     bins: int = 50,
 ) -> NoiseProbeResult:
     """One draw of max(n, 2 * block_size) vectors, kept as one squared norm
-    each.  The second moment at c = 1e3, 1e4, ... and n is the mean of the
-    first c; the tail index reads the first max(n - n % block_size,
-    2 * block_size) norms and the histogram the first min(n, 1e5).  A
-    second moment that overflows to inf is refused."""
+    each: 8 bytes per draw, the only vector of n floats held.  The second
+    moment at c = 1e3, 1e4, ... and n is the mean of the first c; the tail
+    index reads the first max(n - n % block_size, 2 * block_size) norms,
+    and the histogram a copy of the first min(n, 1e5), taken once the n
+    norms are released.  A second moment that overflows to inf is refused."""
     if n < 1:
         raise ConfigurationError(f"noise probe needs n >= 1 draws, got {n}")
     checkpoints = []
@@ -84,9 +86,10 @@ def noise_probe(
             raise ConfigurationError(f"the empirical second moment of the first {c} draws "
                                      f"overflowed to {moment!r}; it must be finite")
     norms = np.sqrt(sq, out=sq)
+    hist_norms = norms[:min(n, 10**5)].copy()
     tail_norms = norms[:max(n - n % block_size, 2 * block_size)]
     tail = tail_index(tail_norms, block_size, rng=rng) if np.any(tail_norms > 0) else None
-    hist_norms = norms[:min(n, 10**5)]
+    del sq, norms, tail_norms  # the histogram's temporaries can take their memory
     hi = float(np.quantile(hist_norms, 0.999))
     counts, edges = np.histogram(hist_norms, bins=bins, range=(0.0, max(hi, 1e-12)))
     return NoiseProbeResult(variance_curve=curve, tail=tail, histogram=(counts, edges))
@@ -232,34 +235,71 @@ def lowerbound_suite(
 # Chain-instance property suite.
 
 
-def _chain_test_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Mix of diffuse and structured points covering all progress levels.
+def _chain_test_points(d: int, n: int, rng: np.random.Generator):
+    """A mix of diffuse and structured points covering all progress levels,
+    as (parts, draw): the row slices of the n points in order, and draw(i),
+    which returns the (rows, d) points of parts[i].
 
     Three groups of rows: uniform on [-3, 3], standard normal, and progress
     points, uniform on [-0.45, 0.45] except that the first ``level``
     coordinates are set to an amplitude in [0.6, 2.5] with a random sign.
-    Each group is drawn straight into its rows of one (n, d) array, a
-    sub-block of row_blocks at a time, in the order of one draw per group:
-    the uniforms, the levels, the amplitudes, then the signs.
+    The draws are made here, a row_blocks sub-block of a group at a time,
+    in the order of one draw per group: the wide uniforms, the normals, the
+    progress uniforms, the levels in one call (its buffered 32-bit draws do
+    not split), the amplitudes, then the signs.  Only the levels, a byte
+    each while d < 256, and the bit generator's state before each
+    sub-block's draw (about 0.5 KB) are kept, about 2 bytes per point at
+    d = 20; draw(i) makes block i's draws again from those states, in any
+    order.  rng ends where the draws leave it.
     """
-    n_wide = n * 2 // 5
-    n_norm = n // 5
-    pts = np.empty((n, d))
-    wide, norm, progress = np.split(pts, [n_wide, n_wide + n_norm])
-    for part in row_blocks(len(wide), d):
-        wide[part] = rng.uniform(-3.0, 3.0, size=wide[part].shape)
-    rng.standard_normal(out=norm)
-    parts = list(row_blocks(len(progress), d))
-    for part in parts:
-        progress[part] = rng.uniform(-0.45, 0.45, size=progress[part].shape)
-    levels = rng.integers(0, d + 1, size=len(progress))
-    blocks = [(progress[part], levels[part]) for part in parts]
-    for part, level in blocks:
-        np.copyto(part, rng.uniform(0.6, 2.5, size=part.shape), where=np.arange(d) < level[:, None])
-    for part, level in blocks:  # amplitude * -1.0 is the amplitude negated
-        np.negative(part, out=part,
-                    where=(np.arange(d) < level[:, None]) & (rng.random(part.shape) < 0.5))
-    return pts
+    bounds = [0, n * 2 // 5, n * 2 // 5 + n // 5, n]
+    wide, norm, progress = ([slice(a + part.start, a + part.stop) for part in row_blocks(b - a, d)]
+                            for a, b in zip(bounds, bounds[1:]))
+
+    def wide_rows(gen, shape):
+        return gen.uniform(-3.0, 3.0, size=shape)
+
+    def progress_rows(gen, shape):
+        return gen.uniform(-0.45, 0.45, size=shape)
+
+    def amplitudes(gen, shape):
+        return gen.uniform(0.6, 2.5, size=shape)
+
+    def recorded(parts, sample):  # (state, sample) before each part's draw, made and dropped
+        draws = []
+        for part in parts:
+            draws.append((rng.bit_generator.state, sample))
+            sample(rng, (part.stop - part.start, d))
+        return draws
+
+    plain = recorded(wide, wide_rows) + recorded(norm, np.random.Generator.standard_normal)
+    at_progress = recorded(progress, progress_rows)
+    levels = rng.integers(0, d + 1, size=n - bounds[2]).astype(np.min_scalar_type(d))
+    at_amplitudes = recorded(progress, amplitudes)
+    at_signs = recorded(progress, np.random.Generator.random)
+    parts = wide + norm + progress
+    gen = np.random.Generator(copy.deepcopy(rng.bit_generator))
+
+    def replay(entry, shape):
+        state, sample = entry
+        gen.bit_generator.state = state
+        return sample(gen, shape)
+
+    def draw(i: int) -> np.ndarray:
+        part = parts[i]
+        shape = (part.stop - part.start, d)
+        if i < len(plain):
+            return replay(plain[i], shape)
+        i -= len(plain)
+        pts = replay(at_progress[i], shape)
+        level = levels[part.start - bounds[2]:part.stop - bounds[2]]
+        raised = np.arange(d) < level[:, None]
+        np.copyto(pts, replay(at_amplitudes[i], shape), where=raised)
+        # amplitude * -1.0 is the amplitude negated
+        np.negative(pts, out=pts, where=raised & (replay(at_signs[i], shape) < 0.5))
+        return pts
+
+    return parts, draw
 
 
 def chain_suite(
@@ -273,34 +313,50 @@ def chain_suite(
     """Numerically verify the chain objective's advertised properties and
     gradient/finite-difference agreement.  ``p``, the oracle's revealing
     probability, is only checked to lie in (0, 1].  The per-point pass runs
-    on up to ``workers`` processes, by default one per core."""
+    on up to ``workers`` processes, by default one per core.  No array of
+    the n points is held: each block of _chain_test_points is drawn again
+    where its figures are taken, so beyond the fixed-size curvature and
+    finite-difference checks the memory is about 2 bytes per point."""
     if d < 1:
         raise ConfigurationError("chain length d must be >= 1")
     if not (0.0 < p <= 1.0):
         raise ConfigurationError("revealing probability p must lie in (0, 1]")
     if n_points < 1:
         raise ConfigurationError(f"chain check needs at least 1 point, got {n_points}")
-    pts = _chain_test_points(d, n_points, rng)
+    parts, draw = _chain_test_points(d, n_points, rng)
     f0 = chain_value_raw(np.zeros(d))
-    # Per-point figures, a job per block of rows so that the chain's
-    # temporaries stay at the sampler's sub-block size; a free worker takes
-    # the next block, which balances the costlier wide uniform rows (the
-    # first 40%).  The blocks' figures are folded in row order.
-    parts = list(row_blocks(n_points, d))
+    # The pass draws nothing, so the later checks' draws are made first, with
+    # the same bits: 20 restarts, the curvature check's rows and directions,
+    # and the finite-difference check's rows.
+    restarts = rng.uniform(-2.0, 2.0, size=(20, d))
+    curvature_picks = rng.integers(0, n_points, size=curvature_points)
+    dirs = rng.standard_normal((curvature_points, d))
+    picks = np.concatenate([curvature_picks, rng.integers(0, n_points, size=100)])
+    # Per-point figures, a job per block of the point source, which draws the
+    # block's rows again, so that the chain's temporaries stay at the
+    # sampler's sub-block size; a free worker takes the next block, which
+    # balances the costlier wide uniform rows (the first 40%).  The blocks'
+    # figures are folded in row order, and each block hands back its lowest
+    # row and the picked rows that fall in it.
 
     def figures(i):
         part = parts[i]
-        values, grads = chain_value_and_gradient(pts[part])
+        x = draw(i)
+        values, grads = chain_value_and_gradient(x)
         low = int(np.argmin(values))
-        gnorms = np.sqrt(row_sq_sums(grads, np.empty(len(grads))))[np.abs(pts[part, -1]) <= 1.0]
-        excess = prog(grads, 0.0) - prog(pts[part], 0.5)
+        gnorms = np.sqrt(row_sq_sums(grads, np.empty(len(grads))))[np.abs(x[:, -1]) <= 1.0]
+        excess = prog(grads, 0.0) - prog(x, 0.5)
         offending = excess[excess > 1]
-        return (values[low], part.start + low, np.max(np.abs(grads)),
+        here = picks[(picks >= part.start) & (picks < part.stop)]
+        return (values[low], x[[low]], np.max(np.abs(grads)),
                 np.min(gnorms) if gnorms.size else math.inf,
-                int(offending[0]) if offending.size else None)
+                int(offending[0]) if offending.size else None, x[here - part.start])
 
-    mins, rows, maxes, floors, excesses = zip(
+    mins, lows, maxes, floors, excesses, picked = zip(
         *fan_out(figures, len(parts), pass_workers(n_points * d, workers)))
+    rows = np.empty((picks.size, d))
+    for part, block_rows in zip(parts, picked):
+        rows[(picks >= part.start) & (picks < part.stop)] = block_rows
     verdicts = []
 
     # 1. value gap from 0 to the best point found.
@@ -308,7 +364,7 @@ def chain_suite(
     best = float(mins[first])
     # 300 gradient steps from the best point and 150 from each of 20 random
     # restarts; the restarts descend together, one row each.
-    x_best, restarts = pts[[rows[first]]], rng.uniform(-2.0, 2.0, size=(20, d))
+    x_best = lows[first]
     for x, steps in ((x_best, 300), (restarts, 150)):
         for _ in range(steps):
             x -= 0.05 * chain_gradient_raw(x)
@@ -363,9 +419,7 @@ def chain_suite(
 
     # 5. sampled directional curvature below the smoothness constant.
     h = 1e-3
-    idx = rng.integers(0, pts.shape[0], size=curvature_points)
-    xs = pts[idx]
-    dirs = rng.standard_normal((curvature_points, d))
+    xs = rows[:curvature_points]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     second = np.abs(
         chain_value_raw(xs + h * dirs)
@@ -386,7 +440,7 @@ def chain_suite(
     # Analytic gradient against central differences at 100 points, all
     # shifted points in one call.
     hfd = 1e-5
-    xs = pts[rng.integers(0, pts.shape[0], size=100)]
+    xs = rows[curvature_points:]
     shifts = hfd * np.eye(d)
     shifted = np.concatenate([xs[:, None] + shifts, xs[:, None] - shifts]).reshape(-1, d)
     plus, minus = np.split(chain_value_raw(shifted), 2)

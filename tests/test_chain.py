@@ -181,7 +181,7 @@ def test_value_follows_the_input_rank(d):
 def reference_chain_observations(d, n, rng):
     """chain_suite's value gap, zero-chain excess and finite-difference error
     computed one point at a time, drawing from ``rng`` as chain_suite does."""
-    pts = _chain_test_points(d, n, rng)
+    pts = stacked_chain_test_points(d, n, rng)
     grads = chain_gradient_raw(pts)
     best = float(np.min(chain_value_raw(pts)))
     x_cur = pts[np.argmin(chain_value_raw(pts))].copy()
@@ -227,18 +227,26 @@ def test_chain_suite_matches_per_point_reference(d, seed):
     assert {k: observed[k] for k in want} == want
 
 
+def revealing_from(pts, first):
+    """chain_value_and_gradient with the last gradient coordinate set to 1 on
+    every row of ``pts`` from row ``first`` on, for the suite's pass over
+    blocks of them: a block's first row is found by its bytes."""
+    rows = {row.tobytes(): i for i, row in enumerate(pts)}
+
+    def revealing(x):
+        value, g = chain_value_and_gradient(x)
+        g = g.copy()
+        g[max(first - rows[x[0].tobytes()], 0):, -1] = 1.0
+        return value, g
+
+    return revealing
+
+
 def test_zero_chain_reports_first_offending_point(monkeypatch):
     # A gradient that reveals every coordinate at once breaks the zero-chain
     # property; the suite reports the excess at the first such point.
-    def revealing(x):
-        value, g = chain_value_and_gradient(x)
-        if np.ndim(x) == 2 and len(x) > 1000:
-            g = g.copy()
-            g[7:, -1] = 1.0
-        return value, g
-
-    monkeypatch.setattr("tailclip.suites.chain_value_and_gradient", revealing)
-    pts = _chain_test_points(6, 1500, np.random.default_rng(4))
+    pts = stacked_chain_test_points(6, 1500, np.random.default_rng(4))
+    monkeypatch.setattr("tailclip.suites.chain_value_and_gradient", revealing_from(pts, 7))
     first = next(i for i in range(7, len(pts)) if prog(pts[i], 0.5) + 1 < 6)
     v = {v.criterion: v for v in chain_suite(6, 1500, np.random.default_rng(4)).verdicts}
     assert not v["chain_zero_chain"].passed
@@ -247,24 +255,18 @@ def test_zero_chain_reports_first_offending_point(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_zero_chain_reports_first_offending_point_across_blocks(workers, monkeypatch):
-    # As above, across blocks.  At d = 20 a block is 819 rows, so 4,001
-    # points make five blocks, each a job; the gradient reveals from row
-    # 1,000 on, in the second block, and the later blocks' offending points
-    # must not mask it.
+    # As above, across blocks.  At d = 20 a sub-block is 819 rows, so the
+    # 1,600 wide, 800 normal and 1,601 progress rows of 4,001 points make
+    # five blocks, each a job; the gradient reveals from row 1,000 on, in
+    # the second block, and the later blocks' offending points must not
+    # mask it.
     d, n, reveal_from = 20, 4001, 1000
-
-    def revealing(x):  # x is a block of rows of the suite's points
-        value, g = chain_value_and_gradient(x)
-        start = (x.ctypes.data - x.base.ctypes.data) // x.strides[0]
-        g = g.copy()
-        g[max(reveal_from - start, 0):, -1] = 1.0
-        return value, g
-
+    pts = stacked_chain_test_points(d, n, np.random.default_rng(4))
     monkeypatch.setattr(noise, "FAN_OUT_FLOOR", 0)
-    monkeypatch.setattr("tailclip.suites.chain_value_and_gradient", revealing)
-    pts = _chain_test_points(d, n, np.random.default_rng(4))
+    monkeypatch.setattr("tailclip.suites.chain_value_and_gradient", revealing_from(pts, reveal_from))
+    parts, _ = _chain_test_points(d, n, np.random.default_rng(4))
     offending = [i for i in range(reveal_from, n) if prog(pts[i], 0.5) + 1 < d]
-    assert offending[0] < 2 * 819 and offending[-1] >= 2 * 819
+    assert parts[1].start <= offending[0] < parts[1].stop <= offending[-1]
     v = {v.criterion: v
          for v in chain_suite(d, n, np.random.default_rng(4), workers=workers).verdicts}
     assert not v["chain_zero_chain"].passed
@@ -274,7 +276,7 @@ def test_zero_chain_reports_first_offending_point_across_blocks(workers, monkeyp
 def whole_array_chain_verdicts(d, n, rng):
     """chain_suite's (criterion, observed, passed) triples with every per-point
     figure taken on all n points at once, drawing from ``rng`` as chain_suite does."""
-    pts = _chain_test_points(d, n, rng)
+    pts = stacked_chain_test_points(d, n, rng)
     grads = chain_gradient_raw(pts)
     grad_inf = np.max(np.abs(grads), axis=1)
     values = chain_value_raw(pts)
@@ -346,26 +348,34 @@ def stacked_chain_test_points(d, n, rng):
     return np.vstack([wide, norm, np.where(mask, amps * signs, progress)])
 
 
+@pytest.mark.parametrize("bit_generator",
+                         [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
 @pytest.mark.parametrize("d", [1, 5, 20, 50])
 @pytest.mark.parametrize("n", [1, 3, 819, 4001])
-def test_chain_points_equal_the_stacked_groups(d, n):
-    # one preallocated array filled a row block at a time: the same draws
-    # in the same order, and the stream left where the stacked draws leave it
-    a, b = np.random.default_rng(n + d), np.random.default_rng(n + d)
-    got = _chain_test_points(d, n, a)
-    assert got.tobytes() == stacked_chain_test_points(d, n, b).tobytes()
-    assert a.bit_generator.state == b.bit_generator.state
+def test_chain_points_equal_the_stacked_groups(d, n, bit_generator):
+    # the blocks, each drawn again from its recorded states and taken here
+    # last to first, are the same draws in the same order, and the stream
+    # is left where the stacked draws leave it, for any bit generator
+    a, b = (np.random.Generator(bit_generator(n + d)) for _ in range(2))
+    parts, draw = _chain_test_points(d, n, a)
+    blocks = [draw(i) for i in reversed(range(len(parts)))][::-1]
+    assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]] and parts[-1].stop == n
+    assert [len(x) for x in blocks] == [p.stop - p.start for p in parts]
+    assert np.concatenate(blocks).tobytes() == stacked_chain_test_points(d, n, b).tobytes()
+    np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
 
 
-def test_chain_suite_peak_memory_below_two_and_a_half_point_arrays():
-    # measured 2.32x with the points drawn into one array (2.87x when the
-    # groups were drawn apart and stacked)
-    d, n = 20, 20_000
+def test_chain_suite_peak_memory_below_half_a_point_array():
+    # measured 0.36x, nearly all of it the fixed temporaries of the curvature
+    # and finite-difference checks, with the points drawn again block by
+    # block (1.29x when they were held in one array); one worker, so that
+    # every allocation is traced
+    d, n = 20, 100_000
     chain_suite(d, 100, np.random.default_rng(1))  # numpy's one-time allocations
     tracemalloc.start()
     try:
-        chain_suite(d, n, np.random.default_rng(0))
+        chain_suite(d, n, np.random.default_rng(0), workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * d * 8, f"traced peak {peak / (n * d * 8):.2f}x the points array"
+    assert peak <= 0.5 * n * d * 8, f"traced peak {peak / (n * d * 8):.2f}x the points array"

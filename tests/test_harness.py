@@ -1077,6 +1077,20 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert ("repeat" if mangle == "repeated rows" else "mix") in captured.err
 
+    def test_report_refuses_a_csv_without_rows(self, minimal_cfg, tmp_path, capsys):
+        # a header alone reads as an empty table; report names the file and why
+        main(["run", str(minimal_cfg), "--out", str(tmp_path)])
+        path = tmp_path / "smoke.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert len(read_csv(path)["k"]) == 0
+        capsys.readouterr()
+        argv = ["report", "--csv", str(path), "--slope-expect", "-1.0", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: no rows after the header\n"
+        assert not (tmp_path / "r").exists()
+
     def test_report_reads_rows_in_any_order(self, minimal_cfg, tmp_path, capsys):
         # rows out of (seed, k) order are grouped by index arrays, not slices
         main(["run", str(minimal_cfg), "--out", str(tmp_path)])
@@ -1445,21 +1459,30 @@ def test_sandwich_memory_does_not_grow_with_the_fuzz_size(tmp_path):
     assert abs(peaks["1e6"] - peaks["2e5"]) <= 2 * 2**20, peaks
 
 
-def test_noise_probe_holds_two_floats_per_draw(tmp_path):
-    # the squared norms and, for the tail index, their logs; the signs and
-    # block sums go a run of whole blocks at a time
+def test_noise_probe_holds_one_float_per_draw(tmp_path):
+    # the squared norms; the tail index sums their logs a leaf at a time, its
+    # signs and block sums go a run of whole blocks at a time, and the
+    # histogram is taken once the norms are released
     peaks = {n: cli_peak_rss(["noise-probe", "--n", n, "--out", str(tmp_path / n)])
              for n in ("2e5", "1e6")}
-    assert peaks["1e6"] - peaks["2e5"] <= 2 * 8 * 800_000 + 2 * 2**20, peaks
+    assert peaks["1e6"] - peaks["2e5"] <= 8 * 800_000 + 2 * 2**20, peaks
 
 
-def test_chain_check_peak_is_its_points_above_a_start_up(tmp_path):
+def test_chain_check_peak_stays_near_a_start_up(tmp_path):
     # lowerbound draws 40 binomials, so its peak is the interpreter's and
-    # numpy's; chain-check adds its (1e5, 20) points and sub-block
-    # temporaries, and no scipy
+    # numpy's; chain-check adds sub-block and fixed-size temporaries, and
+    # no scipy: its 1e5 points are drawn again block by block
     peaks = {cmd: cli_peak_rss([cmd, "--out", str(tmp_path / cmd)])
              for cmd in ("lowerbound", "chain-check")}
-    assert peaks["chain-check"] - peaks["lowerbound"] <= 10**5 * 20 * 8 + 12 * 2**20, peaks
+    assert peaks["chain-check"] - peaks["lowerbound"] <= 12 * 2**20, peaks
+
+
+def test_chain_check_memory_does_not_grow_with_its_points(tmp_path):
+    # it keeps the progress levels and a generator state per sub-block, about
+    # 4 bytes per point (160 at d = 20 when it held the points)
+    peaks = {n: cli_peak_rss(["chain-check", "--points", n, "--out", str(tmp_path / n)])
+             for n in ("1e5", "4e5")}
+    assert abs(peaks["4e5"] - peaks["1e5"]) <= 3 * 2**20, peaks
 
 
 def test_run_and_report_memory_do_not_grow_with_seeds(tmp_path):

@@ -16,6 +16,7 @@ from tailclip.config import apply_overrides, load_config
 from tailclip.errors import ConfigurationError
 from tailclip.noise import (
     NoiseSpec,
+    _log_mean,
     column_sum,
     coordinate_moment_roots,
     fan_out,
@@ -309,6 +310,15 @@ def test_tail_index_in_runs_of_blocks_equals_the_whole_array(k, zeros):
     got = tail_index(x, k, rng)
     assert got == whole_array_tail_index(x, k, twin)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 65_536, 65_537, 131_073, 10**6 + 37])
+def test_log_mean_is_numpys_mean_of_logs_bit_for_bit(n):
+    # It replays where numpy's pairwise sum splits a range; this fails if a
+    # numpy release changes the split.  The logs are standard normal: a sum
+    # with cancellation, which another order of additions rounds otherwise.
+    x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+    assert _log_mean(x).hex() == float(np.mean(np.log(x))).hex()
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
